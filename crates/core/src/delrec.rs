@@ -318,7 +318,7 @@ impl DelRec {
             h.write_usize(id.index());
         }
         self.titles
-            .get_or_build(h.finish(), || self.items.titles_of(candidates))
+            .get_or_build(h.finish(), candidates, || self.items.titles_of(candidates))
     }
 
     /// Grad-free scoring for a chunk of requests: build the Stage-2 prompts,

@@ -1,19 +1,41 @@
 //! The brute-force item index: every item embedding, L2-normalized and
-//! repacked into the GEMM panel layout, so a full-catalog scan is one
-//! [`gemm_packed`] call.
+//! repacked into the GEMM panel layout, so a full-catalog scan is the packed
+//! GEMM kernel walked over the panels.
 //!
 //! No approximate-nearest-neighbor structure: at the catalog scales this
-//! repo targets (10⁴–10⁶ items × 16–128 dims) a blocked, parallel GEMM scan
-//! streams the whole index at memory bandwidth in well under a millisecond,
-//! is *exact* (recall of the scan itself is 1.0 by construction), and — the
-//! property every kernel here pins — bitwise deterministic across thread
-//! counts, which no graph- or tree-based ANN traversal can promise once its
-//! visit order floats. DESIGN.md's "Retrieval" section carries the full
-//! trade-off discussion.
+//! repo targets (10⁴–10⁶ items × 16–128 dims) a blocked GEMM scan is
+//! bandwidth-bound — one query against 262 144 × 16 f32 streams the 16 MB
+//! index in 1.03 ms on the 2-vCPU benchmark host (≈17 GB/s), so a query row
+//! is cheap only when it shares the stream with others — is *exact* (recall
+//! of the scan itself is 1.0 by construction), and — the property every
+//! kernel here pins — bitwise deterministic across thread counts, which no
+//! graph- or tree-based ANN traversal can promise once its visit order
+//! floats. DESIGN.md's "Retrieval" section carries the full trade-off
+//! discussion.
+//!
+//! Request paths go through [`ItemIndex::scan_top_k`], which never holds
+//! more than a `[rows, tile]` block of scores; the materialising
+//! [`ItemIndex::scan_batch_into`] family is the reference it is tested
+//! against.
 
+use crate::topk::TopKSelector;
+use delrec_data::ItemId;
 use delrec_tensor::{
-    gemm_packed, gemm_packed_q8, pack_b_transposed, quantize_pack, PackedB, QuantizedPanel,
+    gemm_packed, gemm_packed_panels, gemm_packed_q8, gemm_packed_q8_panels, pack_b_transposed,
+    quantize_pack, PackedB, QuantizedPanel, NR,
 };
+use std::ops::Range;
+
+/// Items per streamed score tile of [`ItemIndex::scan_top_k`] (a whole
+/// number of `NR`-wide panels). Sized so a lane's `[rows, TILE_ITEMS]` f32
+/// block — 4 KB for a solo query, 512 KB at the retriever's 128-row block —
+/// is still in L2 when the selectors read back what the kernel just wrote.
+const TILE_ITEMS: usize = 1024;
+const TILE_PANELS: usize = TILE_ITEMS / NR;
+
+/// Minimum multiply-accumulates per lane before [`ItemIndex::scan_top_k`]
+/// forks: the same break-even the GEMM's own parallel driver uses.
+const PAR_MIN_MACS_PER_LANE: usize = 64 * 1024;
 
 /// How the packed item matrix is stored.
 ///
@@ -45,6 +67,21 @@ impl Panel {
         match self {
             Panel::F32(p) => gemm_packed(queries, lda, p, out, m, false),
             Panel::Q8(q) => gemm_packed_q8(queries, lda, q, out, m, false),
+        }
+    }
+
+    /// Score panels `panels` only, into a dense `[m, width]` block.
+    fn scan_panels(
+        &self,
+        queries: &[f32],
+        lda: usize,
+        panels: Range<usize>,
+        out: &mut [f32],
+        m: usize,
+    ) {
+        match self {
+            Panel::F32(p) => gemm_packed_panels(queries, lda, p, panels, out, m),
+            Panel::Q8(q) => gemm_packed_q8_panels(queries, lda, q, panels, out, m),
         }
     }
 
@@ -180,9 +217,71 @@ impl ItemIndex {
         }
         let _span = delrec_obs::span!("retrieval.scan");
         self.panel.scan(queries, self.dim, out, m);
+        self.count_scan(m);
+    }
+
+    fn count_scan(&self, m: usize) {
         delrec_obs::counter!("retrieval.scan.items").add((m * self.n_items) as u64);
         delrec_obs::counter!("retrieval.scan.rows").add(m as u64);
         delrec_obs::counter!("retrieval.scan.batches").incr();
+    }
+
+    /// Score `ks.len()` queries (row-major `[m, dim]`) against every item and
+    /// keep row `i`'s best `ks[i]`, best first — in **one streamed pass**
+    /// that never holds a full score row: the panels are walked in
+    /// [`TILE_ITEMS`]-wide tiles, each `[m, tile]` score block is computed
+    /// into a reused scratch and pushed straight into one [`TopKSelector`]
+    /// per row. Transient memory is `O(m · tile)`, not `O(m · n_items)`.
+    ///
+    /// Row `i` is bitwise `top_k(scan(query i), ks[i])`: each score is the
+    /// same fixed k-order dot product whichever block computes it, and the
+    /// best `k` under a total order do not depend on visiting order. With
+    /// several pool lanes each takes a contiguous tile range with private
+    /// selectors, merged per row under the same order — parallel ≡ serial.
+    pub fn scan_top_k(&self, queries: &[f32], ks: &[usize]) -> Vec<Vec<(ItemId, f32)>> {
+        let (m, dim, n_items) = (ks.len(), self.dim, self.n_items);
+        assert_eq!(queries.len(), m * dim, "query matrix shape");
+        if m == 0 {
+            return Vec::new();
+        }
+        let _span = delrec_obs::span!("retrieval.scan");
+        let panels = n_items.div_ceil(NR);
+        let tiles = panels.div_ceil(TILE_PANELS);
+        let pool = delrec_par::current();
+        let lanes = (m * dim * n_items / PAR_MIN_MACS_PER_LANE).clamp(1, pool.lanes());
+        let tile_ranges = delrec_par::partition(tiles, lanes);
+        // One selector per (lane, row); a lane owns its row of the outer Vec.
+        let mut selectors: Vec<Vec<TopKSelector>> = tile_ranges
+            .iter()
+            .map(|_| {
+                ks.iter()
+                    .map(|&k| TopKSelector::new(k.min(n_items)))
+                    .collect()
+            })
+            .collect();
+        pool.for_each_chunk(&mut selectors, 1, |lane, rows| {
+            let mut block = vec![0.0f32; m * TILE_ITEMS.min(n_items)];
+            for tile in tile_ranges[lane].clone() {
+                let tile_panels = tile * TILE_PANELS..((tile + 1) * TILE_PANELS).min(panels);
+                let first = tile * TILE_ITEMS;
+                let width = (tile_panels.end * NR).min(n_items) - first;
+                let block = &mut block[..m * width];
+                self.panel.scan_panels(queries, dim, tile_panels, block, m);
+                for (selector, scores) in rows[0].iter_mut().zip(block.chunks_exact(width)) {
+                    selector.push_tile(first as u32, scores);
+                }
+            }
+        });
+        self.count_scan(m);
+        let admitted: u64 = selectors.iter().flatten().map(|s| s.admitted()).sum();
+        delrec_obs::counter!("retrieval.select.admitted").add(admitted);
+        let (merged, rest) = selectors.split_first_mut().expect("at least one lane");
+        for lane in rest {
+            for (into, from) in merged.iter_mut().zip(lane) {
+                into.merge(from);
+            }
+        }
+        merged.iter_mut().map(|s| s.finish()).collect()
     }
 
     /// Convenience: allocate and fill a score row for one query.
@@ -253,6 +352,37 @@ mod tests {
             let single = idx.scan(&queries[i * d..(i + 1) * d]);
             assert_eq!(&batch[i * n..(i + 1) * n], single.as_slice(), "row {i}");
         }
+    }
+
+    #[test]
+    fn streamed_top_k_is_the_materialised_top_k_and_counts_its_work() {
+        // Three tiles, the last one ragged and ending mid-panel.
+        let (n, d, m) = (2 * TILE_ITEMS + 37, 5, 3);
+        let emb = fill(13, n * d);
+        let queries = fill(17, m * d);
+        let ks = [1, 100, n + 5];
+        let counter = |name| delrec_obs::global().counter(name).get();
+        let bits = |r: &[(ItemId, f32)]| -> Vec<(u32, u32)> {
+            r.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+        };
+        for format in [IndexFormat::F32, IndexFormat::Q8] {
+            let idx = ItemIndex::build(emb.clone(), d, 0, format);
+            let (admitted, passes) = (
+                counter("retrieval.select.admitted"),
+                counter("retrieval.scan.batches"),
+            );
+            let got = idx.scan_top_k(&queries, &ks);
+            // Other tests bump the same process-wide counters: lower bounds only.
+            assert!(counter("retrieval.scan.batches") > passes);
+            assert!(counter("retrieval.select.admitted") >= admitted + (1 + 100 + n) as u64);
+            for (i, (row, &k)) in got.iter().zip(&ks).enumerate() {
+                let want = crate::top_k(&idx.scan(&queries[i * d..(i + 1) * d]), k);
+                assert_eq!(bits(row), bits(&want), "{format:?} row {i}");
+            }
+        }
+        assert!(ItemIndex::build(emb, d, 0, IndexFormat::F32)
+            .scan_top_k(&[], &[])
+            .is_empty());
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! an oracle-provided candidate set, [`Retriever`] scans *every* item — LLM
 //! (MiniLM) item embeddings, L2-normalized and repacked into the blocked
 //! GEMM panel layout ([`ItemIndex`]) — against a query vector aggregated
-//! from the user's history ([`UserEncoder`]), then selects candidates with a
-//! deterministic [`top_k`]. DELRec re-ranks the survivors upstream (see
-//! `delrec-core`'s `Recommender`).
+//! from the user's history ([`UserEncoder`]), keeping each query's best
+//! candidates as the scores stream by ([`TopKSelector`]). DELRec re-ranks
+//! the survivors upstream (see `delrec-core`'s `Recommender`).
 //!
 //! Design invariants, shared with every kernel in this workspace:
 //!
-//! * **Bitwise thread-count determinism.** The scan is `gemm_packed` (or its
-//!   int8 twin), whose parallel drivers only redistribute disjoint output
-//!   stripes; the top-k is a serial pass with a total order
-//!   ([`f32::total_cmp`], ties toward the smaller `ItemId`). Identical input
-//!   → identical candidate lists at `DELREC_THREADS` 1 or 64.
+//! * **Bitwise thread-count determinism.** Every score is the packed GEMM
+//!   kernel's fixed k-order dot product, whichever tile or lane computes it,
+//!   and selection keeps the best `n` under a total order
+//!   ([`f32::total_cmp`], ties toward the smaller `ItemId`), which no visiting
+//!   order can change. Identical input → identical candidate lists at
+//!   `DELREC_THREADS` 1 or 64.
 //! * **Exactness.** Brute force, not ANN: the scan's own recall is 1.0, so
 //!   end-to-end recall measures the *embeddings*, not an index structure.
 //! * **One build per parameter version.** [`ItemIndex`] carries the
@@ -30,14 +31,14 @@ pub mod topk;
 
 pub use encoder::{UserEncoder, DEFAULT_DECAY};
 pub use index::{l2_normalize_rows, IndexFormat, ItemIndex};
-pub use topk::{sort_ranked, top_k, TopKScratch};
+pub use topk::{sort_ranked, top_k, TopKSelector};
 
 use delrec_data::ItemId;
 
-/// Queries per scan block in [`Retriever::retrieve_batch_each`]: bounds the
-/// transient `[rows, n_items]` score matrix (128 rows × a 1M-item catalog is
-/// 512 MB of f32 — blocks keep it at that ceiling no matter how large a
-/// batch callers hand in). Blocking is invisible in the output: each row's
+/// Queries per streamed pass in [`Retriever::retrieve_batch_each`]: bounds
+/// the encoded `[rows, dim]` query block and each lane's `[rows, tile]`
+/// score block (512 KB of f32 at 128 rows — L2-resident) no matter how large
+/// a batch callers hand in. Blocking is invisible in the output: each row's
 /// scan and selection depend only on that row.
 const SCAN_BLOCK_ROWS: usize = 128;
 
@@ -69,21 +70,21 @@ impl Retriever {
 
     /// Retrieve the `n` best-scoring candidates for a user history (oldest
     /// first), best first. Returns the whole catalog ranked when
-    /// `n >= catalog size`.
+    /// `n >= catalog size`. This *is* the batch path with one row.
     pub fn retrieve(&self, history: &[ItemId], n: usize) -> Vec<(ItemId, f32)> {
-        let query = self.encoder.encode(history);
-        let scores = self.index.scan(&query);
-        top_k(&scores, n)
+        self.retrieve_batch_each(&[history], &[n])
+            .pop()
+            .expect("one row per history")
     }
 
-    /// Retrieve candidates for `B` histories through **one** catalog scan:
-    /// all queries are encoded into a `[B, dim]` matrix and scored in a
-    /// single blocked `[B, dim] × [dim, n_items]` GEMM, so the packed item
-    /// panels stream from memory once for the whole batch instead of once
-    /// per user. Row `i` of the result is bitwise identical to
-    /// `retrieve(histories[i], n)` — at every thread count and batch size —
-    /// because each output score's accumulation order and each row's top-k
-    /// selection depend only on that row's own query.
+    /// Retrieve candidates for `B` histories through **one** pass over the
+    /// catalog: all queries are encoded into a `[B, dim]` matrix and scored
+    /// tile by tile ([`ItemIndex::scan_top_k`]), so the packed item panels
+    /// stream from memory once for the whole batch instead of once per user,
+    /// and no `[B, n_items]` score matrix ever exists. Row `i` depends only
+    /// on `histories[i]` — at every thread count and batch size — because
+    /// each output score's accumulation order and each row's top-k selection
+    /// depend only on that row's own query.
     pub fn retrieve_batch(&self, histories: &[&[ItemId]], n: usize) -> Vec<Vec<(ItemId, f32)>> {
         let ns = vec![n; histories.len()];
         self.retrieve_batch_each(histories, &ns)
@@ -91,7 +92,7 @@ impl Retriever {
 
     /// [`retrieve_batch`](Self::retrieve_batch) with a per-history retrieval
     /// depth (`ns[i]` candidates for `histories[i]`). The scan cost is
-    /// independent of the depths — one GEMM covers the batch regardless —
+    /// independent of the depths — one pass covers the batch regardless —
     /// so mixed-depth callers (e.g. a serving batch coalescing requests with
     /// different `k`) still share the panel traversal.
     pub fn retrieve_batch_each(
@@ -100,33 +101,18 @@ impl Retriever {
         ns: &[usize],
     ) -> Vec<Vec<(ItemId, f32)>> {
         assert_eq!(histories.len(), ns.len(), "one depth per history");
-        let b = histories.len();
-        let mut out = Vec::with_capacity(b);
-        if b == 0 {
-            return out;
-        }
         let dim = self.index.dim();
-        let n_items = self.index.len();
-        let rows = b.min(SCAN_BLOCK_ROWS);
-        let mut queries = vec![0.0f32; rows * dim];
-        let mut scores = vec![0.0f32; rows * n_items];
-        // Heap and scratch buffers live across all rows of the batch.
-        let mut scratch = TopKScratch::new();
-        let mut start = 0;
-        while start < b {
-            let end = (start + SCAN_BLOCK_ROWS).min(b);
-            let m = end - start;
-            for (i, h) in histories[start..end].iter().enumerate() {
-                self.encoder
-                    .encode_into(h, &mut queries[i * dim..(i + 1) * dim]);
+        let mut out = Vec::with_capacity(histories.len());
+        let mut queries = vec![0.0f32; histories.len().min(SCAN_BLOCK_ROWS) * dim];
+        for (histories, ns) in histories
+            .chunks(SCAN_BLOCK_ROWS)
+            .zip(ns.chunks(SCAN_BLOCK_ROWS))
+        {
+            let queries = &mut queries[..histories.len() * dim];
+            for (h, query) in histories.iter().zip(queries.chunks_exact_mut(dim)) {
+                self.encoder.encode_into(h, query);
             }
-            let block = &mut scores[..m * n_items];
-            block.fill(0.0);
-            self.index.scan_batch_into(&queries[..m * dim], m, block);
-            for (i, &n) in ns[start..end].iter().enumerate() {
-                out.push(scratch.top_k(&block[i * n_items..(i + 1) * n_items], n));
-            }
-            start = end;
+            out.extend(self.index.scan_top_k(queries, ns));
         }
         out
     }

@@ -1,4 +1,4 @@
-//! Deterministic top-k selection over a full-catalog score row.
+//! Deterministic top-k selection over catalog scores, streamed tile by tile.
 //!
 //! The ordering is total and explicit: higher score first, and *bitwise
 //! equal* scores break toward the smaller [`ItemId`]. Comparison uses
@@ -34,60 +34,103 @@ impl Ord for Worst {
     }
 }
 
-/// Reusable bounded-heap workspace for top-k selection.
+/// Bounded best-`k` selector over a stream of score tiles — the one
+/// selection routine of this crate. The streamed catalog scan feeds it one
+/// `[tile]` block at a time per query row; the free [`top_k`] is the same
+/// selector fed a whole row as one tile.
 ///
-/// Each [`top_k`] call used to allocate its heap fresh; on the batched scan
-/// path that is a per-row cost × B per flush. A scratch owns the heap's
-/// backing buffer and lends it to every [`TopKScratch::top_k`] call, so a
-/// whole batch of rows selects through one allocation (the buffer grows to
-/// the largest `k + 1` seen and stays there).
-///
-/// The selected list is a pure function of `(scores, k)` under the total
-/// order — scratch reuse can't change a bit of the output, only where the
-/// heap's storage lives.
-#[derive(Default)]
-pub struct TopKScratch {
-    buf: Vec<Worst>,
+/// Most scores of a large catalog lose to the `k`-th best seen so far, so
+/// [`push_tile`](Self::push_tile) rejects them with one IEEE compare,
+/// `s < threshold`, where `threshold` is the worst kept score (`-inf` until
+/// `k` are kept, so nothing is rejected early). The prefilter is exact:
+/// `<` is true only for two non-NaN floats in strict numeric order, which
+/// implies [`f32::total_cmp`] `Less`, i.e. the candidate is worse than the
+/// worst kept entry whatever its id. Everything `<` cannot decide — NaN,
+/// `-0.0` against `0.0`, bitwise ties — falls through to the exact `Worst`
+/// comparison. The kept set is therefore the top `k` under the total order,
+/// which does not depend on the order tiles arrive in: selectors fed
+/// disjoint tile ranges [`merge`](Self::merge) into the selection a single
+/// one would have made.
+pub struct TopKSelector {
+    heap: BinaryHeap<Worst>,
+    k: usize,
+    threshold: f32,
+    admitted: u64,
 }
 
-impl TopKScratch {
-    /// Empty scratch; the first selection sizes the buffer.
-    pub fn new() -> Self {
-        TopKScratch { buf: Vec::new() }
+impl TopKSelector {
+    /// Selector keeping the best `k` of whatever is pushed. Callers clamp
+    /// `k` to the number of scores they will push (storage for `k` entries
+    /// is reserved up front).
+    pub fn new(k: usize) -> Self {
+        TopKSelector {
+            heap: BinaryHeap::with_capacity(k),
+            k,
+            threshold: f32::NEG_INFINITY,
+            admitted: 0,
+        }
     }
 
-    /// The `k` best-scoring items of `scores` (item `j`'s score at index
-    /// `j`), best first; ties in score order by ascending [`ItemId`].
-    /// Returns fewer than `k` entries only when the catalog itself is
-    /// smaller than `k`. Identical to the free [`top_k`] — same selection,
-    /// same order, same bits — but reuses this scratch's heap buffer.
-    pub fn top_k(&mut self, scores: &[f32], k: usize) -> Vec<(ItemId, f32)> {
-        let _span = delrec_obs::span!("retrieval.topk");
-        let k = k.min(scores.len());
-        if k == 0 {
-            return Vec::new();
-        }
-        debug_assert!(self.buf.is_empty(), "scratch buffer returned dirty");
-        self.buf.reserve(k + 1);
-        // `BinaryHeap::from` on an empty Vec heapifies nothing and keeps the
-        // allocation; `into_vec` below hands it back.
-        let mut heap = BinaryHeap::from(std::mem::take(&mut self.buf));
+    /// Offer `scores[j]` as the score of item `first + j`, for every `j`.
+    pub fn push_tile(&mut self, first: u32, scores: &[f32]) {
+        let mut threshold = self.threshold;
         for (j, &s) in scores.iter().enumerate() {
-            let cand = Worst(s, j as u32);
-            if heap.len() < k {
-                heap.push(cand);
-            } else if cand < *heap.peek().expect("non-empty at capacity") {
-                heap.pop();
-                heap.push(cand);
+            if s < threshold {
+                continue;
+            }
+            if self.offer(Worst(s, first + j as u32)) {
+                self.admitted += 1;
+                threshold = self.threshold;
             }
         }
-        let mut buf = heap.into_vec();
-        let mut out: Vec<(ItemId, f32)> = buf.iter().map(|&Worst(s, j)| (ItemId(j), s)).collect();
-        buf.clear();
-        self.buf = buf;
-        // Heap pop order is worst-first and heap-internal layout is not a
-        // contract; sort the k survivors with the same total order, best
-        // first.
+    }
+
+    /// Exact admission step: keep `cand` if fewer than `k` are kept or it
+    /// beats the worst kept entry under the total order. Returns whether it
+    /// entered the heap.
+    fn offer(&mut self, cand: Worst) -> bool {
+        if self.heap.len() < self.k {
+            self.heap.push(cand);
+        } else {
+            match self.heap.peek_mut() {
+                Some(mut worst) if cand < *worst => *worst = cand,
+                _ => return false, // not better, or k == 0
+            }
+        }
+        if self.heap.len() == self.k {
+            self.threshold = self.heap.peek().expect("k > 0 entries kept").0;
+        }
+        true
+    }
+
+    /// Fold in everything `other` kept, leaving it empty. Top-`k` of a union
+    /// is the top-`k` of the parts' top-`k`s, so merging selectors that saw
+    /// disjoint items equals one selector that saw them all.
+    pub fn merge(&mut self, other: &mut TopKSelector) {
+        for cand in other.heap.drain() {
+            self.offer(cand);
+        }
+        other.threshold = f32::NEG_INFINITY;
+    }
+
+    /// Scores that passed the threshold *and* entered the heap through
+    /// [`push_tile`](Self::push_tile) so far — the selector's useful work,
+    /// against one cheap compare for every score pushed.
+    pub fn admitted(&self) -> u64 {
+        self.admitted
+    }
+
+    /// The kept items, best first; ties in score order by ascending
+    /// [`ItemId`]. Leaves the selector empty.
+    pub fn finish(&mut self) -> Vec<(ItemId, f32)> {
+        // Heap-internal layout is not a contract; sort the survivors with
+        // the same total order, best first.
+        let mut out: Vec<(ItemId, f32)> = self
+            .heap
+            .drain()
+            .map(|Worst(s, j)| (ItemId(j), s))
+            .collect();
+        self.threshold = f32::NEG_INFINITY;
         sort_ranked(&mut out);
         out
     }
@@ -96,10 +139,15 @@ impl TopKScratch {
 /// The `k` best-scoring items of `scores` (item `j`'s score at index `j`),
 /// best first; ties in score order by ascending [`ItemId`]. Returns fewer
 /// than `k` entries only when the catalog itself is smaller than `k`.
-/// One-shot form of [`TopKScratch::top_k`]; batch callers selecting many
-/// rows should hold a scratch instead.
+///
+/// This is the materialised reference — a whole score row pushed through a
+/// [`TopKSelector`] as one tile. Request paths never build the row: see
+/// [`ItemIndex::scan_top_k`](crate::ItemIndex::scan_top_k).
 pub fn top_k(scores: &[f32], k: usize) -> Vec<(ItemId, f32)> {
-    TopKScratch::new().top_k(scores, k)
+    let _span = delrec_obs::span!("retrieval.topk");
+    let mut selector = TopKSelector::new(k.min(scores.len()));
+    selector.push_tile(0, scores);
+    selector.finish()
 }
 
 /// Sort `(item, score)` pairs best-first under the retrieval order: score
@@ -154,18 +202,75 @@ mod tests {
         assert!(top_k(&[], 3).is_empty());
     }
 
-    #[test]
-    fn scratch_reuse_matches_fresh_selection_across_varied_rows() {
-        let rows: [&[f32]; 4] = [
-            &[0.1, 0.9, -0.3, 0.5, 0.7],
-            &[0.5, 0.5, 0.5, 0.5],
-            &[-0.0, 0.0],
-            &[0.2],
+    /// Full-sort reference under the documented total order.
+    fn brute_force(scores: &[f32], k: usize) -> Vec<(ItemId, f32)> {
+        let mut all: Vec<(ItemId, f32)> = scores
+            .iter()
+            .enumerate()
+            .map(|(j, &s)| (ItemId(j as u32), s))
+            .collect();
+        sort_ranked(&mut all);
+        all.truncate(k);
+        all
+    }
+
+    fn bits(ranked: &[(ItemId, f32)]) -> Vec<(u32, u32)> {
+        ranked.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+    }
+
+    /// A row where `<` alone cannot order things: both NaN signs, both
+    /// zeros, infinities and plateaus.
+    fn awkward_row() -> Vec<f32> {
+        let specials = [
+            f32::NAN,
+            -f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.25,
+            0.25,
+            -0.5,
         ];
-        let mut scratch = TopKScratch::new();
-        for (i, row) in rows.iter().enumerate() {
-            for k in [0, 1, 2, 10] {
-                assert_eq!(scratch.top_k(row, k), top_k(row, k), "row {i}, k {k}");
+        (0..200).map(|j| specials[(j * 7 + j / 9) % 9]).collect()
+    }
+
+    #[test]
+    fn prefilter_is_exact_on_nan_signed_zero_and_ties() {
+        let row = awkward_row();
+        for k in [0, 1, 2, 5, 40, 199, 200, 500] {
+            let want = brute_force(&row, k);
+            assert_eq!(bits(&top_k(&row, k)), bits(&want), "k {k}");
+        }
+    }
+
+    #[test]
+    fn tiles_in_any_split_and_merged_lanes_match_one_pass() {
+        let row = awkward_row();
+        for k in [1, 7, 64] {
+            let want = bits(&top_k(&row, k));
+            for tile in [1, 8, 33, 200] {
+                // One selector, tile by tile.
+                let mut one = TopKSelector::new(k);
+                for (t, chunk) in row.chunks(tile).enumerate() {
+                    one.push_tile((t * tile) as u32, chunk);
+                }
+                assert!(one.admitted() >= k as u64 && one.admitted() <= row.len() as u64);
+                assert_eq!(bits(&one.finish()), want, "k {k} tile {tile}");
+                // Two "lanes" over alternating tiles, merged either way.
+                for swap in [false, true] {
+                    let (mut a, mut b) = (TopKSelector::new(k), TopKSelector::new(k));
+                    for (t, chunk) in row.chunks(tile).enumerate() {
+                        let lane = if t % 2 == 0 { &mut a } else { &mut b };
+                        lane.push_tile((t * tile) as u32, chunk);
+                    }
+                    if swap {
+                        std::mem::swap(&mut a, &mut b);
+                    }
+                    a.merge(&mut b);
+                    assert!(b.finish().is_empty());
+                    assert_eq!(bits(&a.finish()), want, "k {k} tile {tile} swap {swap}");
+                }
             }
         }
     }

@@ -444,9 +444,10 @@ fn score_batch<R: Ranker>(sh: &Shared<R>, batch: Vec<Pending>) {
         // handler. The whole flushed set goes through **one** handler call —
         // one batched catalog scan, one re-rank batch — against the single
         // generation this batch pinned above; a publish landing mid-call
-        // never mixes into it. The pipeline's own spans (`retrieval.scan`,
-        // `retrieval.topk`, `rerank`) fire inside the handler call; this
-        // span bounds the serving-side stage.
+        // never mixes into it. The pipeline's own spans (`recommend.batch`
+        // around `retrieval.scan` — one per streamed pass, selection fused
+        // into it — and `rerank`) fire inside the handler call; this span
+        // bounds the serving-side stage.
         let topk = published
             .topk
             .as_ref()

@@ -257,6 +257,55 @@ pub fn gemm_packed(
     }
 }
 
+/// Serial `out[m, w] = a[m, k] · B[:, panels]` over the `NR`-wide panels
+/// `panels` of a packed `B` only: `out` is a dense `[m, w]` block whose
+/// column 0 is global column `panels.start · NR` and whose width `w` stops at
+/// `min(panels.end · NR, n)`; it is overwritten, never read.
+///
+/// This is the panel-range driver [`gemm_packed`]'s parallel stripes run,
+/// exposed so a caller that consumes scores block by block (the retrieval
+/// scan feeding a top-k selector) never has to hold the full `[m, n]`
+/// product. It never forks — the caller owns the split — and each element is
+/// bitwise the one [`gemm_packed`] writes at the same `(row, column)`: a
+/// block boundary chooses which call computes an output, never its k-order.
+pub fn gemm_packed_panels(
+    a: &[f32],
+    lda: usize,
+    bp: &PackedB,
+    panels: std::ops::Range<usize>,
+    out: &mut [f32],
+    m: usize,
+) {
+    let w = panel_block_width(bp.k, bp.n, lda, a.len(), m, &panels, out.len());
+    gemm_panel_range::<false>(a, lda, &bp.data, bp.k, bp.n, out, m, panels, w);
+}
+
+/// Width of the `[m, w]` block a panel-range entry writes, after checking the
+/// operand shapes against it.
+fn panel_block_width(
+    k: usize,
+    n: usize,
+    lda: usize,
+    a_len: usize,
+    m: usize,
+    panels: &std::ops::Range<usize>,
+    out_len: usize,
+) -> usize {
+    assert!(
+        panels.start <= panels.end && panels.end <= n.div_ceil(NR),
+        "panel range {panels:?} outside 0..{}",
+        n.div_ceil(NR)
+    );
+    assert!(lda >= k, "row stride {lda} shorter than k {k}");
+    assert!(
+        m == 0 || a_len >= (m - 1) * lda + k,
+        "A shorter than [m, k]"
+    );
+    let w = (panels.end * NR).min(n) - (panels.start * NR).min(n);
+    assert_eq!(out_len, m * w, "block is [m, {w}]");
+    w
+}
+
 /// Serial/parallel split for [`gemm_packed`]. Both arms are bitwise-identical:
 /// parallelism only changes *which thread* computes which disjoint output
 /// rows or column stripes, never the k-order within an output element (see
@@ -490,6 +539,21 @@ pub fn gemm_packed_q8(
     } else {
         q8_dispatch::<false>(a, lda, bq, out, m);
     }
+}
+
+/// The [`QuantizedPanel`] counterpart of [`gemm_packed_panels`]: the same
+/// dense `[m, w]` block over panels `panels`, each element bitwise the one
+/// [`gemm_packed_q8`] writes at that `(row, column)`.
+pub fn gemm_packed_q8_panels(
+    a: &[f32],
+    lda: usize,
+    bq: &QuantizedPanel,
+    panels: std::ops::Range<usize>,
+    out: &mut [f32],
+    m: usize,
+) {
+    let w = panel_block_width(bq.k, bq.n, lda, a.len(), m, &panels, out.len());
+    q8_panel_range::<false>(a, lda, &bq.data, &bq.scales, bq.k, bq.n, out, m, panels, w);
 }
 
 /// Serial/parallel split for [`gemm_packed_q8`]; same structure and
@@ -1039,6 +1103,43 @@ mod tests {
         let b = fill(12, k * n);
         let ratio = pack_b(&b, k, n).bytes() as f64 / pack_b_q8(&b, k, n).bytes() as f64;
         assert!(ratio >= 3.5, "pack-memory ratio {ratio:.2} < 3.5");
+    }
+
+    /// Any split of the panels into consecutive blocks reassembles the full
+    /// product bit for bit, in both formats, including the ragged last panel
+    /// and an empty range.
+    #[test]
+    fn panel_blocks_reassemble_the_full_product_bitwise() {
+        let (m, k, n) = (5usize, 7usize, 43usize);
+        let a = fill(61, m * k);
+        let b = fill(62, k * n);
+        let bp = pack_b(&b, k, n);
+        let bq = pack_b_q8(&b, k, n);
+        let mut want = vec![0.0f32; m * n];
+        gemm_packed(&a, k, &bp, &mut want, m, false);
+        let mut want_q8 = vec![0.0f32; m * n];
+        gemm_packed_q8(&a, k, &bq, &mut want_q8, m, false);
+        let panels = n.div_ceil(NR);
+        for step in [1usize, 2, 4, panels] {
+            let (mut got, mut got_q8) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+            for p0 in (0..panels).step_by(step) {
+                let range = p0..(p0 + step).min(panels);
+                let (j0, j1) = (range.start * NR, (range.end * NR).min(n));
+                let w = j1 - j0;
+                let mut block = fill(63, m * w); // garbage: must not be read
+                gemm_packed_panels(&a, k, &bp, range.clone(), &mut block, m);
+                let mut block_q8 = fill(64, m * w);
+                gemm_packed_q8_panels(&a, k, &bq, range, &mut block_q8, m);
+                for i in 0..m {
+                    got[i * n + j0..i * n + j1].copy_from_slice(&block[i * w..(i + 1) * w]);
+                    got_q8[i * n + j0..i * n + j1].copy_from_slice(&block_q8[i * w..(i + 1) * w]);
+                }
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&want), bits(&got), "f32 step {step}");
+            assert_eq!(bits(&want_q8), bits(&got_q8), "q8 step {step}");
+        }
+        gemm_packed_panels(&a, k, &bp, panels..panels, &mut [], m);
     }
 
     #[test]

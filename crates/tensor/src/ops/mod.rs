@@ -15,9 +15,9 @@ mod slice;
 mod softmax;
 
 pub use gemm::{
-    gemm, gemm_auto, gemm_packed, gemm_packed_q8, matmul_raw_strided, pack_b, pack_b_q8,
-    pack_b_transposed, pack_b_transposed_q8, quantize_pack, PackedB, QuantizedPanel,
-    AUTO_PACK_MIN_MACS, MR, NR,
+    gemm, gemm_auto, gemm_packed, gemm_packed_panels, gemm_packed_q8, gemm_packed_q8_panels,
+    matmul_raw_strided, pack_b, pack_b_q8, pack_b_transposed, pack_b_transposed_q8, quantize_pack,
+    PackedB, QuantizedPanel, AUTO_PACK_MIN_MACS, MR, NR,
 };
 pub use matmul::{matmul_raw, matmul_raw_sparse, transpose_into};
 

@@ -17,9 +17,16 @@ cargo clippy -p delrec-par --all-targets -- -D warnings
 # The retrieval crate pins the full-catalog scan's determinism contract;
 # lint it (tests and proptests included) at the same bar.
 cargo clippy -p delrec-retrieval --all-targets -- -D warnings
-# The whole suite must pass single-threaded (pool runs inline) and
+# The benchmark package (perfbench/, a workspace of its own) builds the
+# product crates through path dependencies and uses only their public API:
+# build it here so an API break against it is caught before the pipeline
+# runs it.
+cargo build --release --manifest-path perfbench/Cargo.toml
+# The root suite must pass single-threaded (pool runs inline) and
 # multi-threaded (parallel paths engage); results are bitwise-identical
-# either way, so both runs use the same expectations.
+# either way, so both runs use the same expectations. It includes
+# tests/streaming_retrieval.rs, the streamed-scan ≡ materialised-reference
+# pin (which also injects lanes {1,2,4,8} itself via with_pool).
 DELREC_THREADS=1 cargo test -q
 DELREC_THREADS=4 cargo test -q
 
@@ -29,9 +36,10 @@ DELREC_THREADS=4 cargo test -q
 DELREC_THREADS=1 cargo test -q -p delrec-lm --test quantized_pack
 DELREC_THREADS=4 cargo test -q -p delrec-lm --test quantized_pack
 
-# The retrieval suite (deterministic top-k tie-breaking, scan-vs-serial
-# bitwise agreement, thread-invariance proptests) must hold at both pool
-# sizes explicitly — its catalogs are sized to engage the parallel driver.
+# The retrieval suite (deterministic top-k tie-breaking, the selector's
+# exact prefilter, scan-vs-serial bitwise agreement, thread-invariance
+# proptests) must hold at both pool sizes explicitly — its catalogs are
+# sized to engage the parallel drivers.
 DELREC_THREADS=1 cargo test -q -p delrec-retrieval
 DELREC_THREADS=4 cargo test -q -p delrec-retrieval
 
@@ -86,9 +94,12 @@ cargo run --release -q -p delrec-bench --bin par -- --scale smoke --out "$(mktem
 cargo run --release -q -p delrec-bench --bin quant -- --scale smoke --out "$(mktemp -d)"
 
 # Smoke-run the retrieval benchmark: asserts the full-catalog stage's
-# recall@{50,100} floors, the end-to-end HR/NDCG budget vs the
+# recall floors at depth min(100, n_items/4) and half of it (1.4x the random
+# baseline — a gate that can fail on the 40-item smoke catalog, where
+# retrieving 100 could not), the end-to-end HR/NDCG budget vs the
 # oracle-candidate protocol, bitwise thread-count determinism of both
 # retrieval and recommend, and the batched-≡-sequential gate (retrieve_batch
 # and recommend_batch vs the m=1 loop at B {1,5,32}, both formats) before
-# timing the scan sweep and the coalesced-vs-sequential scan.
+# timing the scan sweep and the coalesced-vs-sequential comparison (GEMM
+# only and at the retrieve level).
 cargo run --release -q -p delrec-bench --bin retrieval -- --scale smoke --out "$(mktemp -d)"
