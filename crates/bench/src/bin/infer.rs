@@ -1,7 +1,8 @@
 //! `infer` — throughput of the grad-free inference engine vs. the autograd
-//! tape on the MiniLm prompt scorer. Sweeps {tape, engine exact/fast} ×
-//! {prefix cache off/on} × B ∈ {1, 8, 32} over the same recommendation
-//! prompts and writes `BENCH_infer.json`.
+//! tape on the MiniLm prompt scorer. Sweeps {tape, engine} × {prefix cache
+//! off/on} × B ∈ {1, 8, 32} over the same recommendation prompts, times the
+//! vectorised kernels against libm / per-row reference loops, and writes
+//! `BENCH_infer.json`.
 //!
 //! What to expect: the tape pays per-op node allocation and closure boxing on
 //! every forward, and pads every example to the longest prompt in its chunk.
@@ -9,9 +10,14 @@
 //! the mask rows (one row per example instead of the whole padded batch —
 //! the dominant win for a 1-layer model, since the [B·T, vocab] head matmul
 //! and T² softmaxes collapse to [B, ·]), and with the prefix cache skips
-//! re-encoding the shared template head. Fast math trades the libm
-//! transcendentals for polynomial kernels on top. Exact-mode engine scores
-//! are asserted bitwise equal to the tape's before timing starts.
+//! re-encoding the shared template head. Engine scores are asserted bitwise
+//! equal to the tape's before timing starts.
+//!
+//! The `kernels` section is the gate that the `vmath` loops stayed
+//! vectorised: an out-of-line call per element (what the compiler falls back
+//! to when a kernel body stops inlining) costs about what libm does, so
+//! `gelu_slice` must beat its scalar libm reference loop by ≥ 2x in this
+//! process (≈ 4–5x when vectorised).
 
 use delrec_bench::harness::PromptStream;
 use delrec_bench::{banner, write_json, CliArgs, ExperimentContext};
@@ -20,13 +26,117 @@ use delrec_data::synthetic::DatasetProfile;
 use delrec_eval::json::Json;
 use delrec_eval::report::Table;
 use delrec_lm::verbalizer;
-use delrec_tensor::{Ctx, InferCtx, MathMode, Tape};
+use delrec_tensor::{
+    gemm_packed_panels, matmul_raw_strided, pack_b_into, vmath, Ctx, InferCtx, MathMode, PackedB,
+    Tape, NR,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 use std::ops::Range;
 use std::time::Instant;
 
 const BATCH_SIZES: [usize; 3] = [1, 8, 32];
+/// Keys per attention row / rows per example in the XL serving prompt.
+const KEYS: usize = 127;
+/// Head width of the XL preset.
+const D_HEAD: usize = 16;
+/// `gelu_slice` must beat the scalar libm loop by this factor.
+const GELU_MIN_SPEEDUP: f64 = 2.0;
+
+/// Best-of-five nanoseconds per element of `pass`, which processes `elems`
+/// elements per call.
+fn ns_per_elem(elems: usize, mut pass: impl FnMut()) -> f64 {
+    let reps = (1 << 22) / elems.max(1) + 1;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let start = Instant::now();
+        for _ in 0..reps {
+            pass();
+        }
+        best = best.min(start.elapsed().as_nanos() as f64 / (reps * elems) as f64);
+    }
+    best
+}
+
+/// Time each vectorised kernel next to its reference loop; returns
+/// `(name, kernel ns/elem, reference ns/elem)` rows.
+fn kernel_timings() -> Vec<(&'static str, f64, f64)> {
+    let src: Vec<f32> = (0..KEYS * KEYS)
+        .map(|i| (i as f32 * 0.37).sin() * 4.0)
+        .collect();
+    let mut buf = src.clone();
+
+    let gelu = ns_per_elem(src.len(), || {
+        buf.copy_from_slice(&src);
+        vmath::gelu_slice(black_box(&mut buf));
+    });
+    let gelu_libm = ns_per_elem(src.len(), || {
+        buf.copy_from_slice(&src);
+        for x in black_box(&mut buf).iter_mut() {
+            let v = *x;
+            *x = 0.5 * v * (1.0 + (0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh());
+        }
+    });
+
+    let softmax = ns_per_elem(src.len(), || {
+        buf.copy_from_slice(&src);
+        for row in black_box(&mut buf).chunks_exact_mut(KEYS) {
+            vmath::softmax_row(row);
+        }
+    });
+    let softmax_libm = ns_per_elem(src.len(), || {
+        buf.copy_from_slice(&src);
+        for row in black_box(&mut buf).chunks_exact_mut(KEYS) {
+            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for x in row.iter_mut() {
+                *x = (*x - max).exp();
+                sum += *x;
+            }
+            let inv = 1.0 / sum;
+            row.iter_mut().for_each(|x| *x *= inv);
+        }
+    });
+
+    // attn·V of one (head, example): [KEYS, KEYS] · [KEYS, D_HEAD], as one
+    // packed GEMM (pack included) vs one m = 1 product per query row.
+    let v: Vec<f32> = (0..KEYS * D_HEAD)
+        .map(|i| (i as f32 * 0.11).cos())
+        .collect();
+    let mut v_pack = PackedB::default();
+    let (mut blocked_out, mut row_out) = (vec![0.0f32; KEYS * D_HEAD], vec![0.0f32; KEYS * D_HEAD]);
+    let macs = KEYS * KEYS * D_HEAD;
+    let blocked = ns_per_elem(macs, || {
+        pack_b_into(black_box(&v), KEYS, D_HEAD, &mut v_pack);
+        let panels = 0..D_HEAD.div_ceil(NR);
+        gemm_packed_panels(
+            black_box(&src),
+            KEYS,
+            &v_pack,
+            panels,
+            &mut blocked_out,
+            KEYS,
+        );
+    });
+    let per_row = ns_per_elem(macs, || {
+        let a = black_box(&src);
+        for (row, out) in a.chunks_exact(KEYS).zip(row_out.chunks_exact_mut(D_HEAD)) {
+            matmul_raw_strided(row, KEYS, black_box(&v), out, 1, KEYS, D_HEAD, false);
+        }
+    });
+    assert_eq!(
+        blocked_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        row_out.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        "blocked attn·V must equal the per-row products bitwise"
+    );
+
+    vec![
+        ("gelu_slice vs libm tanh loop", gelu, gelu_libm),
+        ("softmax_row@127 vs libm exp loop", softmax, softmax_libm),
+        ("attn_v blocked vs per-row (ns/MAC)", blocked, per_row),
+    ]
+}
 
 /// Process `n` examples in chunks of `batch`, returning items/sec — best of
 /// three passes (the engine configurations are fast enough at bench scale
@@ -78,7 +188,7 @@ fn main() {
         let ic = InferCtx::new(MathMode::Exact);
         let cache = lm.build_prefix_cache(&ic, &shared_prefix, None);
         let logits = lm.mask_logits_infer_batch(&ic, seqs, None, mask_pos, cache.as_ref());
-        let got = verbalizer::rank_candidates_batch_mode(&logits, &refs, MathMode::Exact);
+        let got = verbalizer::rank_candidates_batch(&logits, &refs);
         assert_eq!(got, want, "exact engine must reproduce tape scores");
     }
 
@@ -129,9 +239,9 @@ fn main() {
         ]));
     }
 
-    // Closure shared by the four engine configurations.
-    let mut run_engine = |label: &str, math: MathMode, use_cache: bool, table: &mut Table| {
-        let ic = InferCtx::new(math);
+    // Closure shared by the two engine configurations.
+    let mut run_engine = |label: &str, use_cache: bool, table: &mut Table| {
+        let ic = InferCtx::new(MathMode::Exact);
         // Built once per run, like the eval path (rebuilt only when
         // parameters, math mode, or the template prefix change).
         let cache = if use_cache {
@@ -152,7 +262,7 @@ fn main() {
                     cache.as_ref(),
                 );
                 let refs: Vec<&[Vec<u32>]> = title_sets[r].iter().map(|t| t.as_slice()).collect();
-                let _ = verbalizer::rank_candidates_batch_mode(&logits, &refs, math);
+                let _ = verbalizer::rank_candidates_batch(&logits, &refs);
             });
             if b == 1 {
                 base = ips;
@@ -176,12 +286,24 @@ fn main() {
         ]));
     };
 
-    run_engine("infer_exact", MathMode::Exact, false, &mut table);
-    run_engine("infer_exact_cache", MathMode::Exact, true, &mut table);
-    run_engine("infer_fast", MathMode::Fast, false, &mut table);
-    run_engine("infer_fast_cache", MathMode::Fast, true, &mut table);
+    run_engine("infer_exact", false, &mut table);
+    run_engine("infer_exact_cache", true, &mut table);
 
     println!("{}", table.to_markdown());
+
+    let kernels = kernel_timings();
+    for (name, kernel, reference) in &kernels {
+        println!(
+            "kernels: {name}: {kernel:.2} vs {reference:.2} ns/elem ({:.2}x)",
+            reference / kernel
+        );
+    }
+    let (_, gelu, gelu_libm) = kernels[0];
+    assert!(
+        gelu_libm / gelu >= GELU_MIN_SPEEDUP,
+        "gelu_slice is {:.2}x its libm reference (< {GELU_MIN_SPEEDUP}x): the loop no longer vectorises",
+        gelu_libm / gelu
+    );
     let blob = Json::obj([
         ("experiment", Json::from("infer")),
         ("scale", Json::from(args.scale.to_string())),
@@ -189,6 +311,17 @@ fn main() {
         ("examples", Json::from(n)),
         ("prefix_len", Json::from(prefix_len)),
         ("engines", Json::arr(engines)),
+        (
+            "kernels",
+            Json::arr(kernels.iter().map(|&(name, kernel, reference)| {
+                Json::obj([
+                    ("kernel", Json::from(name)),
+                    ("ns_per_elem", Json::from(kernel)),
+                    ("reference_ns_per_elem", Json::from(reference)),
+                    ("speedup", Json::from(reference / kernel)),
+                ])
+            })),
+        ),
     ]);
     write_json(&args.out, "BENCH_infer", &blob).expect("write results");
 }

@@ -112,11 +112,7 @@ fn main() {
                 cache.as_ref(),
             );
             let refs = prompts.title_refs(i..end);
-            black_box(verbalizer::rank_candidates_batch_mode(
-                &logits,
-                &refs,
-                MathMode::Exact,
-            ));
+            black_box(verbalizer::rank_candidates_batch(&logits, &refs));
             i = end;
         }
     };

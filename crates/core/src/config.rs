@@ -110,8 +110,8 @@ pub struct DelRecConfig {
     pub fixed_lambda: Option<f32>,
     /// Numeric mode of the scoring engine a fitted/loaded model starts in
     /// ([`MathMode::Exact`] by default). Training always runs exact; this
-    /// only selects the inference path — `Fast` swaps transcendentals for
-    /// polynomial kernels, `Quantized` serves int8 weight panels. The eval
+    /// only selects the inference path — `Quantized` serves int8 weight
+    /// panels. The eval
     /// harness and server both construct models through this config, so
     /// setting it here plumbs the mode end to end;
     /// `DelRec::set_math_mode` remains the runtime switch.

@@ -286,8 +286,7 @@ impl DelRec {
     }
 
     /// Numeric mode for engine scoring: [`MathMode::Exact`] mirrors the tape
-    /// bit for bit, [`MathMode::Fast`] swaps `exp`/`tanh` for polynomial
-    /// kernels, and [`MathMode::Quantized`] serves per-channel int8 weight
+    /// bit for bit, and [`MathMode::Quantized`] serves per-channel int8 weight
     /// panels (activations stay f32; see `delrec-lm`). Switching drops every
     /// pooled engine state (contexts and prefix K/V caches are keyed on the
     /// mode); the weight-pack cache keeps one slot per pack format, so
@@ -374,7 +373,7 @@ impl DelRec {
             eng.cache.as_ref(),
         );
         let set_refs: Vec<&[Vec<u32>]> = title_sets.iter().map(|t| t.as_slice()).collect();
-        let scores = verbalizer::rank_candidates_batch_mode(&logits, &set_refs, eng.ctx.math());
+        let scores = verbalizer::rank_candidates_batch(&logits, &set_refs);
         self.engine.checkin(eng);
         scores
     }

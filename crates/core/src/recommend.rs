@@ -10,8 +10,7 @@
 //!
 //! The retriever is cached per parameter-store version with one slot per
 //! index format — the exact discipline of the LM weight-pack cache: the f32
-//! slot serves [`MathMode::Exact`] and [`MathMode::Fast`] (the scan is pure
-//! GEMM; Fast approximates nothing it uses), the q8 slot serves
+//! slot serves [`MathMode::Exact`], the q8 slot serves
 //! [`MathMode::Quantized`], and a version bump invalidates a slot without
 //! touching the other. `retrieval.index.{build,hit}` counters and the
 //! `retrieval.index.bytes` gauge make the cache observable.
@@ -46,7 +45,7 @@ impl Default for RecommendConfig {
     }
 }
 
-/// Version-keyed retriever cache: slot 0 holds f32 panels (Exact/Fast),
+/// Version-keyed retriever cache: slot 0 holds f32 panels (Exact),
 /// slot 1 holds q8 panels (Quantized) — mirror of the LM's dual-slot
 /// weight-pack cache.
 struct RetrieverCache {
@@ -158,7 +157,7 @@ impl Recommender {
         let version = self.model.lm().store().version();
         let (slot, format) = match self.model.math_mode() {
             MathMode::Quantized => (1, IndexFormat::Q8),
-            _ => (0, IndexFormat::F32),
+            MathMode::Exact => (0, IndexFormat::F32),
         };
         {
             let slots = self.cache.slots.lock().unwrap();

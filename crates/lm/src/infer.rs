@@ -18,11 +18,22 @@
 //!   row per example instead of the whole padded batch.
 //!
 //! In [`MathMode::Exact`] the output is **bitwise identical** to
-//! [`MiniLm::mask_logits_batch`]: every kernel mirrors its tape counterpart
-//! (same `matmul_raw` k-grouping, same masked-softmax prefix, same
-//! layer-norm epsilon), padded tails contribute exact `+0.0` terms, and
-//! row-local ops are computed per row either way. The tests below pin this
-//! for every preset, with soft prompts and AdaLoRA adapters attached.
+//! [`MiniLm::mask_logits_batch`]: softmax and GELU are the tape's own
+//! kernels ([`delrec_tensor::vmath`]), every GEMM keeps `matmul_raw`'s
+//! k-grouping, the layer norm mirrors the tape's, padded tails contribute
+//! exact `+0.0` terms, and row-local ops are computed per row either way.
+//! The tests below pin this for every preset, with soft prompts and AdaLoRA
+//! adapters attached.
+//!
+//! **attn·V.** A bidirectional example's query rows all attend to the same
+//! `len` keys, so after the row softmaxes the mix is one packed GEMM
+//! `[qrows, len] · [len, d_head]` per (head, example) over a scratch panel of
+//! `V` — the blocked path. A causal model's rows each see a different key
+//! count, and the query-pruned last layer has one row per example; both keep
+//! one `m = 1` product per row. The choice is made from `cfg.causal` and the
+//! row count, the two paths are bitwise equal where both apply, and the
+//! `lm.attn.blocked` / `lm.attn.per_row` counters (examples × heads per
+//! layer) show which one a deployment is on.
 //!
 //! **Cache validity**: per-layer prefix K/V are suffix-independent only when
 //! the model is causal or has a single layer (a bidirectional layer ≥ 1
@@ -34,9 +45,11 @@
 
 use crate::transformer::{LmToken, MiniLm};
 use delrec_tensor::infer::{layer_norm_rows, InferCtx, MathMode};
+use delrec_tensor::vmath::softmax_row;
 use delrec_tensor::{
-    gemm_packed, gemm_packed_q8, matmul_raw, matmul_raw_strided, pack_b, pack_b_transposed,
-    quantize_pack, transpose_into, PackedB, ParamId, QuantizedPanel, Tensor,
+    gemm_packed, gemm_packed_panels, gemm_packed_q8, matmul_raw, matmul_raw_strided, pack_b,
+    pack_b_into, pack_b_transposed, quantize_pack, transpose_into, PackedB, ParamId,
+    QuantizedPanel, Tensor, NR,
 };
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
@@ -88,9 +101,9 @@ impl PrefixCache {
 }
 
 /// One packed projection panel in either precision: f32
-/// ([`MathMode::Exact`]/[`MathMode::Fast`]) or per-channel int8
-/// ([`MathMode::Quantized`]). The kernel dispatch lives here so the forward
-/// pass reads identically in both modes — outputs are f32 either way.
+/// ([`MathMode::Exact`]) or per-channel int8 ([`MathMode::Quantized`]). The
+/// kernel dispatch lives here so the forward pass reads identically in both
+/// modes — outputs are f32 either way.
 pub(crate) enum Panel {
     F32(PackedB),
     Q8(QuantizedPanel),
@@ -199,8 +212,8 @@ impl LmPack {
 pub(crate) struct PackCache(Mutex<[Option<Arc<LmPack>>; 2]>);
 
 impl PackCache {
-    /// Slot index for a math mode: f32 panels serve `Exact` and `Fast`
-    /// (fast math only changes transcendentals, never weights).
+    /// Slot index for a math mode: f32 panels serve `Exact`, int8 panels
+    /// `Quantized`.
     fn slot(math: MathMode) -> usize {
         usize::from(math == MathMode::Quantized)
     }
@@ -268,6 +281,64 @@ impl EmbedTables<'_> {
             *o = v + self.pos[t * d + c];
         }
     }
+}
+
+/// `x[r, c] += bias[c]` over every `bias.len()`-wide row of `x`.
+fn add_row_bias(x: &mut [f32], bias: &[f32]) {
+    for row in x.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+}
+
+/// attn·V for one (head, example) whose `qrows` query rows all attend to the
+/// same `valid` keys: softmax every row of `scores` (`[qrows, kmax]`, scaled
+/// in place), then one packed GEMM `out = scores[.., ..valid] · v` with
+/// `v = [valid, dh]` packed into the reused scratch panel. Bitwise equal to
+/// [`attn_mix_row`] per row: same softmax, and the micro-kernel accumulates
+/// each output in `matmul_raw_strided`'s 4-group k order from `0.0`.
+///
+/// The panel entry point is the serial one on purpose — the batch is already
+/// split across lanes by example, and a 250 k-MAC product is not worth a
+/// nested fork.
+fn attn_mix_blocked(
+    scores: &mut [f32],
+    kmax: usize,
+    valid: usize,
+    scale: f32,
+    v: &[f32],
+    v_pack: &mut PackedB,
+    out: &mut [f32],
+) {
+    let dh = v.len() / valid;
+    let qrows = scores.len() / kmax;
+    for row in scores.chunks_exact_mut(kmax) {
+        let row = &mut row[..valid];
+        for x in row.iter_mut() {
+            *x *= scale;
+        }
+        softmax_row(row);
+    }
+    pack_b_into(v, valid, dh, v_pack);
+    gemm_packed_panels(scores, kmax, v_pack, 0..dh.div_ceil(NR), out, qrows);
+}
+
+/// attn·V for one query row attending to its first `row.len()` keys.
+///
+/// The product is truncated to the row's own `valid` keys, so the summation
+/// association depends only on `valid` (example-local), never on the
+/// batch's `kmax`: padded columns would otherwise shift the kernel's
+/// four-wide accumulation grouping and perturb low bits whenever the batch
+/// max length crosses a four-column boundary — the one place batch
+/// composition could leak into a request's scores.
+fn attn_mix_row(row: &mut [f32], scale: f32, v: &[f32], out: &mut [f32]) {
+    let valid = row.len();
+    for x in row.iter_mut() {
+        *x *= scale;
+    }
+    softmax_row(row);
+    matmul_raw_strided(row, valid, v, out, 1, valid, out.len(), false);
 }
 
 impl MiniLm {
@@ -412,8 +483,8 @@ impl MiniLm {
 
     /// The model's packed weight panels for a math mode, rebuilt iff the
     /// parameter-store version moved since that precision's cached pack was
-    /// built. `Exact` and `Fast` share the f32 slot; `Quantized` owns the
-    /// int8 slot — the two never evict each other.
+    /// built. `Exact` owns the f32 slot, `Quantized` the int8 slot — the two
+    /// never evict each other.
     fn lm_pack(&self, math: MathMode) -> Arc<LmPack> {
         let quantized = math == MathMode::Quantized;
         let mut slots = self.pack_cache.0.lock().expect("pack cache poisoned");
@@ -609,10 +680,7 @@ impl MiniLm {
                 ic.recycle(emb_t);
             }
         }
-        let head_bias = self.store.get(self.head_bias).data();
-        for (i, x) in out.iter_mut().enumerate() {
-            *x += head_bias[i % vsz];
-        }
+        add_row_bias(out, self.store.get(self.head_bias).data());
         ic.recycle(hf);
     }
 
@@ -721,12 +789,21 @@ impl MiniLm {
         let blocks = self.eff_blocks(pack.is_none());
         let nblocks = blocks.len();
         let capturing = capture.is_some();
+        // Scratch panel for the blocked attn·V, reused by every product.
+        let mut v_pack = PackedB::default();
+        // (examples × heads) per layer on the [per-row, blocked] attn·V path.
+        let mut attn_paths = [0u64; 2];
         for (l, blk) in blocks.iter().enumerate() {
             let last = l + 1 == nblocks;
             // Queries at the final block: only mask rows feed the output.
             let pruned: Option<&[usize]> = if last { mask_rows.as_deref() } else { None };
             let nq = pruned.map_or(rows, <[usize]>::len);
             let qrows = pruned.map_or(s_max, |_| 1); // query rows per example
+
+            // Bidirectional rows of one example share `valid = len`; with
+            // more than one of them the mix is a single GEMM.
+            let blocked = !cfg.causal && qrows > 1;
+            attn_paths[usize::from(blocked)] += (bsz * heads) as u64;
 
             let mut xin = ic.alloc(rows * d);
             layer_norm_rows(&h, blk.ln1_g, blk.ln1_b, &mut xin);
@@ -845,44 +922,38 @@ impl MiniLm {
                         false,
                     );
                     drop(scores_span);
+                    // Columns past a row's `valid` are never read again:
+                    // both mixes truncate to `valid`, and the next example's
+                    // score matmul overwrites the full row.
                     let mix_span = delrec_obs::span!("lm.attn_mix");
-                    for qi in 0..qrows {
-                        let t_global = match mask_pos {
-                            Some(mp) if last => mp[b],
-                            _ => p + qi,
-                        };
-                        let valid = if cfg.causal {
-                            (t_global + 1).min(len)
-                        } else {
-                            len
-                        };
-                        let row = &mut scores[qi * kmax..(qi + 1) * kmax];
-                        for x in &mut row[..valid] {
-                            *x *= scale;
-                        }
-                        ic.softmax_row(&mut row[..valid]);
-                        // Columns past `valid` are never read again: the
-                        // attn·V below truncates to `valid`, and the next
-                        // example's score matmul overwrites the full row.
-                        //
-                        // attn · V truncated to this row's `valid` keys. The
-                        // summation association then depends only on `valid`
-                        // (example-local), never on the batch's `kmax`:
-                        // padded columns would otherwise shift the kernel's
-                        // four-wide accumulation grouping and perturb low
-                        // bits whenever the batch max length crosses a
-                        // four-column boundary — the one place batch
-                        // composition could leak into a request's scores.
-                        matmul_raw_strided(
-                            &row[..valid],
-                            valid,
-                            &v_b[..valid * dh],
-                            &mut out_b[qi * dh..(qi + 1) * dh],
-                            1,
-                            valid,
-                            dh,
-                            false,
+                    if blocked {
+                        attn_mix_blocked(
+                            &mut scores,
+                            kmax,
+                            len,
+                            scale,
+                            &v_b[..len * dh],
+                            &mut v_pack,
+                            &mut out_b,
                         );
+                    } else {
+                        for qi in 0..qrows {
+                            let t_global = match mask_pos {
+                                Some(mp) if last => mp[b],
+                                _ => p + qi,
+                            };
+                            let valid = if cfg.causal {
+                                (t_global + 1).min(len)
+                            } else {
+                                len
+                            };
+                            attn_mix_row(
+                                &mut scores[qi * kmax..qi * kmax + valid],
+                                scale,
+                                &v_b[..valid * dh],
+                                &mut out_b[qi * dh..(qi + 1) * dh],
+                            );
+                        }
                     }
                     drop(mix_span);
                     for qi in 0..qrows {
@@ -980,18 +1051,14 @@ impl MiniLm {
                 Some(pk) => pk.layers[l].w1.gemm(&xin2, d, &mut f, nq, false),
                 None => matmul_raw(&xin2, blk.w1, &mut f, nq, d, ffn),
             }
-            for (i, x) in f.iter_mut().enumerate() {
-                *x += blk.b1[i % ffn];
-            }
+            add_row_bias(&mut f, blk.b1);
             ic.gelu(&mut f);
             let mut f2 = ic.alloc(nq * d);
             match pack {
                 Some(pk) => pk.layers[l].w2.gemm(&f, ffn, &mut f2, nq, false),
                 None => matmul_raw(&f, blk.w2, &mut f2, nq, ffn, d),
             }
-            for (i, x) in f2.iter_mut().enumerate() {
-                *x += blk.b2[i % d];
-            }
+            add_row_bias(&mut f2, blk.b2);
             for (o, &a) in h.iter_mut().zip(f2.iter()) {
                 *o += a;
             }
@@ -1009,6 +1076,8 @@ impl MiniLm {
             ic.recycle(scores);
             ic.recycle(out_b);
         }
+        delrec_obs::counter!("lm.attn.per_row").add(attn_paths[0]);
+        delrec_obs::counter!("lm.attn.blocked").add(attn_paths[1]);
         h
     }
 }
@@ -1115,18 +1184,28 @@ mod tests {
     }
 
     #[test]
-    fn fast_math_stays_close_to_exact() {
-        let mut cfg = MiniLmConfig::large(60);
-        cfg.dropout = 0.0;
-        let lm = MiniLm::new(cfg, 3);
-        let seqs = vec![toks(&[5, 6, 1, 7, 2, 9]), toks(&[5, 6, 1, 3])];
-        let mask_pos = [5usize, 3];
-        let exact = InferCtx::new(MathMode::Exact);
-        let fast = InferCtx::new(MathMode::Fast);
-        let a = lm.mask_logits_infer_batch(&exact, &seqs, None, &mask_pos, None);
-        let b = lm.mask_logits_infer_batch(&fast, &seqs, None, &mask_pos, None);
-        for (x, y) in a.data().iter().zip(b.data()) {
-            assert!((x - y).abs() < 1e-3, "{x} vs {y}");
+    fn blocked_attn_mix_is_bitwise_the_per_row_path() {
+        let wave = |i: usize, f: f32| (i as f32 * f).sin() * 3.0;
+        let mut v_pack = PackedB::default();
+        for dh in [8usize, 16] {
+            for valid in [1usize, 3, 4, 5, 127] {
+                // Padded key columns and more query rows than one MR tile.
+                let (kmax, qrows, scale) = (valid + 2, valid.min(9) + 1, 0.25);
+                let raw: Vec<f32> = (0..qrows * kmax).map(|i| wave(i, 0.37)).collect();
+                let v: Vec<f32> = (0..valid * dh).map(|i| wave(i, 0.11)).collect();
+
+                let mut scores = raw.clone();
+                let mut got = vec![f32::NAN; qrows * dh];
+                attn_mix_blocked(&mut scores, kmax, valid, scale, &v, &mut v_pack, &mut got);
+
+                let mut scores = raw;
+                let mut want = vec![f32::NAN; qrows * dh];
+                for (row, out) in scores.chunks_exact_mut(kmax).zip(want.chunks_exact_mut(dh)) {
+                    attn_mix_row(&mut row[..valid], scale, &v, out);
+                }
+                let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "dh {dh}, valid {valid}");
+            }
         }
     }
 
@@ -1140,7 +1219,10 @@ mod tests {
         let cache = lm.build_prefix_cache(&ic, &prefix, None).unwrap();
         let v = lm.store().version();
         assert!(cache.is_valid_for(v, MathMode::Exact, &prefix));
-        assert!(!cache.is_valid_for(v, MathMode::Fast, &prefix), "math mode");
+        assert!(
+            !cache.is_valid_for(v, MathMode::Quantized, &prefix),
+            "math mode"
+        );
         assert!(
             !cache.is_valid_for(v, MathMode::Exact, &toks(&[5, 6])),
             "different prefix"

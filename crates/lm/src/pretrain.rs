@@ -147,8 +147,7 @@ pub fn mlm_mean_log_prob(lm: &MiniLm, corpus: &[Vec<u32>], mask_token: u32, limi
         let logits = lm.mask_logits(&ctx, &tokens, None, mask_pos, &mut rng);
         let logits = tape.get(logits);
         let data = logits.data();
-        let max = data.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let lse = max + data.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
+        let lse = delrec_tensor::vmath::log_sum_exp(data);
         total += data[sent[mask_pos] as usize] - lse;
         n += 1;
     }

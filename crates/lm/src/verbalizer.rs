@@ -7,7 +7,7 @@
 //! at the mask. This keeps multi-word titles comparable regardless of length.
 
 use delrec_data::ItemId;
-use delrec_tensor::infer::log_sum_exp_mode;
+use delrec_tensor::vmath::log_sum_exp;
 use delrec_tensor::{MathMode, Tape, Tensor, Var};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -185,7 +185,7 @@ pub fn candidate_scores_batch(tape: &Tape, logits: Var, candidate_sets: &[&[Vec<
 
 /// Non-autograd ranking: mean log-probability per candidate.
 pub fn rank_candidates(logits: &Tensor, candidates: &[Vec<u32>]) -> Vec<f32> {
-    rank_row(logits.data(), candidates, MathMode::Exact)
+    rank_row(logits.data(), candidates)
 }
 
 /// Non-autograd ranking over a batch: `logits` is `[B, vocab]` (one row per
@@ -193,17 +193,6 @@ pub fn rank_candidates(logits: &Tensor, candidates: &[Vec<u32>]) -> Vec<f32> {
 /// holds example `b`'s candidate titles. Row `b` of the result is exactly
 /// [`rank_candidates`] of row `b` — candidate sets may differ in size.
 pub fn rank_candidates_batch(logits: &Tensor, candidate_sets: &[&[Vec<u32>]]) -> Vec<Vec<f32>> {
-    rank_candidates_batch_mode(logits, candidate_sets, MathMode::Exact)
-}
-
-/// [`rank_candidates_batch`] with an explicit [`MathMode`]: the inference
-/// engine's scoring path, where `Fast` swaps the normalizer's `exp` for the
-/// polynomial kernel. `Exact` is bitwise identical to the default ranker.
-pub fn rank_candidates_batch_mode(
-    logits: &Tensor,
-    candidate_sets: &[&[Vec<u32>]],
-    math: MathMode,
-) -> Vec<Vec<f32>> {
     let _span = delrec_obs::span!("lm.verbalize");
     assert_eq!(logits.shape().rank(), 2, "expected [B, vocab] logits");
     assert_eq!(
@@ -214,12 +203,24 @@ pub fn rank_candidates_batch_mode(
     candidate_sets
         .iter()
         .enumerate()
-        .map(|(b, cands)| rank_row(logits.row(b), cands, math))
+        .map(|(b, cands)| rank_row(logits.row(b), cands))
         .collect()
 }
 
-fn rank_row(data: &[f32], candidates: &[Vec<u32>], math: MathMode) -> Vec<f32> {
-    let lse = log_sum_exp_mode(data, math);
+/// [`rank_candidates_batch`] for callers that carry a [`MathMode`]. The
+/// normalizer is the same `f32` kernel in every mode (a mode only selects
+/// the weight format of the forward that produced `logits`), so the mode is
+/// not consulted.
+pub fn rank_candidates_batch_mode(
+    logits: &Tensor,
+    candidate_sets: &[&[Vec<u32>]],
+    _math: MathMode,
+) -> Vec<Vec<f32>> {
+    rank_candidates_batch(logits, candidate_sets)
+}
+
+fn rank_row(data: &[f32], candidates: &[Vec<u32>]) -> Vec<f32> {
+    let lse = log_sum_exp(data);
     candidates
         .iter()
         .map(|cand| cand.iter().map(|&t| data[t as usize] - lse).sum::<f32>() / cand.len() as f32)
@@ -233,7 +234,7 @@ fn rank_row(data: &[f32], candidates: &[Vec<u32>], math: MathMode) -> Vec<f32> {
 /// believed in.
 pub fn explain_candidate(logits: &Tensor, title: &[u32]) -> Vec<(u32, f32)> {
     let data = logits.data();
-    let lse = log_sum_exp_mode(data, MathMode::Exact);
+    let lse = log_sum_exp(data);
     title.iter().map(|&t| (t, data[t as usize] - lse)).collect()
 }
 
@@ -334,20 +335,6 @@ mod tests {
         assert!((mean - score).abs() < 1e-6);
         // Scores are log-probabilities: all negative for a multi-token vocab.
         assert!(parts.iter().all(|&(_, s)| s < 0.0));
-    }
-
-    #[test]
-    fn mode_ranker_is_exact_by_default_and_close_in_fast() {
-        let logits = Tensor::new([1, 6], vec![0.3, -1.0, 2.0, 0.7, -0.2, 1.4]);
-        let sets: Vec<Vec<Vec<u32>>> = vec![vec![vec![0, 2], vec![1], vec![3, 4, 5]]];
-        let set_refs: Vec<&[Vec<u32>]> = sets.iter().map(|s| s.as_slice()).collect();
-        let exact = rank_candidates_batch(&logits, &set_refs);
-        let exact_mode = rank_candidates_batch_mode(&logits, &set_refs, MathMode::Exact);
-        assert_eq!(exact, exact_mode, "Exact mode must be bitwise identical");
-        let fast = rank_candidates_batch_mode(&logits, &set_refs, MathMode::Fast);
-        for (a, b) in exact[0].iter().zip(&fast[0]) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
     }
 
     #[test]

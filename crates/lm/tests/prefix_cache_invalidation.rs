@@ -85,17 +85,17 @@ fn math_mode_switch_forces_rebuild() {
     let exact = InferCtx::new(MathMode::Exact);
     let cache = lm.build_prefix_cache(&exact, &prefix, None).unwrap();
     assert!(
-        !cache.is_valid_for(lm.store().version(), MathMode::Fast, &prefix),
-        "an Exact-mode cache must not serve Fast-mode scoring"
+        !cache.is_valid_for(lm.store().version(), MathMode::Quantized, &prefix),
+        "an Exact-mode cache must not serve Quantized-mode scoring"
     );
 
-    // Rebuild under Fast and compare against the uncached Fast path: fast
-    // transcendentals mean Exact-built K/V would differ, so equality here
-    // only holds because the cache really was rebuilt under Fast.
-    let fast = InferCtx::new(MathMode::Fast);
-    let rebuilt = lm.build_prefix_cache(&fast, &prefix, None).unwrap();
-    assert!(rebuilt.is_valid_for(lm.store().version(), MathMode::Fast, &prefix));
-    assert_cached_matches_uncached(&lm, &fast, &seqs, &mask_pos, &rebuilt, "fast-mode rebuild");
+    // Rebuild under Quantized and compare against the uncached Quantized
+    // path: int8 projection weights mean Exact-built K/V would differ, so
+    // equality here only holds because the cache really was rebuilt.
+    let quant = InferCtx::new(MathMode::Quantized);
+    let rebuilt = lm.build_prefix_cache(&quant, &prefix, None).unwrap();
+    assert!(rebuilt.is_valid_for(lm.store().version(), MathMode::Quantized, &prefix));
+    assert_cached_matches_uncached(&lm, &quant, &seqs, &mask_pos, &rebuilt, "q8-mode rebuild");
 }
 
 #[test]

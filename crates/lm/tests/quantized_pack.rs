@@ -3,14 +3,22 @@
 //! coexist and invalidate independently; quantized logits stay close to
 //! exact; and the quantized kernel is thread-count deterministic.
 //!
-//! Counters are process-global and other tests may run concurrently in this
-//! binary's process, so assertions are on deltas being *at least* the
-//! expected amount, never exact totals.
+//! The `lm.weight_pack.*` counters are process-global and every forward in
+//! this file bumps them, so each test holds [`serial`]'s lock for its whole
+//! body: a "no rebuild" assertion compares a counter to itself across a call
+//! and must not see a sibling test's pack build in between.
 
 use delrec_lm::{LmToken, MiniLm, MiniLmConfig};
 use delrec_obs::MetricValue;
 use delrec_par::{with_pool, ThreadPool};
 use delrec_tensor::{Ctx, InferCtx, MathMode, Tape, Tensor};
+
+/// One test of this binary at a time (see the module docs). A sibling's
+/// failed assertion must not cascade, so a poisoned lock is still taken.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn toks(ids: &[u32]) -> Vec<LmToken> {
     ids.iter().map(|&w| LmToken::Vocab(w)).collect()
@@ -49,6 +57,7 @@ fn score(lm: &MiniLm, ic: &InferCtx, seqs: &[Vec<LmToken>], mask_pos: &[usize]) 
 /// exact scores come back bitwise identical to the tape reference.
 #[test]
 fn mode_switch_rebuilds_the_right_pack_and_exact_stays_on_tape() {
+    let _serial = serial();
     let (lm, seqs, mask_pos) = test_model();
     let exact = InferCtx::new(MathMode::Exact);
     let quant = InferCtx::new(MathMode::Quantized);
@@ -121,6 +130,7 @@ fn mode_switch_rebuilds_the_right_pack_and_exact_stays_on_tape() {
 /// runs — but only slightly.
 #[test]
 fn quantized_logits_stay_close_to_exact() {
+    let _serial = serial();
     let (lm, seqs, mask_pos) = test_model();
     let exact_scores = score(&lm, &InferCtx::new(MathMode::Exact), &seqs, &mask_pos);
     let quant_scores = score(&lm, &InferCtx::new(MathMode::Quantized), &seqs, &mask_pos);
@@ -141,6 +151,7 @@ fn quantized_logits_stay_close_to_exact() {
 /// A parameter write invalidates *both* pack slots independently.
 #[test]
 fn version_bump_invalidates_both_slots() {
+    let _serial = serial();
     let (mut lm, seqs, mask_pos) = test_model();
     let exact = InferCtx::new(MathMode::Exact);
     let quant = InferCtx::new(MathMode::Quantized);
@@ -171,6 +182,7 @@ fn version_bump_invalidates_both_slots() {
 /// regions without changing any element's accumulation order.
 #[test]
 fn quantized_scores_are_thread_count_deterministic() {
+    let _serial = serial();
     let (lm, seqs, mask_pos) = test_model();
     let ic = InferCtx::new(MathMode::Quantized);
     let serial = ThreadPool::new(1);
@@ -188,9 +200,10 @@ fn quantized_scores_are_thread_count_deterministic() {
 
 /// The legacy per-head projection path never touches weight packs, so
 /// `Quantized` mode must leave it bitwise identical to `Exact` (the mode
-/// only changes panel storage; transcendentals stay exact).
+/// only changes panel storage).
 #[test]
 fn legacy_per_head_path_ignores_quantized_mode() {
+    let _serial = serial();
     let (mut lm, seqs, mask_pos) = test_model();
     lm.set_fused_projections(false);
     let exact_scores = score(&lm, &InferCtx::new(MathMode::Exact), &seqs, &mask_pos);

@@ -39,14 +39,11 @@ const PAR_MIN_MACS_PER_LANE: usize = 64 * 1024;
 
 /// How the packed item matrix is stored.
 ///
-/// Mirrors the LM weight-pack formats: [`MathMode::Exact`] and
-/// [`MathMode::Fast`] share the f32 panels (the scan is a pure GEMM — there
-/// is no transcendental to approximate, so Fast packs nothing different),
-/// while [`MathMode::Quantized`] stores per-item int8 codes at ~4x smaller
-/// footprint with the scan accumulating in f32.
+/// Mirrors the LM weight-pack formats: [`MathMode::Exact`] scans f32
+/// panels, while [`MathMode::Quantized`] stores per-item int8 codes at ~4x
+/// smaller footprint with the scan accumulating in f32.
 ///
 /// [`MathMode::Exact`]: delrec_tensor::MathMode::Exact
-/// [`MathMode::Fast`]: delrec_tensor::MathMode::Fast
 /// [`MathMode::Quantized`]: delrec_tensor::MathMode::Quantized
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexFormat {

@@ -368,10 +368,15 @@ proptest! {
 /// The full-catalog path swaps with the model: top-k responses always match
 /// the acknowledged generation's `recommend_top_k` — the handler is rebuilt
 /// per publish, not captured once at startup.
+///
+/// The interleaving is driven, not raced: a first wave is submitted and
+/// fully acknowledged, then `publish` returns, then a second wave goes in.
+/// Every wave-1 batch flushed before the publish and every wave-2 batch
+/// after it, so the generations are known without any timing assumption.
 #[test]
 fn topk_handler_swaps_with_the_model() {
     let max_history = 8;
-    let server = Arc::new(Server::start_recommender(
+    let server = Server::start_recommender(
         Arc::new(VersionedRanker {
             version: VERSION_BASE,
         }),
@@ -384,58 +389,56 @@ fn topk_handler_swaps_with_the_model() {
             max_history,
             persistence: None,
         },
-    ));
-    let stop = Arc::new(AtomicBool::new(false));
-    let publisher = {
-        let server = Arc::clone(&server);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut v = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                v += 1;
-                server.publish(Arc::new(VersionedRanker {
-                    version: VERSION_BASE + v,
-                }));
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        })
-    };
-
+    );
     let client = server.client();
     let mut hist = Vec::new();
-    let mut inflight = Vec::new();
-    for i in 0..40u32 {
-        let delta = ids(&[i]);
-        let expected_hist = replay_session(&mut hist, &delta, max_history);
-        let h = client
-            .submit_topk(TopKRequest {
-                user_id: 3,
-                recent_items: delta,
-                k: 5,
-                deadline: None,
+    let mut next_item = 0u32;
+    // Submit a 20-request burst, wait for all of it, check each response
+    // against the generation it acknowledges; returns the `model_seq`s seen.
+    let mut wave = || -> Vec<u64> {
+        let inflight: Vec<_> = (0..20)
+            .map(|_| {
+                let delta = ids(&[next_item]);
+                next_item += 1;
+                let expected_hist = replay_session(&mut hist, &delta, max_history);
+                let handle = client
+                    .submit_topk(TopKRequest {
+                        user_id: 3,
+                        recent_items: delta,
+                        k: 5,
+                        deadline: None,
+                    })
+                    .unwrap();
+                (handle, expected_hist)
             })
-            .unwrap();
-        inflight.push((h, expected_hist));
-    }
-    let mut seqs_seen = std::collections::BTreeSet::new();
-    for (h, hist) in inflight {
-        let resp = h.wait().unwrap();
-        let want = expected_topk(VERSION_BASE + resp.model_seq, &hist, 5);
-        assert_eq!(
-            resp.items, want,
-            "top-k must come from the acknowledged generation (seq {})",
-            resp.model_seq
-        );
-        seqs_seen.insert(resp.model_seq);
-    }
-    stop.store(true, Ordering::Relaxed);
-    publisher.join().unwrap();
-    // The publisher runs for the whole submission burst at a 100 µs cadence,
-    // so at least one response must have landed on a post-start generation —
-    // otherwise this test never exercised a swap.
+            .collect();
+        inflight
+            .into_iter()
+            .map(|(handle, hist)| {
+                let resp = handle.wait().unwrap();
+                let want = expected_topk(VERSION_BASE + resp.model_seq, &hist, 5);
+                assert_eq!(
+                    resp.items, want,
+                    "top-k must come from the acknowledged generation (seq {})",
+                    resp.model_seq
+                );
+                resp.model_seq
+            })
+            .collect()
+    };
+
+    let before = wave();
     assert!(
-        *seqs_seen.iter().max().unwrap() >= 1,
-        "no response ever saw a published generation: {seqs_seen:?}"
+        before.iter().all(|&seq| seq == 0),
+        "nothing was published yet: {before:?}"
+    );
+    server.publish(Arc::new(VersionedRanker {
+        version: VERSION_BASE + 1,
+    }));
+    let after = wave();
+    assert!(
+        after.iter().all(|&seq| seq >= 1),
+        "a batch flushed after publish returned still used the old handler: {after:?}"
     );
 }
 

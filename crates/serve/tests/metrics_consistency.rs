@@ -97,7 +97,13 @@ fn run_case_with_publishes(
         std::thread::spawn(move || -> Result<u64, String> {
             let mut taken = 0u64;
             let mut last_publishes = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            // The stop flag is read *before* each snapshot and acted on
+            // after it, so a run that finishes before this thread is first
+            // scheduled (a single request on a loaded host) still gets one
+            // checked snapshot instead of failing "checker never ran".
+            let mut stopping = false;
+            while !stopping {
+                stopping = stop.load(Ordering::Relaxed);
                 let s = m.snapshot();
                 check(&s)?;
                 if s.model_publishes < last_publishes {

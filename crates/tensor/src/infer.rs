@@ -1,148 +1,43 @@
-//! Grad-free inference kernels: pooled scratch buffers, exact mirrors of the
-//! tape's forward arithmetic, and fast polynomial transcendentals.
+//! Grad-free inference kernels: pooled scratch buffers over the same
+//! arithmetic the tape's forward runs.
 //!
 //! [`crate::Tape`] pays for differentiability on every op — a node
 //! allocation, parent bookkeeping, and a boxed backward closure — which is
 //! pure overhead when no gradient will ever be taken. [`InferCtx`] is the
 //! inference-side counterpart: it carries only a [`BufferPool`] and a
-//! [`MathMode`], and the free kernels here ([`softmax_row_mode`],
-//! [`layer_norm_rows`], [`gelu_slice_mode`], [`log_sum_exp_mode`]) reproduce
-//! the corresponding tape ops' arithmetic *bitwise* in [`MathMode::Exact`],
-//! so a forward pass built on them is indistinguishable from a tape forward
-//! — the property the LM-level equivalence tests pin down.
-//!
-//! [`MathMode::Fast`] swaps `exp`/`tanh`/`gelu` for the polynomial
-//! approximations below. Their error bounds (enforced by the
-//! `fast_math_properties` test suite):
-//!
-//! * [`fast_exp`]: relative error ≤ 2e-5 on `[-20, 20]`, monotone.
-//! * [`fast_tanh`], [`fast_gelu`], [`fast_sigmoid`]: absolute error ≤ 1e-4.
+//! [`MathMode`]. Softmax and GELU *are* the tape's — both sides call the one
+//! kernel set in [`crate::vmath`] — and [`layer_norm_rows`] reproduces the
+//! tape's `layer_norm` forward bitwise, so a forward pass built on them is
+//! indistinguishable from a tape forward — the property the LM-level
+//! equivalence tests pin down.
 
-use crate::ops::{gelu_fwd, GELU_COEF, LN_EPS, SQRT_2_OVER_PI};
+use crate::ops::{vmath, LN_EPS};
 use crate::tape::BufferPool;
 use std::sync::Arc;
 
-/// Which transcendental kernels a grad-free forward uses.
+/// Which weight format a grad-free forward runs over.
 ///
-/// `Exact` delegates to `std` (`f32::exp`, `f32::tanh`, …) and is bitwise
-/// identical to the tape's forward math — the default, and the only mode
-/// training paths ever see. `Fast` substitutes the polynomial kernels in
-/// this module. `Quantized` keeps the exact transcendentals but tells
-/// weight-owning layers (see `delrec-lm`'s `WeightPack`) to run their frozen
-/// projection weights through int8 panels
-/// ([`crate::ops::pack_b_q8`] / [`crate::ops::gemm_packed_q8`]) — activations,
-/// norms, and softmax stay f32, so in this crate `Quantized` behaves like
-/// `Exact` everywhere.
+/// `Exact` is bitwise identical to the tape's forward — the default, and the
+/// only mode training paths ever see. `Quantized` tells weight-owning layers
+/// (see `delrec-lm`'s `WeightPack`) to run their frozen projection weights
+/// through int8 panels ([`crate::ops::pack_b_q8`] /
+/// [`crate::ops::gemm_packed_q8`]) — activations, norms, and softmax stay
+/// f32 and use the same [`crate::vmath`] kernels, so in this crate
+/// `Quantized` behaves like `Exact` everywhere.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MathMode {
-    /// `std` transcendentals; bitwise identical to the tape forward.
+    /// f32 weights; bitwise identical to the tape forward.
     #[default]
     Exact,
-    /// Polynomial `exp`/`tanh`/`gelu` (bounds in the module docs).
-    Fast,
-    /// Exact transcendentals over int8-quantized frozen weights (per-channel
-    /// scales, f32 accumulation). Deterministic, but not bitwise-equal to
-    /// `Exact`; eval-level drift is pinned by the LM test suite.
+    /// Int8-quantized frozen weights (per-channel scales, f32 accumulation).
+    /// Deterministic, but not bitwise-equal to `Exact`; eval-level drift is
+    /// pinned by the LM test suite.
     Quantized,
-}
-
-// Degree-6 polynomial for 2^f on f ∈ [0, 1): the Taylor coefficients of
-// 2^f = exp(f·ln2), with the last one adjusted so q(1) = 2 exactly — the
-// seams between adjacent exponent intervals stay continuous, which keeps
-// fast_exp monotone. Max relative error ≈ 1.2e-6.
-const EXP2_C1: f64 = std::f64::consts::LN_2;
-const EXP2_C2: f64 = 0.240_226_506_959_100_7; // (ln 2)² / 2!
-const EXP2_C3: f64 = 0.055_504_108_664_821_58; // (ln 2)³ / 3!
-const EXP2_C4: f64 = 0.009_618_129_107_628_477; // (ln 2)⁴ / 4!
-const EXP2_C5: f64 = 0.001_333_355_814_642_844; // (ln 2)⁵ / 5!
-const EXP2_C6: f64 = 0.000_170_718_893_861_1; // 2 − Σ(above) − 1 (endpoint fix)
-
-/// Polynomial `exp(x)`: range-reduce `x = (i + f)·ln 2`, evaluate `2^f` with
-/// a degree-6 Horner polynomial, scale by `2^i` via exponent bits.
-///
-/// Relative error ≤ 2e-5 (measured ≈ 1.2e-6) and monotone non-decreasing
-/// over all of `f32`. Inputs where `f32` `exp` would overflow return `∞`;
-/// inputs below the smallest normal's logarithm return `0.0`.
-#[inline]
-pub fn fast_exp(x: f32) -> f32 {
-    if x >= 88.722_84 {
-        return f32::INFINITY; // exp(x) ≥ f32::MAX
-    }
-    if x < -87.336_54 {
-        return 0.0; // exp(x) < f32::MIN_POSITIVE
-    }
-    let z = f64::from(x) * std::f64::consts::LOG2_E;
-    let i = z.floor();
-    let f = z - i;
-    let p = (((((EXP2_C6 * f + EXP2_C5) * f + EXP2_C4) * f + EXP2_C3) * f + EXP2_C2) * f + EXP2_C1)
-        * f
-        + 1.0;
-    // 2^i for i ∈ [-126, 127]: build the f64 exponent field directly.
-    let two_i = f64::from_bits((((i as i64) + 1023) << 52) as u64);
-    (p * two_i) as f32
-}
-
-/// Polynomial `tanh(x)` via `(e − 1)/(e + 1)` with `e = fast_exp(2x)`;
-/// saturates to `±1` where `f32` `tanh` does. Absolute error ≤ 1e-4
-/// (measured ≈ 1e-6).
-#[inline]
-pub fn fast_tanh(x: f32) -> f32 {
-    if x > 9.02 {
-        return 1.0;
-    }
-    if x < -9.02 {
-        return -1.0;
-    }
-    let e = fast_exp(2.0 * x);
-    (e - 1.0) / (e + 1.0)
-}
-
-/// Polynomial tanh-approximation GELU: same expression and constants as the
-/// tape's `gelu`, with [`fast_tanh`] inside. Absolute error ≤ 1e-4.
-#[inline]
-pub fn fast_gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + fast_tanh(SQRT_2_OVER_PI * (x + GELU_COEF * x * x * x)))
-}
-
-/// Polynomial logistic sigmoid `1/(1 + fast_exp(−x))`. Absolute error ≤ 1e-4.
-#[inline]
-pub fn fast_sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + fast_exp(-x))
-}
-
-/// In-place numerically-stable softmax of one row.
-///
-/// In [`MathMode::Exact`] this is bitwise identical to the tape's softmax
-/// (same max-shift, same summation order, same single `1/sum` multiply).
-pub fn softmax_row_mode(row: &mut [f32], math: MathMode) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    match math {
-        MathMode::Exact | MathMode::Quantized => {
-            for x in row.iter_mut() {
-                let e = (*x - max).exp();
-                *x = e;
-                sum += e;
-            }
-        }
-        MathMode::Fast => {
-            for x in row.iter_mut() {
-                let e = fast_exp(*x - max);
-                *x = e;
-                sum += e;
-            }
-        }
-    }
-    let inv = 1.0 / sum;
-    for x in row.iter_mut() {
-        *x *= inv;
-    }
 }
 
 /// Row-wise layer normalization of `x` (row width = `gamma.len()`) into
 /// `out`, bitwise identical to the tape's `layer_norm` forward (same biased
 /// variance, same epsilon, same `(x − μ)·istd·γ + β` evaluation order).
-/// Transcendental-free, so there is no fast variant.
 pub fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32]) {
     let _span = delrec_obs::span!("tensor.layer_norm");
     let d = gamma.len();
@@ -157,35 +52,6 @@ pub fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32]) 
             out_row[c] = (row[c] - mean) * istd * gamma[c] + beta[c];
         }
     }
-}
-
-/// In-place GELU over a slice; [`MathMode::Exact`] is bitwise identical to
-/// the tape's `gelu` forward.
-pub fn gelu_slice_mode(xs: &mut [f32], math: MathMode) {
-    let _span = delrec_obs::span!("tensor.gelu");
-    match math {
-        MathMode::Exact | MathMode::Quantized => {
-            for x in xs.iter_mut() {
-                *x = gelu_fwd(*x);
-            }
-        }
-        MathMode::Fast => {
-            for x in xs.iter_mut() {
-                *x = fast_gelu(*x);
-            }
-        }
-    }
-}
-
-/// `log Σ exp(data)`, max-shifted. [`MathMode::Exact`] is bitwise identical
-/// to the verbalizer's log-sum-exp (same summation order, `ln` from `std`).
-pub fn log_sum_exp_mode(data: &[f32], math: MathMode) -> f32 {
-    let max = data.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let sum: f32 = match math {
-        MathMode::Exact | MathMode::Quantized => data.iter().map(|&x| (x - max).exp()).sum(),
-        MathMode::Fast => data.iter().map(|&x| fast_exp(x - max)).sum(),
-    };
-    max + sum.ln()
 }
 
 /// Context for grad-free forward passes: a shared [`BufferPool`] plus the
@@ -242,14 +108,10 @@ impl InferCtx {
         self.pool.put(buf);
     }
 
-    /// In-place softmax of one row in this context's math mode.
-    pub fn softmax_row(&self, row: &mut [f32]) {
-        softmax_row_mode(row, self.math);
-    }
-
-    /// In-place GELU in this context's math mode.
+    /// In-place GELU over a slice: the tape's [`vmath::gelu`], per element.
     pub fn gelu(&self, xs: &mut [f32]) {
-        gelu_slice_mode(xs, self.math);
+        let _span = delrec_obs::span!("tensor.gelu");
+        vmath::gelu_slice(xs);
     }
 }
 
@@ -260,86 +122,17 @@ mod tests {
     use crate::tensor::Tensor;
 
     #[test]
-    fn fast_exp_matches_std_closely() {
-        for i in -2000..=2000 {
-            let x = i as f32 * 0.01; // [-20, 20]
-            let want = x.exp();
-            let got = fast_exp(x);
-            let rel = ((got - want) / want).abs();
-            assert!(rel <= 2e-5, "x={x}: {got} vs {want} (rel {rel})");
-        }
-    }
-
-    #[test]
-    fn fast_exp_saturates_like_std() {
-        assert_eq!(fast_exp(100.0), f32::INFINITY);
-        assert_eq!(fast_exp(-200.0), 0.0);
-        assert!(fast_exp(88.0).is_finite());
-        assert!(fast_exp(-87.0) > 0.0);
-        assert!(fast_exp(f32::NAN).is_nan());
-    }
-
-    #[test]
-    fn fast_tanh_and_gelu_match_std_closely() {
-        for i in -3000..=3000 {
-            let x = i as f32 * 0.01; // [-30, 30]
-            assert!((fast_tanh(x) - x.tanh()).abs() <= 1e-4, "tanh at {x}");
-            let want = 0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_COEF * x * x * x)).tanh());
-            assert!((fast_gelu(x) - want).abs() <= 1e-4, "gelu at {x}");
-            let sig = 1.0 / (1.0 + (-x).exp());
-            assert!((fast_sigmoid(x) - sig).abs() <= 1e-4, "sigmoid at {x}");
-        }
-        assert_eq!(fast_tanh(20.0), 1.0);
-        assert_eq!(fast_tanh(-20.0), -1.0);
-    }
-
-    #[test]
-    fn exact_softmax_row_is_bitwise_equal_to_tape_softmax() {
-        let raw = vec![0.3f32, -1.2, 2.0, 0.45, -0.8];
+    fn softmax_row_is_bitwise_equal_to_tape_softmax() {
+        // 11 elements: one full lane chunk plus a tail.
+        let raw = vec![
+            0.3f32, -1.2, 2.0, 0.45, -0.8, 1.1, -0.05, 0.7, -2.4, 0.9, 0.0,
+        ];
         let tape = Tape::new();
         let v = tape.leaf(Tensor::from_vec(raw.clone()));
         let want = tape.get(tape.softmax(v));
         let mut got = raw;
-        softmax_row_mode(&mut got, MathMode::Exact);
+        vmath::softmax_row(&mut got);
         assert_eq!(got.as_slice(), want.data());
-    }
-
-    #[test]
-    fn fast_softmax_row_stays_close_and_normalized() {
-        let raw = vec![0.3f32, -1.2, 2.0, 0.45, -0.8];
-        let mut exact = raw.clone();
-        softmax_row_mode(&mut exact, MathMode::Exact);
-        let mut fast = raw;
-        softmax_row_mode(&mut fast, MathMode::Fast);
-        let sum: f32 = fast.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-5);
-        for (f, e) in fast.iter().zip(&exact) {
-            assert!((f - e).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn quantized_mode_transcendentals_are_bitwise_exact() {
-        // Quantized only changes weight storage (in delrec-lm); every kernel
-        // in this crate must treat it exactly like Exact.
-        let raw = vec![0.3f32, -1.2, 2.0, 0.45, -0.8];
-        let mut exact = raw.clone();
-        softmax_row_mode(&mut exact, MathMode::Exact);
-        let mut quant = raw.clone();
-        softmax_row_mode(&mut quant, MathMode::Quantized);
-        assert_eq!(
-            exact.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            quant.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-        );
-        let mut ge = raw.clone();
-        gelu_slice_mode(&mut ge, MathMode::Exact);
-        let mut gq = raw.clone();
-        gelu_slice_mode(&mut gq, MathMode::Quantized);
-        assert_eq!(ge, gq);
-        assert_eq!(
-            log_sum_exp_mode(&raw, MathMode::Exact).to_bits(),
-            log_sum_exp_mode(&raw, MathMode::Quantized).to_bits()
-        );
     }
 
     #[test]
@@ -358,13 +151,13 @@ mod tests {
     }
 
     #[test]
-    fn exact_gelu_is_bitwise_equal_to_tape_gelu() {
+    fn gelu_is_bitwise_equal_to_tape_gelu() {
         let raw = vec![-3.0f32, -0.5, 0.0, 0.5, 3.0];
         let tape = Tape::new();
         let v = tape.leaf(Tensor::from_vec(raw.clone()));
         let want = tape.get(tape.gelu(v));
         let mut got = raw;
-        gelu_slice_mode(&mut got, MathMode::Exact);
+        InferCtx::new(MathMode::Exact).gelu(&mut got);
         assert_eq!(got.as_slice(), want.data());
     }
 

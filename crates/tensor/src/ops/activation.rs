@@ -1,21 +1,8 @@
 //! Pointwise nonlinearities.
 
+use super::vmath;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
-
-pub(crate) const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-pub(crate) const GELU_COEF: f32 = 0.044_715;
-
-pub(crate) fn gelu_fwd(x: f32) -> f32 {
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + GELU_COEF * x * x * x)).tanh())
-}
-
-fn gelu_bwd(x: f32) -> f32 {
-    let inner = SQRT_2_OVER_PI * (x + GELU_COEF * x * x * x);
-    let t = inner.tanh();
-    let dt = 1.0 - t * t;
-    0.5 * (1.0 + t) + 0.5 * x * dt * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x * x)
-}
 
 impl Tape {
     fn pointwise(
@@ -39,8 +26,9 @@ impl Tape {
             Some(Box::new(move |ctx| {
                 let (va, y, g) = (ctx.value(a), ctx.out(), ctx.grad());
                 let mut gr = ctx.alloc(va.numel());
-                for (i, (o, &gv)) in gr.iter_mut().zip(g.data()).enumerate() {
-                    *o = gv * bwd(va.data()[i], y.data()[i]);
+                let xy = va.data().iter().zip(y.data());
+                for ((o, &gv), (&x, &yv)) in gr.iter_mut().zip(g.data()).zip(xy) {
+                    *o = gv * bwd(x, yv);
                 }
                 vec![Tensor::new(va.shape().clone(), gr)]
             })),
@@ -54,17 +42,17 @@ impl Tape {
 
     /// GELU with the tanh approximation (the transformer FFN nonlinearity).
     pub fn gelu(&self, a: Var) -> Var {
-        self.pointwise(a, gelu_fwd, |x, _| gelu_bwd(x))
+        self.pointwise(a, vmath::gelu, |x, _| vmath::gelu_grad(x))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
-        self.pointwise(a, |x| 1.0 / (1.0 + (-x).exp()), |_, y| y * (1.0 - y))
+        self.pointwise(a, vmath::sigmoid, |_, y| y * (1.0 - y))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self, a: Var) -> Var {
-        self.pointwise(a, |x| x.tanh(), |_, y| 1.0 - y * y)
+        self.pointwise(a, vmath::tanh, |_, y| 1.0 - y * y)
     }
 }
 

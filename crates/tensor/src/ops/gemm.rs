@@ -60,8 +60,9 @@ pub const AUTO_PACK_MIN_MACS: usize = 8 * 1024;
 /// Panel `p` covers columns `p·NR .. min((p+1)·NR, n)` and stores `k`
 /// contiguous rows of `NR` floats each (k-major); columns past `n` in the
 /// last panel are zero-padded so the micro-kernel never branches on width.
-/// Total size `⌈n/NR⌉·k·NR` floats.
-#[derive(Clone, Debug)]
+/// Total size `⌈n/NR⌉·k·NR` floats. The `Default` value is an empty `[0, 0]`
+/// pack — the scratch panel [`pack_b_into`] grows.
+#[derive(Clone, Debug, Default)]
 pub struct PackedB {
     data: Vec<f32>,
     k: usize,
@@ -92,18 +93,29 @@ impl PackedB {
 
 /// Pack a row-major `[k, n]` matrix into `NR`-wide panels for [`gemm_packed`].
 pub fn pack_b(b: &[f32], k: usize, n: usize) -> PackedB {
+    let mut bp = PackedB::default();
+    pack_b_into(b, k, n, &mut bp);
+    bp
+}
+
+/// [`pack_b`] into an existing pack, reusing its allocation: for operands
+/// rebuilt per call (attention's per-example `V`), where one scratch panel
+/// serves every product of a forward pass.
+pub fn pack_b_into(b: &[f32], k: usize, n: usize, bp: &mut PackedB) {
     debug_assert_eq!(b.len(), k * n);
     let panels = n.div_ceil(NR);
-    let mut data = vec![0.0f32; panels * k * NR];
+    bp.data.clear();
+    bp.data.resize(panels * k * NR, 0.0);
     for p in 0..panels {
         let j0 = p * NR;
         let w = NR.min(n - j0);
-        let dst = &mut data[p * k * NR..(p + 1) * k * NR];
+        let dst = &mut bp.data[p * k * NR..(p + 1) * k * NR];
         for kk in 0..k {
             dst[kk * NR..kk * NR + w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
         }
     }
-    PackedB { data, k, n }
+    bp.k = k;
+    bp.n = n;
 }
 
 /// Pack the *transpose* of a row-major `[n, k]` matrix — the packed

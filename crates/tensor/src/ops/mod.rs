@@ -13,15 +13,15 @@ mod norm;
 mod reduce;
 mod slice;
 mod softmax;
+pub mod vmath;
 
 pub use gemm::{
     gemm, gemm_auto, gemm_packed, gemm_packed_panels, gemm_packed_q8, gemm_packed_q8_panels,
-    matmul_raw_strided, pack_b, pack_b_q8, pack_b_transposed, pack_b_transposed_q8, quantize_pack,
-    PackedB, QuantizedPanel, AUTO_PACK_MIN_MACS, MR, NR,
+    matmul_raw_strided, pack_b, pack_b_into, pack_b_q8, pack_b_transposed, pack_b_transposed_q8,
+    quantize_pack, PackedB, QuantizedPanel, AUTO_PACK_MIN_MACS, MR, NR,
 };
 pub use matmul::{matmul_raw, matmul_raw_sparse, transpose_into};
 
-// Forward-only kernels shared with the grad-free inference path
+// The layer-norm epsilon is shared with the grad-free inference path
 // (`crate::infer`), which must mirror the tape's arithmetic bitwise.
-pub(crate) use activation::{gelu_fwd, GELU_COEF, SQRT_2_OVER_PI};
 pub(crate) use norm::EPS as LN_EPS;

@@ -1,21 +1,14 @@
 //! Softmax-family ops and the fused cross-entropy loss.
 
+use super::vmath;
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
-/// Numerically-stable softmax of one row, written into `out`.
+/// Softmax of one row, written into `out` — the engine's in-place
+/// [`vmath::softmax_row`] over a copy, so the two cannot differ.
 fn softmax_row(row: &[f32], out: &mut [f32]) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for (o, &x) in out.iter_mut().zip(row) {
-        let e = (x - max).exp();
-        *o = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for o in out.iter_mut() {
-        *o *= inv;
-    }
+    out.copy_from_slice(row);
+    vmath::softmax_row(out);
 }
 
 impl Tape {
@@ -119,10 +112,9 @@ impl Tape {
             let mut out = self.alloc(va.numel());
             for r in 0..rows {
                 let row = va.row(r);
-                let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                let lse = max + row.iter().map(|&x| (x - max).exp()).sum::<f32>().ln();
-                for c in 0..d {
-                    out[r * d + c] = row[c] - lse;
+                let lse = vmath::log_sum_exp(row);
+                for (o, &x) in out[r * d..(r + 1) * d].iter_mut().zip(row) {
+                    *o = x - lse;
                 }
             }
             (rows, d, va.shape().clone(), out)
@@ -136,9 +128,10 @@ impl Tape {
                 let mut gr = ctx.alloc(g.numel());
                 for r in 0..rows {
                     let gs = &g.data()[r * d..(r + 1) * d];
+                    let ys = &y.data()[r * d..(r + 1) * d];
                     let total: f32 = gs.iter().sum();
-                    for c in 0..d {
-                        gr[r * d + c] = gs[c] - y.data()[r * d + c].exp() * total;
+                    for ((o, &gv), &yv) in gr[r * d..(r + 1) * d].iter_mut().zip(gs).zip(ys) {
+                        *o = gv - vmath::exp(yv) * total;
                     }
                 }
                 vec![Tensor::new(g.shape().clone(), gr)]

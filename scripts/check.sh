@@ -57,7 +57,9 @@ DELREC_THREADS=1 cargo test -q -p delrec-serve --test topk_serving
 DELREC_THREADS=4 cargo test -q -p delrec-serve --test topk_serving
 
 # Smoke-run the inference-engine benchmark: asserts the grad-free engine's
-# exact-mode scores are bitwise identical to the tape before timing anything.
+# scores are bitwise identical to the tape before timing anything, then that
+# the blocked attn·V equals the per-row products bitwise and that the vmath
+# GELU loop is >= 2x its scalar libm reference (i.e. still vectorised).
 cargo run --release -q -p delrec-bench --bin infer -- --scale smoke --out "$(mktemp -d)"
 
 # Smoke-run the serving-runtime benchmark: its correctness gates assert a

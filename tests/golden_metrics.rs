@@ -10,6 +10,11 @@
 //! stack shows up here, even when the metric value only moves in the last
 //! ulp.
 //!
+//! The bits do not depend on the host's libm: every `exp`/`tanh` on the
+//! training and scoring paths is `delrec_tensor::vmath`'s pure-`f32`
+//! arithmetic, fixed by IEEE-754 alone (`std`'s `f32::exp`/`tanh` forward to
+//! libm, with platform-dependent precision, and are not used there).
+//!
 //! # Re-blessing
 //!
 //! When a change *intentionally* alters numerics (new op ordering, different
