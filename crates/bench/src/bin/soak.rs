@@ -235,7 +235,6 @@ fn main() {
         max_batch: 16,
         batch_window: Duration::from_millis(1),
         max_queue: 4096,
-        num_workers: 0,
         session_shards: 8,
         persistence: Some(PersistConfig {
             dir: wal_dir.clone(),

@@ -3,14 +3,14 @@
 use crate::ablation::Variant;
 use crate::config::DelRecConfig;
 use crate::pipeline::Pipeline;
-use crate::prompt::{ItemTokens, PromptBuilder, SoftMode};
+use crate::prompt::{ItemTokens, Prompt, PromptBuilder, SoftMode};
 use crate::stage1::{build_rps_items, build_ta_items, distill, Stage1Options, Stage1Stats};
 use crate::stage2::{build_lsr_items, finetune, Stage2Options};
 use delrec_data::{Dataset, ItemId, Vocab};
 use delrec_eval::Ranker;
-use delrec_lm::{verbalizer, MiniLm, PrefixCache, SoftPrompt, TitleCache};
+use delrec_lm::{verbalizer, LmToken, MiniLm, PrefixCache, SoftPrompt, TitleCache};
 use delrec_seqrec::SequentialRecommender;
-use delrec_tensor::{Ctx, InferCtx, MathMode, Tape};
+use delrec_tensor::{Ctx, InferCtx, MathMode, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::hash_map::DefaultHasher;
@@ -29,11 +29,11 @@ struct EngineState {
 /// Checkout pool of [`EngineState`]s.
 ///
 /// Scoring checks one state out, runs the whole forward on it unlocked, and
-/// returns it — so concurrent scorers (serving workers sharing one model)
-/// never contend beyond the pop/push, and each effectively owns a per-worker
+/// returns it — so concurrent scorers (a server and direct callers sharing one
+/// model) never contend beyond the pop/push, and each effectively owns its own
 /// inference context and prefix cache, while a single-threaded caller reuses
 /// one warm state forever. The pool is bounded by the number of concurrent
-/// scorers, which the server in turn bounds by its worker count.
+/// scorers.
 struct EnginePool {
     states: Mutex<Vec<EngineState>>,
     math: MathMode,
@@ -301,12 +301,17 @@ impl DelRec {
         self.math
     }
 
-    /// Toggle the LM's fused packed-GEMM projection path (`true`, the
-    /// default). `false` restores the per-head projection kernels — kept as
-    /// the bitwise-identical reference for equivalence tests and
-    /// before/after benchmarks (see `MiniLm::set_fused_projections`).
-    pub fn set_fused_projections(&mut self, fused: bool) {
-        self.lm.set_fused_projections(fused);
+    /// The Stage-2 prompt of one request: the paper's `n − 1 = 9` most recent
+    /// interactions, the candidate set, and this model's soft mode. Every
+    /// scoring path builds its prompts here.
+    fn stage2_prompt(
+        &self,
+        pb: &PromptBuilder<'_>,
+        prefix: &[ItemId],
+        candidates: &[ItemId],
+    ) -> Prompt {
+        let take = prefix.len().min(9);
+        pb.recommendation(&prefix[prefix.len() - take..], candidates, self.soft_mode())
     }
 
     /// Memoized candidate-title lookup, keyed on the full candidate id list.
@@ -320,29 +325,14 @@ impl DelRec {
             .get_or_build(h.finish(), candidates, || self.items.titles_of(candidates))
     }
 
-    /// Grad-free scoring for a chunk of requests: build the Stage-2 prompts,
-    /// refresh the shared-prefix K/V cache if stale, run the tape-free
-    /// batched forward, and verbalize.
-    fn score_infer(&self, requests: &[delrec_eval::ScoreRequest<'_>]) -> Vec<Vec<f32>> {
-        let _span = delrec_obs::span!("core.score");
-        let pb = PromptBuilder::new(&self.vocab, &self.items, self.cfg.teacher.name());
-        let soft_mode = self.soft_mode();
-        let mut seqs = Vec::with_capacity(requests.len());
-        let mut mask_pos = Vec::with_capacity(requests.len());
-        let mut title_sets = Vec::with_capacity(requests.len());
-        let mut prefix_len = 0;
-        let prompts_span = delrec_obs::span!("core.prompts");
-        for &(prefix, candidates) in requests {
-            let take = prefix.len().min(9);
-            let history = &prefix[prefix.len() - take..];
-            let prompt = pb.recommendation(history, candidates, soft_mode);
-            debug_assert!(seqs.is_empty() || prompt.prefix_len == prefix_len);
-            prefix_len = prompt.prefix_len;
-            seqs.push(prompt.tokens);
-            mask_pos.push(prompt.mask_pos);
-            title_sets.push(self.candidate_titles(candidates));
-        }
-        drop(prompts_span);
+    /// Mask logits `[B, vocab]` from the grad-free engine: refresh the
+    /// shared-prefix K/V cache if stale, then one tape-free batched forward.
+    fn logits_engine(
+        &self,
+        seqs: &[Vec<LmToken>],
+        mask_pos: &[usize],
+        prefix_len: usize,
+    ) -> Tensor {
         let soft_values = self.sp.as_ref().map(|s| s.values(self.lm.store()));
         // Check an engine state out of the pool and run the whole forward on
         // it without holding any lock — concurrent scorers each get their own
@@ -367,15 +357,26 @@ impl DelRec {
         }
         let logits = self.lm.mask_logits_infer_batch(
             &eng.ctx,
-            &seqs,
+            seqs,
             soft_values,
-            &mask_pos,
+            mask_pos,
             eng.cache.as_ref(),
         );
-        let set_refs: Vec<&[Vec<u32>]> = title_sets.iter().map(|t| t.as_slice()).collect();
-        let scores = verbalizer::rank_candidates_batch(&logits, &set_refs);
         self.engine.checkin(eng);
-        scores
+        logits
+    }
+
+    /// The same logits from one padded autograd-tape forward — the reference
+    /// the engine is pinned to bitwise.
+    fn logits_tape(&self, seqs: &[Vec<LmToken>], mask_pos: &[usize]) -> Tensor {
+        let tape = Tape::new();
+        let ctx = Ctx::new(&tape, self.lm.store(), false);
+        let soft_table = self.sp.as_ref().map(|s| s.var(&ctx));
+        let mut rng = StdRng::seed_from_u64(0);
+        let logits = self
+            .lm
+            .mask_logits_batch(&ctx, seqs, soft_table, mask_pos, &mut rng);
+        tape.get(logits)
     }
 
     /// The underlying language model (for diagnostics: parameter counts,
@@ -417,9 +418,7 @@ impl DelRec {
     ) -> Vec<(String, f32)> {
         assert!(which < candidates.len(), "candidate index out of range");
         let pb = PromptBuilder::new(&self.vocab, &self.items, self.cfg.teacher.name());
-        let take = prefix.len().min(9);
-        let history = &prefix[prefix.len() - take..];
-        let prompt = pb.recommendation(history, candidates, self.soft_mode());
+        let prompt = self.stage2_prompt(&pb, prefix, candidates);
         let tape = Tape::new();
         let ctx = Ctx::new(&tape, self.lm.store(), false);
         let soft_table = self.sp.as_ref().map(|s| s.var(&ctx));
@@ -451,56 +450,38 @@ impl Ranker for DelRec {
     }
 
     fn score_candidates(&self, prefix: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
-        if self.infer_enabled {
-            return self
-                .score_infer(&[(prefix, candidates)])
-                .pop()
-                .expect("one score row per request");
-        }
-        let pb = PromptBuilder::new(&self.vocab, &self.items, self.cfg.teacher.name());
-        // Cap history to the paper's n − 1 most recent interactions.
-        let take = prefix.len().min(9);
-        let history = &prefix[prefix.len() - take..];
-        let prompt = pb.recommendation(history, candidates, self.soft_mode());
-        let tape = Tape::new();
-        let ctx = Ctx::new(&tape, self.lm.store(), false);
-        let soft_table = self.sp.as_ref().map(|s| s.var(&ctx));
-        let mut rng = StdRng::seed_from_u64(0);
-        let logits =
-            self.lm
-                .mask_logits(&ctx, &prompt.tokens, soft_table, prompt.mask_pos, &mut rng);
-        let logits = tape.get(logits);
-        verbalizer::rank_candidates(&logits, &self.items.titles_of(candidates))
+        self.score_candidates_batch(&[(prefix, candidates)])
+            .pop()
+            .expect("one score row per request")
     }
 
+    /// Build the Stage-2 prompts, run one batched forward — the engine's, or
+    /// the tape's with the engine off — and verbalize.
     fn score_candidates_batch(&self, requests: &[delrec_eval::ScoreRequest<'_>]) -> Vec<Vec<f32>> {
         if requests.is_empty() {
             return Vec::new();
         }
-        if self.infer_enabled {
-            return self.score_infer(requests);
-        }
+        let _span = delrec_obs::span!("core.score");
         let pb = PromptBuilder::new(&self.vocab, &self.items, self.cfg.teacher.name());
         let mut seqs = Vec::with_capacity(requests.len());
         let mut mask_pos = Vec::with_capacity(requests.len());
         let mut title_sets = Vec::with_capacity(requests.len());
+        let mut prefix_len = 0;
+        let prompts_span = delrec_obs::span!("core.prompts");
         for &(prefix, candidates) in requests {
-            let take = prefix.len().min(9);
-            let history = &prefix[prefix.len() - take..];
-            let prompt = pb.recommendation(history, candidates, self.soft_mode());
+            let prompt = self.stage2_prompt(&pb, prefix, candidates);
+            debug_assert!(seqs.is_empty() || prompt.prefix_len == prefix_len);
+            prefix_len = prompt.prefix_len;
             seqs.push(prompt.tokens);
             mask_pos.push(prompt.mask_pos);
-            title_sets.push(self.items.titles_of(candidates));
+            title_sets.push(self.candidate_titles(candidates));
         }
-        // One padded forward for every request in the chunk.
-        let tape = Tape::new();
-        let ctx = Ctx::new(&tape, self.lm.store(), false);
-        let soft_table = self.sp.as_ref().map(|s| s.var(&ctx));
-        let mut rng = StdRng::seed_from_u64(0);
-        let logits = self
-            .lm
-            .mask_logits_batch(&ctx, &seqs, soft_table, &mask_pos, &mut rng);
-        let logits = tape.get(logits);
+        drop(prompts_span);
+        let logits = if self.infer_enabled {
+            self.logits_engine(&seqs, &mask_pos, prefix_len)
+        } else {
+            self.logits_tape(&seqs, &mask_pos)
+        };
         let set_refs: Vec<&[Vec<u32>]> = title_sets.iter().map(|t| t.as_slice()).collect();
         verbalizer::rank_candidates_batch(&logits, &set_refs)
     }
@@ -535,7 +516,7 @@ mod tests {
         let teacher = build_teacher(&ds, TeacherKind::SASRec, 1, Some(60), 5);
         let mut cfg = DelRecConfig::smoke(TeacherKind::SASRec);
         cfg.lm = LmPreset::Large;
-        let model = DelRec::fit(&ds, &pipeline, teacher.as_ref(), lm, &cfg);
+        let mut model = DelRec::fit(&ds, &pipeline, teacher.as_ref(), lm, &cfg);
         assert!(!model.stage1_stats.lambdas.is_empty());
         assert!(!model.stage2_losses.is_empty());
 
@@ -568,8 +549,8 @@ mod tests {
             assert_eq!(report.ndcg(k), per_example.ndcg(k), "NDCG@{k} differs");
         }
 
-        // And batched candidate scores themselves stay within float noise of
-        // the single-prompt path.
+        // And each batched row is exactly the one-row call, whichever forward
+        // scores it: the engine, or the tape with the engine off.
         let cands: Vec<Vec<ItemId>> = ds
             .examples(Split::Test)
             .iter()
@@ -583,11 +564,12 @@ mod tests {
             .zip(&cands)
             .map(|(ex, c)| (ex.prefix.as_slice(), c.as_slice()))
             .collect();
-        let batched = model.score_candidates_batch(&requests);
-        for (&(prefix, c), row) in requests.iter().zip(&batched) {
-            let single = model.score_candidates(prefix, c);
-            for (got, want) in row.iter().zip(&single) {
-                assert!((got - want).abs() < 1e-5, "{got} vs {want}");
+        for engine in [true, false] {
+            model.set_inference_engine(engine);
+            let batched = model.score_candidates_batch(&requests);
+            for (&(prefix, c), row) in requests.iter().zip(&batched) {
+                let single = model.score_candidates(prefix, c);
+                assert_eq!(row, &single, "engine {engine}: batch row vs one-row call");
             }
         }
     }

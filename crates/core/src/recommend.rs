@@ -17,7 +17,7 @@
 
 use crate::delrec::DelRec;
 use delrec_data::ItemId;
-use delrec_eval::{score_candidates_chunked, Ranker, ScoreRequest, TopKQuery, TopKRecommender};
+use delrec_eval::{Ranker, ScoreRequest, TopKQuery, TopKRecommender};
 use delrec_lm::MiniLm;
 use delrec_retrieval::{sort_ranked, IndexFormat, Retriever};
 use delrec_tensor::MathMode;
@@ -197,18 +197,12 @@ impl Recommender {
     /// The full pipeline: retrieve `max(retrieve_n, k)` candidates from the
     /// whole catalog, re-rank them with the fitted DELRec, return the `k`
     /// best (score descending, ties toward the smaller [`ItemId`]).
+    ///
+    /// The one-row call of the batched pipeline below.
     pub fn recommend(&self, history: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-        assert!(k > 0, "k must be positive");
-        let _span = delrec_obs::span!("recommend");
-        let retrieved = self.retrieve(history, self.cfg.retrieve_n.max(k));
-        let ids: Vec<ItemId> = retrieved.iter().map(|&(id, _)| id).collect();
-        let rerank = delrec_obs::span!("rerank");
-        let scores = score_candidates_chunked(&self.model, history, &ids, self.cfg.rerank_chunk);
-        drop(rerank);
-        let mut ranked: Vec<(ItemId, f32)> = ids.into_iter().zip(scores).collect();
-        sort_ranked(&mut ranked);
-        ranked.truncate(k);
-        ranked
+        self.recommend_batch_impl(&[(history, k)])
+            .pop()
+            .expect("one answer row per request")
     }
 
     /// Serve a whole batch of histories through one pipeline pass: one
@@ -225,13 +219,13 @@ impl Recommender {
     /// and the [`TopKRecommender::recommend_top_k_batch`] override, with a
     /// per-request `k`.
     ///
-    /// Per-row equivalence with the sequential path holds stage by stage:
-    /// the batched scan's row `i` is the m=1 scan of history `i` (fixed
-    /// accumulation order per output element), per-row top-k is a pure
+    /// Row `i` never depends on which other requests share the batch, stage
+    /// by stage: the batched scan's row `i` is the m=1 scan of history `i`
+    /// (fixed accumulation order per output element), per-row top-k is a pure
     /// function of that row, and the flattened re-rank scores each
-    /// `(history, chunk)` request identically to the per-request chunk loop
-    /// (`score_candidates_batch` row `i` ≡ `score_candidates(request i)`,
-    /// pinned since the batched-scoring protocol landed).
+    /// `(history, chunk)` request as its own one-row call would
+    /// (`score_candidates_batch` batch-row independence). `B` rows ≡ `B`
+    /// one-row calls is pinned by `tests/recommend_batch.rs`.
     fn recommend_batch_impl(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
         for &(_, k) in requests {
             assert!(k > 0, "k must be positive");

@@ -47,9 +47,8 @@ use crate::transformer::{LmToken, MiniLm};
 use delrec_tensor::infer::{layer_norm_rows, InferCtx, MathMode};
 use delrec_tensor::vmath::softmax_row;
 use delrec_tensor::{
-    gemm_packed, gemm_packed_panels, gemm_packed_q8, matmul_raw, matmul_raw_strided, pack_b,
-    pack_b_into, pack_b_transposed, quantize_pack, transpose_into, PackedB, ParamId,
-    QuantizedPanel, Tensor, NR,
+    gemm_packed, gemm_packed_panels, gemm_packed_q8, matmul_raw_strided, pack_b, pack_b_into,
+    pack_b_transposed, quantize_pack, PackedB, ParamId, QuantizedPanel, Tensor, NR,
 };
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
@@ -231,25 +230,6 @@ impl Clone for PackCache {
     }
 }
 
-/// Effective weights of one block, resolved once per forward: attention
-/// projections carry their AdaLoRA delta (mirroring the tape path, which
-/// adapts only q/k/v — `wo`/`w1`/`w2` use the raw store weights there even
-/// though adapters exist for them).
-struct EffBlock<'a> {
-    wq: Vec<Cow<'a, [f32]>>,
-    wk: Vec<Cow<'a, [f32]>>,
-    wv: Vec<Cow<'a, [f32]>>,
-    wo: &'a [f32],
-    ln1_g: &'a [f32],
-    ln1_b: &'a [f32],
-    w1: &'a [f32],
-    b1: &'a [f32],
-    w2: &'a [f32],
-    b2: &'a [f32],
-    ln2_g: &'a [f32],
-    ln2_b: &'a [f32],
-}
-
 /// Embedding tables plus the batch-level soft flag, so suffix rows mirror
 /// the tape's scatter-add order (including the exact `+0.0` a hard token
 /// receives from the soft scatter when the batch has any soft token).
@@ -357,37 +337,6 @@ impl MiniLm {
         }
     }
 
-    /// Per-block weight views. With `with_head_projections` the per-head
-    /// q/k/v effective weights are materialized (the legacy per-head path);
-    /// the fused path reads them from the [`LmPack`] instead and skips the
-    /// per-forward `eff_proj` work.
-    fn eff_blocks(&self, with_head_projections: bool) -> Vec<EffBlock<'_>> {
-        let head_proj = |ids: &[ParamId]| -> Vec<Cow<'_, [f32]>> {
-            if with_head_projections {
-                ids.iter().map(|&id| self.eff_proj(id)).collect()
-            } else {
-                Vec::new()
-            }
-        };
-        self.blocks
-            .iter()
-            .map(|b| EffBlock {
-                wq: head_proj(&b.wq),
-                wk: head_proj(&b.wk),
-                wv: head_proj(&b.wv),
-                wo: self.store.get(b.wo).data(),
-                ln1_g: self.store.get(b.ln1_g).data(),
-                ln1_b: self.store.get(b.ln1_b).data(),
-                w1: self.store.get(b.w1).data(),
-                b1: self.store.get(b.b1).data(),
-                w2: self.store.get(b.w2).data(),
-                b2: self.store.get(b.b2).data(),
-                ln2_g: self.store.get(b.ln2_g).data(),
-                ln2_b: self.store.get(b.ln2_b).data(),
-            })
-            .collect()
-    }
-
     /// Build every packed weight panel from the current store contents. With
     /// `quantized`, the f32 panels (AdaLoRA deltas already folded) are
     /// converted to per-channel int8 as a final pass under the
@@ -455,8 +404,7 @@ impl MiniLm {
             })
             .collect::<Vec<_>>();
         // The tied embedding is stored [vocab, d] but multiplies as
-        // [d, vocab]; packing the transpose directly retires the per-call
-        // `transpose_into` the head used to pay.
+        // [d, vocab]: the head panel is packed from the transpose.
         let mut head = Panel::F32(pack_b_transposed(
             self.store.get(self.tok_emb).data(),
             d,
@@ -528,11 +476,7 @@ impl MiniLm {
         );
         let mut layers = Vec::with_capacity(self.cfg.num_layers);
         let seqs = [prefix.to_vec()];
-        let pack = if self.use_fused {
-            Some(self.lm_pack(ic.math()))
-        } else {
-            None
-        };
+        let pack = self.lm_pack(ic.math());
         let has_soft = prefix.iter().any(|t| matches!(t, LmToken::Soft(_)));
         let h = self.encode_infer(
             ic,
@@ -541,7 +485,7 @@ impl MiniLm {
             None,
             None,
             Some(&mut layers),
-            pack.as_deref(),
+            &pack,
             has_soft,
         );
         ic.recycle(h);
@@ -584,11 +528,7 @@ impl MiniLm {
         let bsz = seqs.len();
         assert_eq!(bsz, mask_pos.len(), "one mask position per sequence");
         let vsz = self.cfg.vocab_size;
-        let pack = if self.use_fused {
-            Some(self.lm_pack(ic.math()))
-        } else {
-            None
-        };
+        let pack = self.lm_pack(ic.math());
         let has_soft = seqs
             .iter()
             .any(|s| s.iter().any(|t| matches!(t, LmToken::Soft(_))));
@@ -605,7 +545,7 @@ impl MiniLm {
                     soft_table,
                     &mask_pos[r],
                     cache,
-                    pack.as_deref(),
+                    &pack,
                     has_soft,
                     out,
                 );
@@ -617,7 +557,7 @@ impl MiniLm {
                 soft_table,
                 mask_pos,
                 cache,
-                pack.as_deref(),
+                &pack,
                 has_soft,
                 &mut logits,
             );
@@ -639,7 +579,7 @@ impl MiniLm {
         soft_table: Option<&Tensor>,
         mask_pos: &[usize],
         cache: Option<&PrefixCache>,
-        pack: Option<&LmPack>,
+        pack: &LmPack,
         has_soft: bool,
         out: &mut [f32],
     ) {
@@ -668,18 +608,7 @@ impl MiniLm {
             &mut hf,
         );
         ic.recycle(h);
-        match pack {
-            // The pre-transposed panel: no per-call [vocab, d] transpose.
-            Some(pk) => pk.head.gemm(&hf, d, out, bsz, false),
-            None => {
-                let tok_emb = self.store.get(self.tok_emb).data();
-                let mut emb_t = ic.alloc(d * vsz);
-                transpose_into(tok_emb, vsz, d, &mut emb_t);
-                out.fill(0.0);
-                matmul_raw(&hf, &emb_t, out, bsz, d, vsz);
-                ic.recycle(emb_t);
-            }
-        }
+        pack.head.gemm(&hf, d, out, bsz, false);
         add_row_bias(out, self.store.get(self.head_bias).data());
         ic.recycle(hf);
     }
@@ -688,11 +617,11 @@ impl MiniLm {
     /// rows: all `B·s_max` suffix rows, or one row per example when
     /// `mask_pos` enables last-layer query pruning. With `capture`, each
     /// layer's per-head `(Kᵀ, V)` over the (single, unpadded) input is
-    /// recorded — the cache-building mode. With `pack`, projections, `wo`,
-    /// and the FFN run through the packed blocked GEMM (q/k/v fused into one
-    /// call per layer); without it, the legacy per-head `matmul_raw` path
-    /// runs. Both are bitwise-identical — the kernels preserve
-    /// `matmul_raw`'s per-element accumulation order exactly.
+    /// recorded — the cache-building mode. Projections, `wo`, the FFN and the
+    /// head all run through `pack`'s blocked GEMM panels (q/k/v fused into
+    /// one call per layer), whose kernels preserve `matmul_raw`'s per-element
+    /// accumulation order — which is what keeps this forward bitwise on the
+    /// tape's.
     #[allow(clippy::too_many_arguments)]
     fn encode_infer(
         &self,
@@ -702,7 +631,7 @@ impl MiniLm {
         cache: Option<&PrefixCache>,
         mask_pos: Option<&[usize]>,
         mut capture: Option<&mut Vec<Vec<HeadKv>>>,
-        pack: Option<&LmPack>,
+        pack: &LmPack,
         has_soft: bool,
     ) -> Vec<f32> {
         let _span = delrec_obs::span!("lm.encode");
@@ -786,14 +715,16 @@ impl MiniLm {
             }
         }
 
-        let blocks = self.eff_blocks(pack.is_none());
-        let nblocks = blocks.len();
+        // Layer-norm gains/offsets and FFN biases are read straight from the
+        // store; every weight *matrix* comes from `pack`.
+        let vec_of = |id: ParamId| self.store.get(id).data();
+        let nblocks = self.blocks.len();
         let capturing = capture.is_some();
         // Scratch panel for the blocked attn·V, reused by every product.
         let mut v_pack = PackedB::default();
         // (examples × heads) per layer on the [per-row, blocked] attn·V path.
         let mut attn_paths = [0u64; 2];
-        for (l, blk) in blocks.iter().enumerate() {
+        for (l, blk) in self.blocks.iter().enumerate() {
             let last = l + 1 == nblocks;
             // Queries at the final block: only mask rows feed the output.
             let pruned: Option<&[usize]> = if last { mask_rows.as_deref() } else { None };
@@ -806,7 +737,7 @@ impl MiniLm {
             attn_paths[usize::from(blocked)] += (bsz * heads) as u64;
 
             let mut xin = ic.alloc(rows * d);
-            layer_norm_rows(&h, blk.ln1_g, blk.ln1_b, &mut xin);
+            layer_norm_rows(&h, vec_of(blk.ln1_g), vec_of(blk.ln1_b), &mut xin);
             let q_in_buf: Option<Vec<f32>> = pruned.map(|rows_idx| {
                 let mut g = ic.alloc(rows_idx.len() * d);
                 for (i, &r) in rows_idx.iter().enumerate() {
@@ -823,66 +754,44 @@ impl MiniLm {
             let mut out_b = ic.alloc(qrows * dh);
             let mut captured_heads: Vec<HeadKv> = Vec::new();
 
-            // Projections. Fused path: one packed GEMM over the concatenated
-            // panel per layer (two under query pruning, where q rows differ
-            // from k/v rows), leaving q/k/v as column bands of one wide
-            // buffer. Legacy path: the original 3 × heads `matmul_raw` calls
-            // into contiguous per-head buffers. Either way each head is
-            // addressed below as (buffer, row stride, column offset).
-            let mut qkvf: Vec<f32> = Vec::new();
-            let mut qf: Vec<f32> = Vec::new();
-            let mut kvf: Vec<f32> = Vec::new();
-            let mut legacy: Vec<(Vec<f32>, Vec<f32>, Vec<f32>)> = Vec::new();
-            {
-                let _qkv_span = delrec_obs::span!("lm.qkv");
-                match pack {
-                    Some(pk) => {
-                        let lp = &pk.layers[l];
-                        if pruned.is_some() {
-                            qf = ic.alloc(nq * d);
-                            lp.q.as_ref()
-                                .expect("last-layer q pack")
-                                .gemm(q_in, d, &mut qf, nq, false);
-                            kvf = ic.alloc(rows * 2 * d);
-                            lp.kv
-                                .as_ref()
-                                .expect("last-layer kv pack")
-                                .gemm(&xin, d, &mut kvf, rows, false);
-                        } else {
-                            qkvf = ic.alloc(rows * 3 * d);
-                            lp.qkv.gemm(&xin, d, &mut qkvf, rows, false);
-                        }
-                    }
-                    None => {
-                        for hd in 0..heads {
-                            let mut q = ic.alloc(nq * dh);
-                            matmul_raw(q_in, &blk.wq[hd], &mut q, nq, d, dh);
-                            let mut k = ic.alloc(rows * dh);
-                            matmul_raw(&xin, &blk.wk[hd], &mut k, rows, d, dh);
-                            let mut v = ic.alloc(rows * dh);
-                            matmul_raw(&xin, &blk.wv[hd], &mut v, rows, d, dh);
-                            legacy.push((q, k, v));
-                        }
-                    }
+            // Projections: one packed GEMM over the concatenated panel per
+            // layer leaves q/k/v as column bands of one wide buffer. Under
+            // query pruning the q rows (mask rows only) differ from the k/v
+            // rows, so q gets its own `[nq, d]` buffer and the wide one
+            // carries k/v only. Head `hd` is the `dh` columns at
+            // `band + hd·dh` of a row: q's band is column 0 of its buffer,
+            // k's is `k_band` of the wide one, v's sits `d` after k's.
+            let lp = &pack.layers[l];
+            let qkv_span = delrec_obs::span!("lm.qkv");
+            let (q_own, wide, wide_lda, k_band) = match pruned {
+                Some(_) => {
+                    let mut q = ic.alloc(nq * d);
+                    lp.q.as_ref()
+                        .expect("last-layer q pack")
+                        .gemm(q_in, d, &mut q, nq, false);
+                    let mut kv = ic.alloc(rows * 2 * d);
+                    lp.kv
+                        .as_ref()
+                        .expect("last-layer kv pack")
+                        .gemm(&xin, d, &mut kv, rows, false);
+                    (Some(q), kv, 2 * d, 0)
                 }
-            }
+                None => {
+                    let mut qkv = ic.alloc(rows * 3 * d);
+                    lp.qkv.gemm(&xin, d, &mut qkv, rows, false);
+                    (None, qkv, 3 * d, d)
+                }
+            };
+            drop(qkv_span);
+            let (qb, q_lda) = match &q_own {
+                Some(q) => (&q[..], d),
+                None => (&wide[..], wide_lda),
+            };
 
             for hd in 0..heads {
-                let (qb, q_lda, q_off) = match pack {
-                    Some(_) if pruned.is_some() => (&qf[..], d, hd * dh),
-                    Some(_) => (&qkvf[..], 3 * d, hd * dh),
-                    None => (&legacy[hd].0[..], dh, 0),
-                };
-                let (kb, k_lda, k_off) = match pack {
-                    Some(_) if pruned.is_some() => (&kvf[..], 2 * d, hd * dh),
-                    Some(_) => (&qkvf[..], 3 * d, d + hd * dh),
-                    None => (&legacy[hd].1[..], dh, 0),
-                };
-                let (vb, v_lda, v_off) = match pack {
-                    Some(_) if pruned.is_some() => (&kvf[..], 2 * d, d + hd * dh),
-                    Some(_) => (&qkvf[..], 3 * d, 2 * d + hd * dh),
-                    None => (&legacy[hd].2[..], dh, 0),
-                };
+                let q_off = hd * dh;
+                let k_off = k_band + hd * dh;
+                let v_off = k_off + d;
                 for b in 0..bsz {
                     let len = seqs[b].len();
                     let scores_span = delrec_obs::span!("lm.attn_scores");
@@ -896,14 +805,14 @@ impl MiniLm {
                         v_b[..p * dh].copy_from_slice(cv);
                     }
                     for s in 0..s_max {
-                        let krow = (b * s_max + s) * k_lda + k_off;
+                        let krow = (b * s_max + s) * wide_lda + k_off;
                         for r in 0..dh {
-                            kt_b[r * kmax + p + s] = kb[krow + r];
+                            kt_b[r * kmax + p + s] = wide[krow + r];
                         }
                     }
                     for s in 0..s_max {
-                        let vrow = (b * s_max + s) * v_lda + v_off;
-                        v_b[(p + s) * dh..(p + s + 1) * dh].copy_from_slice(&vb[vrow..vrow + dh]);
+                        let vrow = (b * s_max + s) * wide_lda + v_off;
+                        v_b[(p + s) * dh..(p + s + 1) * dh].copy_from_slice(&wide[vrow..vrow + dh]);
                     }
                     let q_start = match pruned {
                         Some(_) => b * q_lda + q_off,
@@ -966,61 +875,35 @@ impl MiniLm {
                     }
                 }
                 if capturing {
-                    // Capture runs on a single unpadded sequence (rows = P).
+                    // Capture runs on a single unpadded, unpruned sequence
+                    // (rows = P): copy the head's strided k/v bands out of
+                    // the wide buffer as Kᵀ and a contiguous V.
                     let mut kt = vec![0.0f32; dh * rows];
-                    match pack {
-                        Some(_) => {
-                            // Strided bands: write Kᵀ and a contiguous V
-                            // straight from the fused buffer (one copy).
-                            for row in 0..rows {
-                                let base = row * 3 * d + d + hd * dh;
-                                for r in 0..dh {
-                                    kt[r * rows + row] = qkvf[base + r];
-                                }
-                            }
-                            let mut vc = vec![0.0f32; rows * dh];
-                            for row in 0..rows {
-                                let base = row * 3 * d + 2 * d + hd * dh;
-                                vc[row * dh..(row + 1) * dh]
-                                    .copy_from_slice(&qkvf[base..base + dh]);
-                            }
-                            captured_heads.push((kt, vc));
+                    let mut vc = vec![0.0f32; rows * dh];
+                    for row in 0..rows {
+                        let krow = row * wide_lda + k_off;
+                        for r in 0..dh {
+                            kt[r * rows + row] = wide[krow + r];
                         }
-                        None => {
-                            // The head's V buffer is not needed past this
-                            // point — move it into the cache, no clone.
-                            let (_, k, v) = &mut legacy[hd];
-                            transpose_into(k, rows, dh, &mut kt);
-                            captured_heads.push((kt, std::mem::take(v)));
-                        }
+                        let vrow = row * wide_lda + v_off;
+                        vc[row * dh..(row + 1) * dh].copy_from_slice(&wide[vrow..vrow + dh]);
                     }
+                    captured_heads.push((kt, vc));
                 }
             }
             if let Some(cap) = capture.as_deref_mut() {
                 cap.push(captured_heads);
             }
-            for (q, k, v) in legacy.drain(..) {
+            if let Some(q) = q_own {
                 ic.recycle(q);
-                ic.recycle(k);
-                ic.recycle(v);
             }
-            if pack.is_some() {
-                if pruned.is_some() {
-                    ic.recycle(qf);
-                    ic.recycle(kvf);
-                } else {
-                    ic.recycle(qkvf);
-                }
-            }
+            ic.recycle(wide);
 
             // attn_out = attn_cat · wo (raw weight — the tape path bypasses
             // adapters on the output projection).
             let wo_span = delrec_obs::span!("lm.wo");
             let mut attn_out = ic.alloc(nq * d);
-            match pack {
-                Some(pk) => pk.layers[l].wo.gemm(&attn_cat, d, &mut attn_out, nq, false),
-                None => matmul_raw(&attn_cat, blk.wo, &mut attn_out, nq, d, d),
-            }
+            lp.wo.gemm(&attn_cat, d, &mut attn_out, nq, false);
             // Residual; at the final block this compresses h to mask rows.
             h = match pruned {
                 Some(rows_idx) => {
@@ -1045,20 +928,14 @@ impl MiniLm {
             let _ffn_span = delrec_obs::span!("lm.ffn");
             let ffn = cfg.ffn_dim;
             let mut xin2 = ic.alloc(nq * d);
-            layer_norm_rows(&h, blk.ln2_g, blk.ln2_b, &mut xin2);
+            layer_norm_rows(&h, vec_of(blk.ln2_g), vec_of(blk.ln2_b), &mut xin2);
             let mut f = ic.alloc(nq * ffn);
-            match pack {
-                Some(pk) => pk.layers[l].w1.gemm(&xin2, d, &mut f, nq, false),
-                None => matmul_raw(&xin2, blk.w1, &mut f, nq, d, ffn),
-            }
-            add_row_bias(&mut f, blk.b1);
+            lp.w1.gemm(&xin2, d, &mut f, nq, false);
+            add_row_bias(&mut f, vec_of(blk.b1));
             ic.gelu(&mut f);
             let mut f2 = ic.alloc(nq * d);
-            match pack {
-                Some(pk) => pk.layers[l].w2.gemm(&f, ffn, &mut f2, nq, false),
-                None => matmul_raw(&f, blk.w2, &mut f2, nq, ffn, d),
-            }
-            add_row_bias(&mut f2, blk.b2);
+            lp.w2.gemm(&f, ffn, &mut f2, nq, false);
+            add_row_bias(&mut f2, vec_of(blk.b2));
             for (o, &a) in h.iter_mut().zip(f2.iter()) {
                 *o += a;
             }

@@ -59,9 +59,6 @@ pub struct MiniLm {
     /// the store version. Cloning a MiniLm resets the slot (see
     /// [`crate::infer`]) — each clone repacks from its own store.
     pub(crate) pack_cache: crate::infer::PackCache,
-    /// Route the grad-free forward through the fused packed-GEMM path
-    /// (default) instead of the per-head `matmul_raw` kernels.
-    pub(crate) use_fused: bool,
 }
 
 impl MiniLm {
@@ -122,23 +119,7 @@ impl MiniLm {
             adapters: None,
             adapter_of: HashMap::new(),
             pack_cache: Default::default(),
-            use_fused: true,
         }
-    }
-
-    /// Toggle the fused packed-GEMM projection path of the grad-free
-    /// forward. `true` (the default) fuses q/k/v into one blocked GEMM per
-    /// layer against cached weight panels; `false` restores the per-head
-    /// `matmul_raw` kernels. Both produce bitwise-identical output — the
-    /// toggle exists as the reference baseline for equivalence tests and
-    /// before/after benchmarks.
-    pub fn set_fused_projections(&mut self, fused: bool) {
-        self.use_fused = fused;
-    }
-
-    /// Whether the grad-free forward uses the fused packed-GEMM path.
-    pub fn fused_projections(&self) -> bool {
-        self.use_fused
     }
 
     /// The backing parameter store (soft prompts and adapters live here too).

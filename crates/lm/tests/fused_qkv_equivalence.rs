@@ -1,11 +1,7 @@
-//! Bitwise pin of the fused packed-GEMM projection path against both its
-//! references, with the full feature load attached (soft prompts + AdaLoRA
-//! with non-zero deltas, ragged batches, prefix cache where exact):
-//!
-//! * **vs the tape** — the autograd forward is the always-correct oracle;
-//! * **vs the legacy per-head loop** (`set_fused_projections(false)`) — the
-//!   pre-fusion engine path, which the blocked kernel must reproduce bit for
-//!   bit because it preserves `matmul_raw`'s per-element accumulation order.
+//! Bitwise pin of the grad-free engine's fused packed-GEMM forward against
+//! its one reference, the autograd tape, with the full feature load attached
+//! (soft prompts + AdaLoRA with non-zero deltas, ragged batches, prefix
+//! cache where exact).
 //!
 //! Covers single-layer (`large`), multi-layer bidirectional (`xl`), and
 //! multi-layer causal (`causal_xl`) presets: multi-layer models exercise the
@@ -54,13 +50,13 @@ fn tape_logits(
 }
 
 #[test]
-fn fused_matches_tape_and_per_head_loop_bitwise() {
+fn fused_matches_tape_bitwise() {
     for (name, base) in [
         ("large", MiniLmConfig::large(60)),
         ("xl", MiniLmConfig::xl(60)),
         ("causal_xl", MiniLmConfig::causal_xl(60)),
     ] {
-        let mut lm = adapted_lm(base, 23);
+        let lm = adapted_lm(base, 23);
         let d = lm.cfg.d_model;
         let soft = Tensor::new([2, d], (0..2 * d).map(|i| 0.01 * i as f32 - 0.1).collect());
         // Shared prefix with soft tokens in it (DELRec's template shape),
@@ -81,16 +77,10 @@ fn fused_matches_tape_and_per_head_loop_bitwise() {
         let want = tape_logits(&lm, &seqs, Some(&soft), &mask_pos);
 
         let ic = InferCtx::new(MathMode::Exact);
-        assert!(lm.fused_projections(), "fused path must be the default");
         let fused = lm.mask_logits_infer_batch(&ic, &seqs, Some(&soft), &mask_pos, None);
         assert_eq!(fused.data(), want.data(), "{name}: fused vs tape");
 
-        lm.set_fused_projections(false);
-        let legacy = lm.mask_logits_infer_batch(&ic, &seqs, Some(&soft), &mask_pos, None);
-        assert_eq!(legacy.data(), fused.data(), "{name}: legacy vs fused");
-        lm.set_fused_projections(true);
-
-        // Prefix cache built and consumed by the fused path, where exact.
+        // Prefix cache, where exact.
         let cacheable = lm.cfg.causal || lm.cfg.num_layers == 1;
         let cache = lm.build_prefix_cache(&ic, &prefix, Some(&soft));
         assert_eq!(cache.is_some(), cacheable, "{name}: cache gate");
@@ -99,23 +89,4 @@ fn fused_matches_tape_and_per_head_loop_bitwise() {
             assert_eq!(cached.data(), want.data(), "{name}: fused + cache vs tape");
         }
     }
-}
-
-/// A cache captured by the legacy path must be byte-interchangeable with one
-/// captured by the fused path: scoring through either gives the same bits.
-#[test]
-fn caches_from_both_paths_are_interchangeable() {
-    let mut lm = adapted_lm(MiniLmConfig::large(60), 29);
-    let prefix = toks(&[5, 6, 1]);
-    let seqs = vec![toks(&[5, 6, 1, 7, 2, 9]), toks(&[5, 6, 1, 3])];
-    let mask_pos = [5usize, 3];
-    let ic = InferCtx::new(MathMode::Exact);
-
-    let fused_cache = lm.build_prefix_cache(&ic, &prefix, None).unwrap();
-    lm.set_fused_projections(false);
-    let legacy_cache = lm.build_prefix_cache(&ic, &prefix, None).unwrap();
-    let legacy_scores = lm.mask_logits_infer_batch(&ic, &seqs, None, &mask_pos, Some(&fused_cache));
-    lm.set_fused_projections(true);
-    let fused_scores = lm.mask_logits_infer_batch(&ic, &seqs, None, &mask_pos, Some(&legacy_cache));
-    assert_eq!(fused_scores.data(), legacy_scores.data());
 }

@@ -197,20 +197,3 @@ fn quantized_scores_are_thread_count_deterministic() {
         );
     }
 }
-
-/// The legacy per-head projection path never touches weight packs, so
-/// `Quantized` mode must leave it bitwise identical to `Exact` (the mode
-/// only changes panel storage).
-#[test]
-fn legacy_per_head_path_ignores_quantized_mode() {
-    let _serial = serial();
-    let (mut lm, seqs, mask_pos) = test_model();
-    lm.set_fused_projections(false);
-    let exact_scores = score(&lm, &InferCtx::new(MathMode::Exact), &seqs, &mask_pos);
-    let quant_scores = score(&lm, &InferCtx::new(MathMode::Quantized), &seqs, &mask_pos);
-    assert_eq!(
-        exact_scores.data(),
-        quant_scores.data(),
-        "per-head path has no packs to quantize — modes must agree bitwise"
-    );
-}

@@ -2,7 +2,7 @@
 //! and the repacked scores are bitwise-identical to a fresh pack — the
 //! mirror of `prefix_cache_invalidation.rs` for the packed weight panels.
 //!
-//! The pack cache is internal (built lazily inside the fused forward), so
+//! The pack cache is internal (built lazily inside the forward), so
 //! this test observes it through its two public surfaces: the
 //! `lm.weight_pack.build` / `lm.weight_pack.hit` obs counters, and the
 //! scores themselves. The fresh-pack reference comes from a `Clone` of the
@@ -17,7 +17,7 @@
 
 use delrec_lm::{LmToken, MiniLm, MiniLmConfig};
 use delrec_obs::MetricValue;
-use delrec_tensor::{InferCtx, MathMode, Tensor};
+use delrec_tensor::{Ctx, InferCtx, MathMode, Tape, Tensor};
 
 fn toks(ids: &[u32]) -> Vec<LmToken> {
     ids.iter().map(|&w| LmToken::Vocab(w)).collect()
@@ -43,7 +43,6 @@ fn version_bump_forces_repack_bitwise_identical_to_fresh_pack() {
     let mut cfg = MiniLmConfig::large(60);
     cfg.dropout = 0.0;
     let mut lm = MiniLm::new(cfg, 17);
-    assert!(lm.fused_projections(), "fused path must be the default");
     let seqs = vec![
         toks(&[5, 6, 1, 7, 2, 9]),
         toks(&[5, 6, 1, 3]),
@@ -104,12 +103,15 @@ fn version_bump_forces_repack_bitwise_identical_to_fresh_pack() {
         "repack must be bitwise-identical to a fresh pack"
     );
 
-    // And the repack agrees with the non-packed reference path entirely.
-    lm.set_fused_projections(false);
-    let legacy = score(&lm, &ic, &seqs, &mask_pos);
+    // And the repack agrees with the tape, which reads the store directly
+    // and so cannot be serving stale weights.
+    let tape = Tape::new();
+    let ctx = Ctx::new(&tape, lm.store(), false);
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
+    let want = tape.get(lm.mask_logits_batch(&ctx, &seqs, None, &mask_pos, &mut rng));
     assert_eq!(
         repacked.data(),
-        legacy.data(),
-        "repack must match the per-head reference bitwise"
+        want.data(),
+        "repack must match the tape bitwise"
     );
 }

@@ -180,6 +180,24 @@ mod tests {
         assert_eq!(h.quantile(1.0), mid);
     }
 
+    // Mixed magnitudes (the serving latency shape: a fast bulk and a slow
+    // tail): each quantile lands in its own sample's bucket.
+    #[test]
+    fn quantiles_of_mixed_magnitudes_are_within_bucket_resolution() {
+        let h = Histogram::new();
+        // 100 samples at 1 ms, 10 at 10 ms, 1 at 100 ms (in ns).
+        for (n, v) in [(100, 1_000_000u64), (10, 10_000_000), (1, 100_000_000)] {
+            for _ in 0..n {
+                h.record(v);
+            }
+        }
+        assert_eq!(h.count(), 111);
+        assert!((800_000..2_000_000).contains(&h.quantile(0.50)));
+        assert!((8_000_000..20_000_000).contains(&h.quantile(0.99)));
+        assert!((80_000_000..200_000_000).contains(&h.quantile(1.0)));
+        assert!(h.mean() > 1_000_000);
+    }
+
     #[test]
     fn empty_histogram_reports_zero() {
         let h = Histogram::new();

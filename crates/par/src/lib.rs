@@ -321,18 +321,6 @@ impl ThreadPool {
         self.for_each_range(data, &ranges, f);
     }
 
-    /// Detached fire-and-forget task (used by the serve runtime). Runs
-    /// inline on the caller when the pool has no workers, so a 1-lane pool
-    /// cannot strand tasks. A panicking task is swallowed after bumping
-    /// `par.pool.task_panics`.
-    pub fn spawn<F: FnOnce() + Send + 'static>(&self, f: F) {
-        self.inject(Box::new(move || {
-            if catch_unwind(AssertUnwindSafe(f)).is_err() {
-                counter!("par.pool.task_panics").incr();
-            }
-        }));
-    }
-
     fn inject(&self, job: Job) {
         if self.shared.workers == 0 {
             run_job(job);
@@ -654,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn one_lane_pool_runs_inline_and_spawn_does_not_strand() {
+    fn one_lane_pool_runs_inline() {
         let pool = ThreadPool::new(1);
         assert_eq!(pool.workers(), 0);
         let caller = std::thread::current().id();
@@ -663,25 +651,6 @@ mod tests {
             *ran_on.lock().unwrap() = Some(std::thread::current().id());
         });
         assert_eq!(*ran_on.lock().unwrap(), Some(caller));
-        // Detached spawn on a worker-less pool runs inline, not never.
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f2 = fired.clone();
-        pool.spawn(move || {
-            f2.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(fired.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn spawn_detached_runs_on_worker() {
-        let pool = ThreadPool::new(2);
-        let (tx, rx) = std::sync::mpsc::channel();
-        pool.spawn(move || {
-            tx.send(std::thread::current().name().map(String::from))
-                .unwrap();
-        });
-        let name = rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap();
-        assert_eq!(name.as_deref(), Some("delrec-par-0"));
     }
 
     #[test]

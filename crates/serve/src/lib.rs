@@ -1,10 +1,11 @@
 //! Online recommendation serving runtime.
 //!
-//! Turns a fitted [`delrec_eval::Ranker`] into a multi-threaded service:
-//! clients submit [`RecRequest`]s, a scheduler thread coalesces the queue into
-//! micro-batches (size- and age-triggered) feeding `score_candidates_batch`
-//! on the shared `delrec-par` thread pool, and ranked results come back
-//! through per-request response channels. Around that core:
+//! Turns a fitted [`delrec_eval::Ranker`] into a service: clients submit
+//! [`RecRequest`]s from any thread, one scheduler thread coalesces the queue
+//! into micro-batches (size- and age-triggered) and scores each with one
+//! `score_candidates_batch` call — which fans out over the `delrec-par` pool
+//! from inside the model — and ranked results come back through per-request
+//! response channels. Around that core:
 //!
 //! - [`SessionStore`] — sharded, lock-striped per-user histories so requests
 //!   send only interaction deltas; optionally durable via per-shard
@@ -31,7 +32,7 @@ pub mod server;
 pub mod session;
 pub mod wal;
 
-pub use metrics::{LogHistogram, Metrics, MetricsSnapshot};
+pub use metrics::{Metrics, MetricsSnapshot};
 pub use registry::{ModelRegistry, PublishedModel};
 pub use request::{ranking_of, RecRequest, RecResponse, ServeError, TopKRequest, TopKResponse};
 pub use server::{Client, PersistConfig, ResponseHandle, ServeConfig, Server, TopKHandle};

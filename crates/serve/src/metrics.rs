@@ -19,10 +19,14 @@
 //! * `completed + timed_out ≤ batched_requests`
 //! * `batched_requests ≥ batches` (so `mean_batch_size ≥ 1` once a batch
 //!   flushed)
-//! * `topk_batched_requests ≤ batched_requests` and `topk_batched_requests ≥
-//!   topk_batches` (so `mean_topk_batch_size ≥ 1` once a top-k batch
-//!   flushed) — top-k batches ride the shared batch ledger *and* their own
-//!   `topk_batch.*` pair
+//! * `topk_batched_requests ≤ batched_requests`, `topk_batches ≤ batches` and
+//!   `topk_batched_requests ≥ topk_batches` (so `mean_topk_batch_size ≥ 1`
+//!   once a top-k batch flushed) — top-k batches ride the shared batch ledger
+//!   *and* their own `topk_batch.*` pair
+//!
+//! They are inequalities on purpose: a request whose batch's model call
+//! panicked is answered `ServeError::Internal` and appears in `submitted`
+//! alone — its batch reaches neither the batch ledger nor a sink.
 //!
 //! The guarantee comes from a write/read ordering discipline rather than a
 //! lock. Writers publish with `Release` increments in dependency order: a
@@ -43,68 +47,15 @@ use std::time::Duration;
 
 use delrec_obs::{Counter, Gauge, Histogram};
 
-/// Concurrent log-bucketed histogram of durations: a [`Duration`]-typed view
-/// over a nanosecond [`delrec_obs::Histogram`] (four sub-buckets per power
-/// of two, 256 buckets, quantiles at bucket midpoints — within ~12% of the
-/// true value across the full `Duration` range).
-pub struct LogHistogram {
-    inner: Arc<Histogram>,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogHistogram {
-    /// Empty, unregistered histogram.
-    pub fn new() -> Self {
-        LogHistogram {
-            inner: Arc::new(Histogram::new()),
-        }
-    }
-
-    /// A histogram backed by the global registry entry `name` — the serving
-    /// runtime's own view and a registry dump read the same buckets.
-    pub fn registered(name: &str) -> Self {
-        LogHistogram {
-            inner: delrec_obs::global().histogram(name),
-        }
-    }
-
-    /// Record one duration.
-    pub fn record(&self, d: Duration) {
-        self.inner
-            .record(d.as_nanos().min(u128::from(u64::MAX)) as u64);
-    }
-
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Mean of recorded durations (zero when empty; integer nanoseconds).
-    pub fn mean(&self) -> Duration {
-        Duration::from_nanos(self.inner.mean())
-    }
-
-    /// The `q`-quantile (`0.0 ..= 1.0`), estimated as the midpoint of the
-    /// bucket holding the `⌈q·n⌉`-th smallest sample. Zero when empty.
-    pub fn quantile(&self, q: f64) -> Duration {
-        Duration::from_nanos(self.inner.quantile(q))
-    }
-}
-
 /// Serving-runtime instances registered so far; gives each [`Metrics`] a
 /// distinct `serve.<n>.*` namespace in the global registry so two runtimes
 /// in one process (common in tests) never share ledgers.
 static INSTANCES: AtomicU64 = AtomicU64::new(0);
 
 /// All counters of a serving runtime. Shared by reference between the
-/// admission path, the scheduler, and the workers; updated through the
-/// `record_*` methods, whose orderings carry the snapshot guarantee
-/// documented at the module level.
+/// admission path and the scheduler; updated through the `record_*` methods,
+/// whose orderings carry the snapshot guarantee documented at the module
+/// level.
 pub struct Metrics {
     namespace: String,
     submitted: Arc<Counter>,
@@ -119,8 +70,10 @@ pub struct Metrics {
     topk_batched_requests: Arc<Counter>,
     publishes: Arc<Counter>,
     active_model_seq: Arc<Gauge>,
-    latency: LogHistogram,
-    queue_wait: LogHistogram,
+    /// Nanoseconds, log-bucketed (quantiles within ~12 % — see
+    /// [`delrec_obs::Histogram`]).
+    latency: Arc<Histogram>,
+    queue_wait: Arc<Histogram>,
 }
 
 impl Default for Metrics {
@@ -149,8 +102,8 @@ impl Metrics {
             topk_batched_requests: reg.counter(&name("topk_batch.requests")),
             publishes: reg.counter(&name("swap.publishes")),
             active_model_seq: reg.gauge(&name("swap.active_seq")),
-            latency: LogHistogram::registered(&name("latency_ns")),
-            queue_wait: LogHistogram::registered(&name("queue_wait_ns")),
+            latency: reg.histogram(&name("latency_ns")),
+            queue_wait: reg.histogram(&name("queue_wait_ns")),
             namespace,
         }
     }
@@ -195,8 +148,9 @@ impl Metrics {
     /// this completion also sees the submission and the batch accounting
     /// that preceded it.
     pub fn record_completed(&self, latency: Duration, queue_wait: Duration) {
-        self.latency.record(latency);
-        self.queue_wait.record(queue_wait);
+        let nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.latency.record(nanos(latency));
+        self.queue_wait.record(nanos(queue_wait));
         self.completed.incr_release();
     }
 
@@ -224,17 +178,18 @@ impl Metrics {
     /// them) *and* their own `topk_batch.*` pair for occupancy of the
     /// batched-pipeline path specifically.
     ///
-    /// Write order is load-bearing twice over: each pair's occupancy
-    /// numerator precedes its batch count (so each mean can never dip below
-    /// one), and the top-k pair lands strictly inside the shared pair — a
-    /// snapshot that observes a top-k request always also observes it in
-    /// `batched_requests`, keeping `topk_batched_requests ≤
-    /// batched_requests`.
+    /// Write order is load-bearing twice over, and the snapshot reads in
+    /// exactly the reverse: both occupancy numerators precede both batch
+    /// counts (so neither mean can dip below one), and within each kind the
+    /// shared counter precedes its top-k twin — a snapshot that observes a
+    /// top-k request or batch always also observes it in the shared ledger,
+    /// keeping `topk_batched_requests ≤ batched_requests` and `topk_batches ≤
+    /// batches`.
     pub fn record_topk_batch(&self, size: u64) {
         self.batched_requests.add_release(size);
         self.topk_batched_requests.add_release(size);
-        self.topk_batches.incr_release();
         self.batches.incr_release();
+        self.topk_batches.incr_release();
     }
 
     /// Point-in-time copy of every counter plus derived quantiles.
@@ -248,12 +203,11 @@ impl Metrics {
         let completed = self.completed.get_acquire();
         let timed_out = self.timed_out.get_acquire();
         let shed_expired = self.shed_expired.get_acquire();
-        // 2. Each batch count before its occupancy numerator, and the top-k
-        //    pair before the shared pair it nests inside (see
-        //    `record_topk_batch` for why this read order pairs with that
-        //    write order).
-        let batches = self.batches.get_acquire();
+        // 2. The reverse of `record_topk_batch`'s write order: both batch
+        //    counts before both occupancy numerators, and within each kind
+        //    the top-k counter before the shared one it nests inside.
         let topk_batches = self.topk_batches.get_acquire();
+        let batches = self.batches.get_acquire();
         let topk_batched_requests = self.topk_batched_requests.get_acquire();
         let batched_requests = self.batched_requests.get_acquire();
         // 3. Sources last: by now every implied upstream increment is
@@ -263,6 +217,7 @@ impl Metrics {
         let rejected_queue_full = self.rejected_queue_full.get();
         let rejected_deadline = self.rejected_deadline.get();
         let model_publishes = self.publishes.get();
+        let ns = Duration::from_nanos;
         MetricsSnapshot {
             submitted,
             completed,
@@ -283,12 +238,12 @@ impl Metrics {
             } else {
                 topk_batched_requests as f64 / topk_batches as f64
             },
-            latency_mean: self.latency.mean(),
-            latency_p50: self.latency.quantile(0.50),
-            latency_p95: self.latency.quantile(0.95),
-            latency_p99: self.latency.quantile(0.99),
-            queue_wait_p50: self.queue_wait.quantile(0.50),
-            queue_wait_p99: self.queue_wait.quantile(0.99),
+            latency_mean: ns(self.latency.mean()),
+            latency_p50: ns(self.latency.quantile(0.50)),
+            latency_p95: ns(self.latency.quantile(0.95)),
+            latency_p99: ns(self.latency.quantile(0.99)),
+            queue_wait_p50: ns(self.queue_wait.quantile(0.50)),
+            queue_wait_p99: ns(self.queue_wait.quantile(0.99)),
         }
     }
 }
@@ -339,46 +294,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn duration_quantiles_are_within_bucket_resolution() {
-        let h = LogHistogram::new();
-        // 100 samples at 1 ms, 10 at 10 ms, 1 at 100 ms.
-        for _ in 0..100 {
-            h.record(Duration::from_millis(1));
-        }
-        for _ in 0..10 {
-            h.record(Duration::from_millis(10));
-        }
-        h.record(Duration::from_millis(100));
-        assert_eq!(h.count(), 111);
-        let p50 = h.quantile(0.50).as_secs_f64();
-        assert!((8e-4..2e-3).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99).as_secs_f64();
-        assert!((8e-3..2e-2).contains(&p99), "p99 {p99}");
-        let p100 = h.quantile(1.0).as_secs_f64();
-        assert!((8e-2..2e-1).contains(&p100), "max {p100}");
-        assert!(h.mean() > Duration::from_millis(1));
-    }
-
-    // The serve-facing pin of the documented boundary layout: 1 ms lands in
-    // bucket [917.504 µs, 1.048576 ms) and every quantile of a
-    // single-valued histogram is that bucket's midpoint, 983.04 µs.
-    #[test]
-    fn quantiles_land_on_documented_bucket_boundaries() {
-        let h = LogHistogram::new();
-        h.record(Duration::from_millis(1));
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Duration::from_nanos(983_040), "q={q}");
-        }
-    }
-
-    #[test]
-    fn empty_histogram_reports_zero() {
-        let h = LogHistogram::new();
-        assert_eq!(h.quantile(0.5), Duration::ZERO);
-        assert_eq!(h.mean(), Duration::ZERO);
-    }
-
-    #[test]
     fn snapshot_derives_mean_batch_size() {
         let m = Metrics::new();
         m.record_batch(3);
@@ -410,24 +325,5 @@ mod tests {
             MetricValue::Histogram { count, .. } => assert_eq!(count, 1),
             other => panic!("latency_ns is {other:?}"),
         }
-    }
-
-    #[test]
-    fn concurrent_records_lose_nothing() {
-        let h = std::sync::Arc::new(LogHistogram::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let h = std::sync::Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for i in 1..=1000u64 {
-                        h.record(Duration::from_nanos(i));
-                    }
-                })
-            })
-            .collect();
-        for t in handles {
-            t.join().unwrap();
-        }
-        assert_eq!(h.count(), 4000);
     }
 }

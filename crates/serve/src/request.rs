@@ -139,6 +139,9 @@ pub enum ServeError {
     ///
     /// [`Server::start`]: crate::Server::start
     TopKUnsupported,
+    /// The model call scoring this request's batch panicked. Every member of
+    /// that batch gets this answer; the server keeps serving the rest.
+    Internal,
     /// The server is shutting down (or has shut down).
     Shutdown,
 }
@@ -155,6 +158,7 @@ impl std::fmt::Display for ServeError {
             ServeError::TopKUnsupported => {
                 write!(f, "server has no full-catalog top-k path")
             }
+            ServeError::Internal => write!(f, "the model call for this batch panicked"),
             ServeError::Shutdown => write!(f, "server is shut down"),
         }
     }

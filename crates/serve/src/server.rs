@@ -1,25 +1,26 @@
-//! The serving runtime: admission control, the micro-batching scheduler, and
-//! the scoring workers.
+//! The serving runtime: admission control and the micro-batching scheduler.
 //!
 //! ```text
 //!  clients ──submit──▶ [admission] ──▶ queue (Mutex<VecDeque> + Condvar)
 //!                                        │
 //!                              scheduler thread: flush at
-//!                              B = max_batch  or  oldest age ≥ batch_window
+//!                              B = max_batch  or  oldest age ≥ batch_window,
+//!                              then score the batch itself — one model call
+//!                              per protocol, which fans out over the
+//!                              `delrec-par` pool from inside
 //!                                        │
-//!                          ┌─────────────┴─────────────┐
-//!                          ▼ (num_workers = 0)         ▼ (num_workers ≥ 1)
-//!                    score inline              shared `delrec-par` pool
-//!                          │                   (≤ num_workers in flight)
-//!                          └───────────┬────────────────┘
-//!                                      ▼
+//!                                        ▼
 //!                     per-request response channels (mpsc)
 //! ```
 //!
-//! The contract that everything else leans on: a served response's scores are
-//! **bitwise identical** to calling the model's `score_candidates` directly
-//! on the same session history — micro-batching is a latency/throughput
-//! knob, never a numerics knob.
+//! One scheduler thread is the only thread the server owns; parallelism lives
+//! inside the model call. Two contracts everything else leans on:
+//!
+//! * a served response's scores are **bitwise identical** to calling the
+//!   model's `score_candidates` directly on the same session history —
+//!   micro-batching is a latency/throughput knob, never a numerics knob;
+//! * a model call that panics fails **its batch only**: each member is
+//!   answered [`ServeError::Internal`] and the scheduler keeps serving.
 
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::registry::{ModelRegistry, TopKFn};
@@ -28,6 +29,7 @@ use crate::session::SessionStore;
 use crate::wal::WalOptions;
 use delrec_eval::{Ranker, ScoreRequest, TopKRecommender};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -46,12 +48,6 @@ pub struct ServeConfig {
     pub batch_window: Duration,
     /// Admission bound: reject when this many requests are already queued.
     pub max_queue: usize,
-    /// Concurrent scoring batches. `0` scores on the scheduler thread itself
-    /// (no handoff — best on a single core); `n ≥ 1` dispatches batches to
-    /// the process-wide [`delrec_par`] pool with at most `n` in flight, so
-    /// multiple batches score concurrently without the server owning any
-    /// scoring threads of its own.
-    pub num_workers: usize,
     /// Lock stripes in the session store.
     pub session_shards: usize,
     /// Most-recent interactions kept per session.
@@ -79,7 +75,6 @@ impl Default for ServeConfig {
             max_batch: 32,
             batch_window: Duration::from_millis(2),
             max_queue: 1024,
-            num_workers: 0,
             session_shards: 16,
             max_history: 50,
             persistence: None,
@@ -154,7 +149,7 @@ struct QueueState {
 /// [`Server::publish`] can rebuild the handler alongside each swap.
 type TopKFactory<R> = Arc<dyn Fn(&Arc<R>) -> TopKFn + Send + Sync>;
 
-/// State shared by clients, the scheduler, and the workers.
+/// State shared by clients and the scheduler.
 struct Shared<R> {
     /// The hot-swappable model: batches load the current generation once at
     /// flush and drain on it, so a publish never splits a batch.
@@ -175,25 +170,6 @@ struct Shared<R> {
     /// scheduler's drain (the queue lock is still the source of truth at
     /// enqueue time).
     depth: AtomicU64,
-    /// Batches currently scoring on the shared pool (`num_workers ≥ 1`
-    /// path). The scheduler blocks dispatch while this sits at
-    /// `cfg.num_workers` — backpressure lands in the queue, where admission
-    /// control and deadline shedding can see it.
-    inflight: Mutex<usize>,
-    /// Signalled whenever a pool-dispatched batch finishes.
-    inflight_cv: Condvar,
-}
-
-/// Decrements the in-flight batch count when a pool-dispatched scoring job
-/// ends — panic included, since a leaked count would wedge the shutdown
-/// drain that waits for in-flight work.
-struct InflightGuard<R>(Arc<Shared<R>>);
-
-impl<R> Drop for InflightGuard<R> {
-    fn drop(&mut self) {
-        *self.0.inflight.lock().unwrap() -= 1;
-        self.0.inflight_cv.notify_all();
-    }
 }
 
 /// Handle for submitting requests. Cheap to clone; every clone talks to the
@@ -370,8 +346,31 @@ impl<R: Ranker + Send + Sync + 'static> Client<R> {
     }
 }
 
-/// Score one flushed batch and deliver every response. Runs on the scheduler
-/// thread (`num_workers = 0`) or on a pool worker.
+/// Run one model call of a batch. A panic inside it (an out-of-catalog
+/// `ItemId` indexing the title table, a bug in a handler) is contained here:
+/// every one of `members` is answered [`ServeError::Internal`],
+/// `serve.batch_panics` is bumped, and `None` tells the caller there is
+/// nothing to deliver. Without this the scheduler thread would die while
+/// admission kept queueing requests nobody answers.
+///
+/// `AssertUnwindSafe`: the call reaches the shared model through `&self`, so
+/// anything a panic leaves half-done sits behind the model's own locks, and a
+/// poisoned one fails later batches the same contained way.
+fn contained<T>(members: &[Pending], call: impl FnOnce() -> T) -> Option<T> {
+    match catch_unwind(AssertUnwindSafe(call)) {
+        Ok(out) => Some(out),
+        Err(_) => {
+            delrec_obs::counter!("serve.batch_panics").incr();
+            for p in members {
+                p.work.send_err(ServeError::Internal);
+            }
+            None
+        }
+    }
+}
+
+/// Score one flushed batch and deliver every response, on the scheduler
+/// thread.
 ///
 /// The model generation is loaded **once**, here, and held for the whole
 /// batch: a concurrent [`Server::publish`] can land at any point and this
@@ -398,17 +397,21 @@ fn score_batch<R: Ranker>(sh: &Shared<R>, batch: Vec<Pending>) {
             topk_live.push(p);
         }
     }
-    if !live.is_empty() {
-        let requests: Vec<ScoreRequest<'_>> = live
-            .iter()
-            .map(|p| {
-                let Work::Score { candidates, .. } = &p.work else {
-                    unreachable!("partitioned above")
-                };
-                (p.prefix.as_slice(), candidates.as_slice())
-            })
-            .collect();
-        let rows = published.model.score_candidates_batch(&requests);
+    let requests: Vec<ScoreRequest<'_>> = live
+        .iter()
+        .map(|p| {
+            let Work::Score { candidates, .. } = &p.work else {
+                unreachable!("partitioned above")
+            };
+            (p.prefix.as_slice(), candidates.as_slice())
+        })
+        .collect();
+    let rows = if requests.is_empty() {
+        None
+    } else {
+        contained(&live, || published.model.score_candidates_batch(&requests))
+    };
+    if let Some(rows) = rows {
         debug_assert_eq!(rows.len(), live.len(), "one score row per live request");
         let done = Instant::now();
         let batch_size = live.len();
@@ -462,7 +465,9 @@ fn score_batch<R: Ranker>(sh: &Shared<R>, batch: Vec<Pending>) {
                 (p.prefix.as_slice(), *k)
             })
             .collect();
-        let rows = topk(&requests);
+        let Some(rows) = contained(&topk_live, || topk(&requests)) else {
+            return;
+        };
         debug_assert_eq!(rows.len(), topk_live.len(), "one answer row per request");
         let done = Instant::now();
         sh.metrics.record_topk_batch(topk_live.len() as u64);
@@ -490,7 +495,7 @@ fn score_batch<R: Ranker>(sh: &Shared<R>, batch: Vec<Pending>) {
 }
 
 /// The scheduler loop: wait for work, coalesce, flush on size or age.
-fn scheduler_loop<R: Ranker>(sh: &Shared<R>, dispatch: &dyn Fn(&Shared<R>, Vec<Pending>)) {
+fn scheduler_loop<R: Ranker>(sh: &Shared<R>) {
     loop {
         let batch = {
             let mut st = sh.queue.lock().unwrap();
@@ -522,22 +527,23 @@ fn scheduler_loop<R: Ranker>(sh: &Shared<R>, dispatch: &dyn Fn(&Shared<R>, Vec<P
             sh.depth.store(st.q.len() as u64, Ordering::Relaxed);
             batch
         };
-        dispatch(sh, batch);
+        score_batch(sh, batch);
     }
 }
 
 /// A running serving runtime over any [`Ranker`].
 ///
-/// The model is shared, not copied: `R: Send + Sync` lets every worker score
-/// against the same fitted parameters (the `delrec-core` model pins this
-/// property with a compile-time assertion).
+/// The model is shared, not copied: `R: Send + Sync` lets the scheduler and
+/// the pool lanes inside a model call score against the same fitted
+/// parameters (the `delrec-core` model pins this property with a
+/// compile-time assertion).
 pub struct Server<R: Ranker + Send + Sync + 'static> {
     shared: Arc<Shared<R>>,
     scheduler: Option<JoinHandle<()>>,
 }
 
 impl<R: Ranker + Send + Sync + 'static> Server<R> {
-    /// Spawn the scheduler (and worker pool, if configured) over `model`.
+    /// Spawn the scheduler over `model`.
     /// Serves the candidate-scoring protocol only; [`TopKRequest`]s are
     /// rejected with [`ServeError::TopKUnsupported`].
     pub fn start(model: Arc<R>, cfg: ServeConfig) -> Self {
@@ -567,51 +573,13 @@ impl<R: Ranker + Send + Sync + 'static> Server<R> {
             notify: Condvar::new(),
             metrics: Metrics::new(),
             depth: AtomicU64::new(0),
-            inflight: Mutex::new(0),
-            inflight_cv: Condvar::new(),
         });
 
-        let scheduler = if shared.cfg.num_workers == 0 {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-scheduler".into())
-                .spawn(move || scheduler_loop(&sh, &|sh, batch| score_batch(sh, batch)))
-                .expect("spawn scheduler")
-        } else {
-            // Batches go to the process-wide delrec-par pool as detached
-            // jobs, capped at num_workers in flight. On a pool with no
-            // workers (DELREC_THREADS=1) `spawn` runs the job inline on the
-            // scheduler thread — same semantics as num_workers = 0.
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("serve-scheduler".into())
-                .spawn(move || {
-                    let dispatcher = Arc::clone(&sh);
-                    scheduler_loop(&sh, &move |_, batch| {
-                        let cap = dispatcher.cfg.num_workers;
-                        let mut n = dispatcher.inflight.lock().unwrap();
-                        while *n >= cap {
-                            n = dispatcher.inflight_cv.wait(n).unwrap();
-                        }
-                        *n += 1;
-                        drop(n);
-                        let job = InflightGuard(Arc::clone(&dispatcher));
-                        delrec_par::global().spawn(move || {
-                            score_batch(&job.0, batch);
-                            drop(job);
-                        });
-                    });
-                    // Final drain: scheduler_loop returning means the queue
-                    // is empty and closed, but pool jobs may still be
-                    // scoring. Shutdown's contract is "everything answered",
-                    // so wait them out before this thread exits.
-                    let mut n = sh.inflight.lock().unwrap();
-                    while *n > 0 {
-                        n = sh.inflight_cv.wait(n).unwrap();
-                    }
-                })
-                .expect("spawn scheduler")
-        };
+        let sh = Arc::clone(&shared);
+        let scheduler = std::thread::Builder::new()
+            .name("serve-scheduler".into())
+            .spawn(move || scheduler_loop(&sh))
+            .expect("spawn scheduler");
 
         Server {
             shared,

@@ -121,7 +121,6 @@ proptest! {
                 max_batch,
                 batch_window: Duration::from_micros(window_us),
                 max_queue: 8192,
-                num_workers: 0,
                 session_shards: 4,
                 max_history,
                 persistence: None,
@@ -226,7 +225,6 @@ proptest! {
                 max_batch,
                 batch_window: Duration::from_micros(window_us),
                 max_queue: 8192,
-                num_workers: 0,
                 session_shards: 4,
                 max_history,
                 persistence: None,
@@ -314,7 +312,6 @@ proptest! {
                 max_batch,
                 batch_window: Duration::from_micros(100),
                 max_queue: 8192,
-                num_workers: 0,
                 session_shards: 4,
                 max_history,
                 persistence: None,
@@ -384,7 +381,6 @@ fn topk_handler_swaps_with_the_model() {
             max_batch: 4,
             batch_window: Duration::from_micros(100),
             max_queue: 8192,
-            num_workers: 0,
             session_shards: 4,
             max_history,
             persistence: None,

@@ -40,6 +40,12 @@ fn check(s: &MetricsSnapshot) -> Result<(), String> {
     if s.batches > 0 && s.mean_batch_size < 1.0 {
         return Err(format!("mean_batch_size {} < 1 ({s:?})", s.mean_batch_size));
     }
+    if s.topk_batches > s.batches {
+        return Err(format!(
+            "topk_batches {} > batches {} ({s:?})",
+            s.topk_batches, s.batches
+        ));
+    }
     let topk_batched = (s.mean_topk_batch_size * s.topk_batches as f64).round() as u64;
     if topk_batched > batched_requests {
         return Err(format!(

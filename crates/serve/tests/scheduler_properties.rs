@@ -127,7 +127,6 @@ proptest! {
             max_batch,
             batch_window: Duration::from_micros(window_us),
             max_queue: 4096,
-            num_workers: 0,
             session_shards: 4,
             max_history,
             persistence: None,
@@ -184,7 +183,6 @@ proptest! {
             max_batch,
             batch_window: Duration::from_micros(100),
             max_queue: 4096,
-            num_workers: 0,
             session_shards: 4,
             max_history: 10,
             persistence: None,
@@ -236,45 +234,102 @@ proptest! {
     }
 }
 
-/// Multi-worker configuration preserves the same bitwise contract (the pool
-/// path dispatches batches to the shared delrec-par pool instead of scoring
-/// inline on the scheduler thread).
+/// A model call that panics fails its own batch and nothing else: every
+/// member of that batch is answered `Internal`, the scheduler thread survives
+/// to answer the next batch, and `shutdown` returns a ledger that still
+/// satisfies the invariants of `serve/src/metrics.rs`. Both model calls of
+/// `score_batch` are covered — candidate scoring and top-k.
+///
+/// Batches are formed deterministically: the window never elapses, so a
+/// flush happens exactly when the third request of a wave arrives.
 #[test]
-fn worker_pool_preserves_bitwise_identity() {
-    let model = Arc::new(HashRanker::new());
-    let server = Server::start(
-        Arc::clone(&model),
+fn panicking_batch_fails_alone_and_the_server_keeps_serving() {
+    /// Stands in for an out-of-catalog `ItemId` reaching the title table.
+    const POISON: ItemId = ItemId(u32::MAX);
+    struct Fragile;
+    impl Ranker for Fragile {
+        fn name(&self) -> &str {
+            "fragile"
+        }
+        fn score_candidates(&self, prefix: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
+            assert!(!prefix.contains(&POISON), "history item out of catalog");
+            HashRanker::new().score_candidates(prefix, candidates)
+        }
+    }
+    impl delrec_eval::TopKRecommender for Fragile {
+        fn recommend_top_k(&self, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
+            let ids: Vec<ItemId> = (0..k as u32).map(ItemId).collect();
+            let scores = self.score_candidates(prefix, &ids);
+            ids.into_iter().zip(scores).collect()
+        }
+    }
+
+    let server = Server::start_recommender(
+        Arc::new(Fragile),
         ServeConfig {
-            max_batch: 4,
-            batch_window: Duration::from_micros(200),
-            num_workers: 2,
+            max_batch: 3,
+            batch_window: Duration::from_secs(3600),
             ..ServeConfig::default()
         },
     );
     let client = server.client();
-    let mut inflight = Vec::new();
-    let mut sessions: std::collections::HashMap<u64, Vec<ItemId>> = Default::default();
-    for i in 0..64u32 {
-        let user = u64::from(i % 5);
-        let delta = vec![ItemId(i), ItemId(i + 1000)];
-        let cands: Vec<ItemId> = (0..7).map(|c| ItemId(i * 7 + c)).collect();
-        let hist = replay_session(sessions.entry(user).or_default(), &delta, 50);
-        let h = client
-            .submit(RecRequest {
-                user_id: user,
-                recent_items: delta,
-                candidates: cands.clone(),
+    // One wave = three users = one batch; a poisoned wave's middle user
+    // reports the marker item as its history.
+    let recent = |poisoned: bool, i: u64| {
+        vec![if poisoned && i == 1 {
+            POISON
+        } else {
+            ItemId(7)
+        }]
+    };
+    let score_wave = |user0: u64, poisoned: bool| -> Vec<_> {
+        let submit = |i| {
+            client.submit(RecRequest {
+                user_id: user0 + i,
+                recent_items: recent(poisoned, i),
+                candidates: vec![ItemId(1), ItemId(2)],
                 deadline: None,
             })
-            .unwrap();
-        inflight.push((h, hist, cands));
+        };
+        (0..3).map(|i| submit(i).expect("admitted")).collect()
+    };
+    let topk_wave = |user0: u64, poisoned: bool| -> Vec<_> {
+        let submit = |i| {
+            client.submit_topk(delrec_serve::TopKRequest {
+                user_id: user0 + i,
+                recent_items: recent(poisoned, i),
+                k: 2,
+                deadline: None,
+            })
+        };
+        (0..3).map(|i| submit(i).expect("admitted")).collect()
+    };
+
+    for h in score_wave(0, true) {
+        assert_eq!(h.wait().unwrap_err(), ServeError::Internal);
     }
-    for (h, hist, cands) in inflight {
-        let resp = h.wait().unwrap();
-        assert_eq!(resp.scores, model.score_candidates(&hist, &cands));
+    for h in score_wave(10, false) {
+        let resp = h.wait().expect("the scheduler outlives a panicked batch");
+        let want = Fragile.score_candidates(&[ItemId(7)], &[ItemId(1), ItemId(2)]);
+        assert_eq!((resp.scores, resp.batch_size), (want, 3));
     }
+    for h in topk_wave(20, true) {
+        assert_eq!(h.wait().unwrap_err(), ServeError::Internal);
+    }
+    for h in topk_wave(30, false) {
+        assert_eq!(h.wait().expect("served after a panic").items.len(), 2);
+    }
+
+    // Exact totals (they imply every documented inequality): a panicked
+    // batch counts as submitted and nothing else.
     let snap = server.shutdown();
-    assert_eq!(snap.completed, 64);
+    assert_eq!((snap.submitted, snap.completed), (12, 6));
+    assert_eq!((snap.batches, snap.topk_batches), (2, 1));
+    assert_eq!(
+        (snap.mean_batch_size, snap.mean_topk_batch_size),
+        (3.0, 3.0)
+    );
+    assert_eq!(snap.shed_expired + snap.timed_out, 0);
 }
 
 /// Backpressure: with the scheduler unable to drain (a blocking model) and a
@@ -297,7 +352,6 @@ fn queue_depth_bound_rejects_with_queue_full() {
             max_batch: 1,
             batch_window: Duration::ZERO,
             max_queue: 4,
-            num_workers: 0,
             ..ServeConfig::default()
         },
     );

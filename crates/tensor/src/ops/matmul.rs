@@ -8,8 +8,7 @@ use crate::tensor::Tensor;
 /// Dense kernel: the `k` loop is unrolled four-wide so each pass over an
 /// output row folds four rank-1 updates into one fused sweep — four times
 /// fewer passes over `out`, and an inner loop the compiler can vectorize
-/// without a data-dependent branch. For operands that are mostly zero *rows*
-/// (one-hot / padded inputs) use [`matmul_raw_sparse`] instead.
+/// without a data-dependent branch.
 pub fn matmul_raw(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -38,39 +37,13 @@ pub fn matmul_raw(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
     }
 }
 
-/// `out[m,n] += a[m,k] * b[k,n]`, skipping zero entries of `a`.
-///
-/// Worth it only when `a` is mostly zeros — one-hot selector matrices and the
-/// padded-position gradient rows of embedding backward. On dense data the
-/// per-element branch costs more than the multiplies it saves; use
-/// [`matmul_raw`] there.
-pub fn matmul_raw_sparse(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (kk, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
 /// Transpose tile edge: 32×32 f32 tiles are 4 KiB read + 4 KiB write,
 /// comfortably inside L1 alongside the working set.
 const TR_TILE: usize = 32;
 
 /// `out[c, r] = x[r, c]` for a row-major `[rows, cols]` buffer — the kernel
-/// behind [`crate::Tape::transpose`], exported so the grad-free inference
-/// path builds its `Kᵀ` and tied-embedding-head operands with the exact
-/// same element placement.
+/// behind [`crate::Tape::transpose`], exported as the reference the
+/// transposing packers are tested against.
 ///
 /// Tiled: the naive double loop strides `rows`-wide on every write, so past
 /// L1 each store is a fresh cache line touched once per column sweep. Walking
@@ -281,9 +254,8 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_sparse_kernels_agree() {
-        // Covers the unroll remainder (k = 7 hits both the 4-wide body and
-        // the tail) and zero entries (the sparse kernel's skip path).
+    fn unrolled_kernel_matches_the_plain_triple_loop() {
+        // k = 7 hits both the 4-wide body and the tail; zeros included.
         let (m, k, n) = (3, 7, 5);
         let a: Vec<f32> = (0..m * k)
             .map(|i| {
@@ -296,11 +268,13 @@ mod tests {
             .collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32) * 0.5 - 8.0).collect();
         let mut dense = vec![0.0; m * n];
-        let mut sparse = vec![0.0; m * n];
         matmul_raw(&a, &b, &mut dense, m, k, n);
-        matmul_raw_sparse(&a, &b, &mut sparse, m, k, n);
-        for (d, s) in dense.iter().zip(&sparse) {
-            assert!((d - s).abs() < 1e-4, "kernels disagree: {d} vs {s}");
+        for i in 0..m {
+            for j in 0..n {
+                let want: f32 = (0..k).map(|kk| a[i * k + kk] * b[kk * n + j]).sum();
+                let got = dense[i * n + j];
+                assert!((got - want).abs() < 1e-4, "[{i},{j}]: {got} vs {want}");
+            }
         }
     }
 

@@ -20,7 +20,7 @@ pub use gemm::{
     matmul_raw_strided, pack_b, pack_b_into, pack_b_q8, pack_b_transposed, pack_b_transposed_q8,
     quantize_pack, PackedB, QuantizedPanel, AUTO_PACK_MIN_MACS, MR, NR,
 };
-pub use matmul::{matmul_raw, matmul_raw_sparse, transpose_into};
+pub use matmul::{matmul_raw, transpose_into};
 
 // The layer-norm epsilon is shared with the grad-free inference path
 // (`crate::infer`), which must mirror the tape's arithmetic bitwise.

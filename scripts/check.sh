@@ -22,39 +22,15 @@ cargo clippy -p delrec-retrieval --all-targets -- -D warnings
 # build it here so an API break against it is caught before the pipeline
 # runs it.
 cargo build --release --manifest-path perfbench/Cargo.toml
-# The root suite must pass single-threaded (pool runs inline) and
-# multi-threaded (parallel paths engage); results are bitwise-identical
-# either way, so both runs use the same expectations. It includes
-# tests/streaming_retrieval.rs, the streamed-scan ≡ materialised-reference
-# pin (which also injects lanes {1,2,4,8} itself via with_pool).
+# Every suite in the workspace (the root Cargo.toml's `default-members`
+# covers the root package and every crate) must pass single-threaded (pool
+# runs inline) and multi-threaded (parallel paths engage); results are
+# bitwise-identical either way, so both runs use the same expectations. The
+# suites most sensitive to the pool size — lm's quantized_pack, retrieval,
+# serve (incl. topk_serving), tests/streaming_retrieval.rs — ride in these
+# two lines; several also inject lanes {1,2,4,8} themselves via with_pool.
 DELREC_THREADS=1 cargo test -q
 DELREC_THREADS=4 cargo test -q
-
-# The quantized weight-pack suite (dual-slot cache, q8 kernel determinism,
-# tape round-trips) must hold at both pool sizes explicitly — it is the
-# test file most sensitive to the parallel drivers' partitioning.
-DELREC_THREADS=1 cargo test -q -p delrec-lm --test quantized_pack
-DELREC_THREADS=4 cargo test -q -p delrec-lm --test quantized_pack
-
-# The retrieval suite (deterministic top-k tie-breaking, the selector's
-# exact prefilter, scan-vs-serial bitwise agreement, thread-invariance
-# proptests) must hold at both pool sizes explicitly — its catalogs are
-# sized to engage the parallel drivers.
-DELREC_THREADS=1 cargo test -q -p delrec-retrieval
-DELREC_THREADS=4 cargo test -q -p delrec-retrieval
-
-# The serving suite (WAL crash/recovery proptests, hot-swap bitwise
-# generation pinning, scheduler/metrics invariants) must hold at both pool
-# sizes explicitly — its worker and client threads race the swap path.
-DELREC_THREADS=1 cargo test -q -p delrec-serve
-DELREC_THREADS=4 cargo test -q -p delrec-serve
-
-# The top-k serving suite (coalesced batches bitwise vs direct calls, no
-# mixed-generation top-k batch under hot-swap, topk batch ledger) must hold
-# at both pool sizes explicitly — the coalesced path runs one batched
-# retrieve + re-rank per flush, so it leans on the parallel drivers.
-DELREC_THREADS=1 cargo test -q -p delrec-serve --test topk_serving
-DELREC_THREADS=4 cargo test -q -p delrec-serve --test topk_serving
 
 # Smoke-run the inference-engine benchmark: asserts the grad-free engine's
 # scores are bitwise identical to the tape before timing anything, then that
@@ -81,8 +57,8 @@ cargo run --release -q -p delrec-bench --bin soak -- --scale smoke --out "$(mkte
 cargo run --release -q -p delrec-bench --bin obs -- --scale smoke --out "$(mktemp -d)"
 
 # Smoke-run the GEMM benchmark: asserts the blocked kernel is bitwise
-# identical to matmul_raw on every timed shape and that fused, legacy, and
-# tape scoring agree to the bit before reporting any speedup.
+# identical to matmul_raw on every timed shape and that engine and tape
+# scoring agree to the bit before reporting any timing.
 cargo run --release -q -p delrec-bench --bin gemm -- --scale smoke --out "$(mktemp -d)"
 
 # Smoke-run the thread-pool scaling benchmark: asserts parallel GEMM and
