@@ -7,9 +7,13 @@
 //!
 //! 1. **Kernel microbench.** `matmul_raw` vs the blocked kernel (packing per
 //!    call, and against a cached pack) on the LM's own shapes: the old
-//!    per-head projection, the fused per-layer panel, and the tied-embedding
-//!    head. Gate: the blocked kernel reproduces `matmul_raw` bit for bit on
-//!    every timed shape.
+//!    per-head projection, the fused per-layer panel, the tied-embedding
+//!    head, and one XL engine tile's fused projection. Beside the dispatched
+//!    kernel runs its baseline body (`gemm_packed_baseline`: the same source
+//!    compiled at the build's 128-bit width), so the file records what the
+//!    host's instantiation buys. Gate: baseline body ≡ dispatched kernel ≡
+//!    `matmul_raw`, bit for bit, on every timed shape. One lane, so a large
+//!    shape times the kernel and not a fork.
 //! 2. **End-to-end batch-32 scoring.** A fitted DELRec scored over the same
 //!    request stream as BENCH_obs through the engine's fused forward,
 //!    best-of-3 wall. Gate: the engine and the autograd tape produce
@@ -23,7 +27,7 @@ use delrec_bench::{banner, write_json, CliArgs, ExperimentContext};
 use delrec_core::{LmPreset, TeacherKind};
 use delrec_data::synthetic::DatasetProfile;
 use delrec_eval::json::Json;
-use delrec_tensor::{gemm_auto, matmul_raw, pack_b, PackedB};
+use delrec_tensor::{gemm_packed, gemm_packed_baseline, matmul_raw, pack_b, simd_lanes, PackedB};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -32,19 +36,30 @@ const BATCH: usize = 32;
 /// panel replaced (measured in PR 4, before the blocked GEMM).
 const PRE_PR_QKV_PCT: f64 = 55.5;
 
-/// One timed kernel shape: gate bitwise equality, then time the three
-/// kernels (naive, pack-per-call, cached-pack).
+/// One timed kernel shape: gate bitwise equality (baseline body ≡ dispatched
+/// kernel ≡ `matmul_raw`), then time naive, pack-per-call, cached-pack and
+/// the baseline body over the cached pack.
 fn kernel_case(label: &str, m: usize, k: usize, n: usize, iters: u32) -> Json {
     let a = fill(1, m * k);
     let b = fill(2, k * n);
+    let bp: PackedB = pack_b(&b, k, n);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut want = vec![0.0f32; m * n];
     matmul_raw(&a, &b, &mut want, m, k, n);
-    let mut got = vec![0.0f32; m * n];
-    gemm_auto(&a, &b, &mut got, m, k, n);
+    // The timed kernels themselves, over the same pack they are timed on.
+    let mut got = vec![f32::NAN; m * n];
+    gemm_packed(&a, k, &bp, &mut got, m, false);
     assert_eq!(
-        want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-        "correctness gate: blocked kernel diverged from matmul_raw at {label}"
+        bits(&want),
+        bits(&got),
+        "correctness gate: dispatched kernel diverged from matmul_raw at {label}"
+    );
+    let mut body = vec![f32::NAN; m * n];
+    gemm_packed_baseline(&a, k, &bp, &mut body, m);
+    assert_eq!(
+        bits(&want),
+        bits(&body),
+        "correctness gate: baseline body diverged from matmul_raw at {label}"
     );
 
     let mut out = vec![0.0f32; m * n];
@@ -54,16 +69,21 @@ fn kernel_case(label: &str, m: usize, k: usize, n: usize, iters: u32) -> Json {
     });
     let pack_each_ns = best_ns(iters, || {
         let bp = pack_b(&b, k, n);
-        delrec_tensor::gemm_packed(&a, k, &bp, black_box(&mut out), m, false);
+        gemm_packed(&a, k, &bp, black_box(&mut out), m, false);
     });
-    let bp: PackedB = pack_b(&b, k, n);
     let cached_ns = best_ns(iters, || {
-        delrec_tensor::gemm_packed(&a, k, &bp, black_box(&mut out), m, false);
+        gemm_packed(&a, k, &bp, black_box(&mut out), m, false);
     });
+    let body_ns = best_ns(iters, || {
+        gemm_packed_baseline(&a, k, &bp, black_box(&mut out), m);
+    });
+    let gflops = (2 * m * k * n) as f64 / cached_ns;
     println!(
-        "  {label:<28} [{m:>3}x{k:>2}x{n:>2}]  naive {naive_ns:8.0} ns   pack-each \
-         {pack_each_ns:8.0} ns   cached-pack {cached_ns:8.0} ns ({:.2}x)",
-        naive_ns / cached_ns
+        "  {label:<28} [{m:>4}x{k:>2}x{n:>2}]  naive {naive_ns:8.0} ns   pack-each \
+         {pack_each_ns:8.0} ns   cached-pack {cached_ns:8.0} ns ({:.2}x naive, {gflops:.1} \
+         GFLOP/s)   baseline body {body_ns:8.0} ns ({:.2}x)",
+        naive_ns / cached_ns,
+        body_ns / cached_ns
     );
     Json::obj([
         ("label", Json::from(label)),
@@ -73,7 +93,13 @@ fn kernel_case(label: &str, m: usize, k: usize, n: usize, iters: u32) -> Json {
         ("naive_ns", Json::from(naive_ns)),
         ("pack_each_ns", Json::from(pack_each_ns)),
         ("cached_pack_ns", Json::from(cached_ns)),
+        ("baseline_body_ns", Json::from(body_ns)),
+        ("cached_pack_gflops", Json::from(gflops)),
         ("speedup_cached_vs_naive", Json::from(naive_ns / cached_ns)),
+        (
+            "speedup_dispatched_vs_body",
+            Json::from(body_ns / cached_ns),
+        ),
     ])
 }
 
@@ -87,13 +113,24 @@ fn main() {
     // ---- Part 1: kernel microbench on the LM's shapes --------------------
     // d = 16, dh = 8, ffn = 32, vocab ≈ 60 (the Large preset the serving
     // benches use); 96 rows ≈ batch-32 × 3 suffix positions.
-    println!("kernel (gate: bitwise vs matmul_raw):");
-    let kernels = Json::arr(vec![
-        kernel_case("per-head projection", 96, 16, 8, 20_000),
-        kernel_case("fused qkv panel", 96, 16, 48, 8_000),
-        kernel_case("ffn w1", 96, 16, 32, 10_000),
-        kernel_case("tied-embedding head", 32, 16, 60, 10_000),
-    ]);
+    // The last shape is one XL engine tile: 8 prompts × 127 tokens through
+    // the fused [32, 96] projection.
+    let instantiation = match simd_lanes() {
+        8 => "avx2-256",
+        _ => "baseline-128",
+    };
+    println!(
+        "kernel (gate: baseline body == dispatched [{instantiation}] == matmul_raw, bitwise):"
+    );
+    let kernels = delrec_par::with_pool(&delrec_par::ThreadPool::new(1), || {
+        Json::arr(vec![
+            kernel_case("per-head projection", 96, 16, 8, 20_000),
+            kernel_case("fused qkv panel", 96, 16, 48, 8_000),
+            kernel_case("ffn w1", 96, 16, 32, 10_000),
+            kernel_case("tied-embedding head", 32, 16, 60, 10_000),
+            kernel_case("xl tile fused qkv", 1016, 32, 96, 400),
+        ])
+    });
 
     // ---- Part 2: end-to-end batch-32 scoring on the fused forward --------
     let ctx = ExperimentContext::new(DatasetProfile::MovieLens100K, args.scale, args.seed);
@@ -169,6 +206,8 @@ fn main() {
         ("experiment", Json::from("gemm")),
         ("scale", Json::from(args.scale.to_string())),
         ("dataset", Json::from(ctx.dataset.name.clone())),
+        ("instantiation", Json::from(instantiation)),
+        ("simd_lanes", Json::from(simd_lanes())),
         ("kernels", kernels),
         (
             "e2e",

@@ -13,6 +13,12 @@
 //! re-encoding the shared template head. Engine scores are asserted bitwise
 //! equal to the tape's before timing starts.
 //!
+//! The `xl_prompt_sweep` section times the engine alone on the served
+//! re-rank's shape — XL backbone, 127-token prompts — at 7 prompts (one
+//! request), 32 and 224 (a coalesced batch of 32 requests), in µs per prompt:
+//! whether a batch costs more per prompt than a solo call is visible here
+//! without the serving stack. Recorded, not gated (one shared core).
+//!
 //! The `kernels` section is the gate that the `vmath` loops stayed
 //! vectorised: an out-of-line call per element (what the compiler falls back
 //! to when a kernel body stops inlining) costs about what libm does, so
@@ -25,10 +31,10 @@ use delrec_core::{LmPreset, TeacherKind};
 use delrec_data::synthetic::DatasetProfile;
 use delrec_eval::json::Json;
 use delrec_eval::report::Table;
-use delrec_lm::verbalizer;
+use delrec_lm::{verbalizer, LmToken, MiniLm, MiniLmConfig};
 use delrec_tensor::{
-    gemm_packed_panels, matmul_raw_strided, pack_b_into, vmath, Ctx, InferCtx, MathMode, PackedB,
-    Tape, NR,
+    gemm_packed_panels, matmul_raw_strided, pack_b_into, simd_lanes, vmath, Ctx, InferCtx,
+    MathMode, PackedB, Tape, NR,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,6 +142,44 @@ fn kernel_timings() -> Vec<(&'static str, f64, f64)> {
         ("softmax_row@127 vs libm exp loop", softmax, softmax_libm),
         ("attn_v blocked vs per-row (ns/MAC)", blocked, per_row),
     ]
+}
+
+/// Prompts per engine call in the XL sweep: one top-k request's re-rank
+/// chunks, a mid-size batch, and 32 coalesced requests.
+const XL_SWEEP_PROMPTS: [usize; 3] = [7, 32, 224];
+
+/// Engine-only µs per prompt on an untrained XL model over [`KEYS`]-token
+/// prompts, one lane, best of five calls after a warm-up (weight pack, buffer
+/// pool); returns `(prompts, µs per prompt)` rows.
+fn xl_prompt_sweep() -> Vec<(usize, f64)> {
+    let vocab = 512;
+    let lm = MiniLm::new(MiniLmConfig::xl(vocab), 7);
+    let ic = InferCtx::new(MathMode::Exact);
+    let one_lane = delrec_par::ThreadPool::new(1);
+    XL_SWEEP_PROMPTS
+        .iter()
+        .map(|&prompts| {
+            let seqs: Vec<Vec<LmToken>> = (0..prompts)
+                .map(|i| {
+                    (0..KEYS)
+                        .map(|t| LmToken::Vocab(((i * 37 + t * 11) % (vocab - 1) + 1) as u32))
+                        .collect()
+                })
+                .collect();
+            let mask_pos = vec![KEYS - 1; prompts];
+            let mut best = f64::INFINITY;
+            delrec_par::with_pool(&one_lane, || {
+                for rep in 0..6 {
+                    let start = Instant::now();
+                    black_box(lm.mask_logits_infer_batch(&ic, &seqs, None, &mask_pos, None));
+                    if rep > 0 {
+                        best = best.min(start.elapsed().as_secs_f64());
+                    }
+                }
+            });
+            (prompts, best * 1e6 / prompts as f64)
+        })
+        .collect()
 }
 
 /// Process `n` examples in chunks of `batch`, returning items/sec — best of
@@ -291,6 +335,17 @@ fn main() {
 
     println!("{}", table.to_markdown());
 
+    let sweep = xl_prompt_sweep();
+    let solo = sweep[0].1;
+    for &(prompts, us) in &sweep {
+        println!(
+            "xl engine, {KEYS}-token prompts: {prompts:>3} per call → {us:.1} µs/prompt \
+             ({:.2}x the {}-prompt call)",
+            us / solo,
+            sweep[0].0
+        );
+    }
+
     let kernels = kernel_timings();
     for (name, kernel, reference) in &kernels {
         println!(
@@ -311,6 +366,18 @@ fn main() {
         ("examples", Json::from(n)),
         ("prefix_len", Json::from(prefix_len)),
         ("engines", Json::arr(engines)),
+        ("simd_lanes", Json::from(simd_lanes())),
+        (
+            "xl_prompt_sweep",
+            Json::arr(sweep.iter().map(|&(prompts, us)| {
+                Json::obj([
+                    ("prompts", Json::from(prompts)),
+                    ("tokens", Json::from(KEYS)),
+                    ("us_per_prompt", Json::from(us)),
+                    ("vs_one_request", Json::from(us / solo)),
+                ])
+            })),
+        ),
         (
             "kernels",
             Json::arr(kernels.iter().map(|&(name, kernel, reference)| {

@@ -19,8 +19,12 @@
 //! f32 fused path, best-of-3 each. The latency ratio is recorded, not gated
 //! — at MiniLM scale int8 panels buy memory, not arithmetic; the widening
 //! to f32 in-register costs about what the smaller panel footprint saves.
+//! Next to it, the two kernels alone on the served catalog-scan shape
+//! (`[32, 32] × [32, 4096]`, one lane) in GFLOP/s: the `i8 → f32` widening
+//! is what the 128-bit baseline lacks an instruction for, so this ratio is
+//! where the host's instantiation (`simd_lanes`) shows most.
 
-use delrec_bench::harness::{best_wall_ns, fit_delrec, score_bits, ScoringWorkload};
+use delrec_bench::harness::{best_ns, best_wall_ns, fill, fit_delrec, score_bits, ScoringWorkload};
 use delrec_bench::{banner, write_json, CliArgs, ExperimentContext};
 use delrec_core::{LmPreset, TeacherKind};
 use delrec_data::synthetic::DatasetProfile;
@@ -29,7 +33,7 @@ use delrec_eval::json::Json;
 use delrec_eval::{evaluate, RankingReport};
 use delrec_obs::MetricValue;
 use delrec_par::{with_pool, ThreadPool};
-use delrec_tensor::MathMode;
+use delrec_tensor::{gemm_packed, gemm_packed_q8, pack_b, pack_b_q8, simd_lanes, MathMode};
 use std::hint::black_box;
 
 const BATCH: usize = 32;
@@ -56,6 +60,25 @@ fn metric(report: &RankingReport, which: &str, k: usize) -> f64 {
         "hr" => report.hr(k),
         _ => report.ndcg(k),
     }
+}
+
+/// `(f32, q8)` GFLOP/s of the packed kernels on the served scan shape.
+fn scan_kernel_gflops() -> (f64, f64) {
+    let (m, k, n) = (32usize, 32usize, 4096usize);
+    let a = fill(1, m * k);
+    let b = fill(2, k * n);
+    let (bp, bq) = (pack_b(&b, k, n), pack_b_q8(&b, k, n));
+    let mut out = vec![0.0f32; m * n];
+    with_pool(&ThreadPool::new(1), || {
+        let f32_ns = best_ns(200, || {
+            gemm_packed(&a, k, &bp, black_box(&mut out), m, false)
+        });
+        let q8_ns = best_ns(200, || {
+            gemm_packed_q8(&a, k, &bq, black_box(&mut out), m, false)
+        });
+        let flops = (2 * m * k * n) as f64;
+        (flops / f32_ns, flops / q8_ns)
+    })
 }
 
 fn main() {
@@ -141,6 +164,12 @@ fn main() {
         f32_ns / 1e6,
         q8_ns / 1e6
     );
+    let (scan_f32, scan_q8) = scan_kernel_gflops();
+    println!(
+        "scan kernel [32x32x4096], {} lanes: f32 {scan_f32:.1} vs q8 {scan_q8:.1} GFLOP/s ({:.2}x)",
+        simd_lanes(),
+        scan_q8 / scan_f32
+    );
     // Sanity: the two passes scored the same requests; rows must line up.
     assert_eq!(f32_scores.len(), q8_scores.len());
 
@@ -186,6 +215,16 @@ fn main() {
                 ("f32_wall_ns", Json::from(f32_ns)),
                 ("q8_wall_ns", Json::from(q8_ns)),
                 ("f32_over_q8", Json::from(latency_ratio)),
+            ]),
+        ),
+        (
+            "scan_kernel",
+            Json::obj([
+                ("shape", Json::from("32x32x4096")),
+                ("simd_lanes", Json::from(simd_lanes())),
+                ("f32_gflops", Json::from(scan_f32)),
+                ("q8_gflops", Json::from(scan_q8)),
+                ("q8_over_f32", Json::from(scan_q8 / scan_f32)),
             ]),
         ),
     ]);

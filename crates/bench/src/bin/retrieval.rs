@@ -371,6 +371,7 @@ fn main() {
         });
         let speedup = sequential_ns / batched_ns;
         let retrieve_speedup = retrieve_sequential_ns / retrieve_batched_ns;
+        let scan_gflops = (2 * BATCH_B * BATCH_DIM * BATCH_N_ITEMS) as f64 / batched_ns;
         let (gate_mode, target) = match format {
             IndexFormat::F32 => adaptive_speedup_gate(cores, BATCH_SPEEDUP_TARGET),
             IndexFormat::Q8 => ("no_regression", Q8_NO_REGRESSION),
@@ -378,7 +379,8 @@ fn main() {
         let met = speedup >= target;
         println!(
             "batched scan {BATCH_N_ITEMS}x{BATCH_DIM} B={BATCH_B} [{label}]: \
-             batched {:.3} ms, {BATCH_B}x sequential {:.3} ms, speedup {speedup:.2}x \
+             batched {:.3} ms ({scan_gflops:.1} GFLOP/s), {BATCH_B}x sequential {:.3} ms, \
+             speedup {speedup:.2}x \
              — gate [{gate_mode}] target {target:.2} on {cores} core(s){}; \
              retrieve-100: batched {:.3} ms, {BATCH_B}x solo {:.3} ms ({retrieve_speedup:.2}x)",
             batched_ns / 1e6,
@@ -393,6 +395,7 @@ fn main() {
                 ("batched_ns", Json::from(batched_ns)),
                 ("sequential_ns", Json::from(sequential_ns)),
                 ("speedup", Json::from(speedup)),
+                ("scan_gflops", Json::from(scan_gflops)),
                 (
                     "rows_items_per_s",
                     Json::from((BATCH_B * BATCH_N_ITEMS) as f64 / (batched_ns / 1e9)),

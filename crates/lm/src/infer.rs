@@ -5,7 +5,7 @@
 //! taking a gradient, yet the tape path re-records every op — node
 //! allocations, parent lists, boxed backward closures — per scoring call.
 //! [`MiniLm::mask_logits_infer_batch`] runs the same arithmetic straight on
-//! pooled buffers, with two structural savings the tape cannot express:
+//! pooled buffers, with three structural savings the tape cannot express:
 //!
 //! * **Shared-prefix K/V cache** ([`PrefixCache`]): DELRec's Stage-2 prompt
 //!   opens with a frozen head — instruction words, the distilled soft
@@ -16,6 +16,10 @@
 //! * **Last-layer query pruning**: only the mask positions feed the output
 //!   head, so the final block computes queries, attention, and FFN for one
 //!   row per example instead of the whole padded batch.
+//! * **L2-sized tiles**: a batch is encoded [`ENGINE_TILE_ROWS`] token rows
+//!   at a time, so the `[rows, d]` buffers between ops stay cache-resident
+//!   and the scratch a forward touches stays within what the buffer pool
+//!   retains; the tiles are also the unit the thread pool's lanes claim.
 //!
 //! In [`MathMode::Exact`] the output is **bitwise identical** to
 //! [`MiniLm::mask_logits_batch`]: softmax and GELU are the tape's own
@@ -52,6 +56,13 @@ use delrec_tensor::{
 };
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
+
+/// Token rows per engine tile. Every per-row buffer of a forward is
+/// `[rows, ≤ 3·d]` floats, so ~1 Ki rows keep a tile's working set inside a
+/// 2 MB L2 at the XL preset and inside what one `BufferPool` shard retains.
+/// Not a tuning knob: the measured sweep is flat from 127 to 2032 rows
+/// (DESIGN.md, "Inference engine").
+const ENGINE_TILE_ROWS: usize = 1024;
 
 /// Per-head cached attention tensors: `Kᵀ` (`[d_head, P]`) and `V`
 /// (`[P, d_head]`).
@@ -280,8 +291,8 @@ fn add_row_bias(x: &mut [f32], bias: &[f32]) {
 /// each output in `matmul_raw_strided`'s 4-group k order from `0.0`.
 ///
 /// The panel entry point is the serial one on purpose — the batch is already
-/// split across lanes by example, and a 250 k-MAC product is not worth a
-/// nested fork.
+/// split across lanes by tile, and a 250 k-MAC product is not worth a nested
+/// fork.
 fn attn_mix_blocked(
     scores: &mut [f32],
     kmax: usize,
@@ -505,17 +516,22 @@ impl MiniLm {
     /// sequence must extend the cached prefix and only the suffix is
     /// embedded and encoded.
     ///
-    /// When the current `delrec-par` pool has more than one lane, the batch
-    /// is cut into one contiguous example chunk per lane
-    /// ([`delrec_par::partition`] — a pure function of `(bsz, lanes)`) and
-    /// each chunk is encoded independently into its own disjoint rows of the
-    /// logits buffer. This is bitwise-identical to the serial pass at every
-    /// lane count because an example's scores never depend on which other
-    /// examples share the batch (batch-row independence, pinned by
-    /// `tests/batch_row_independence.rs` and `tests/par_determinism.rs`):
-    /// attention is truncated to each example's own valid keys, padding rows
-    /// feed nothing, and the batch-level soft-scatter flag is computed here
-    /// — over the *whole* batch — before chunking.
+    /// The batch is cut into **tiles** of consecutive examples —
+    /// [`ENGINE_TILE_ROWS`] token rows' worth, so a tile's `[rows, d]`
+    /// buffers sit in L2, and no more than `⌈B / lanes⌉` examples, so a
+    /// batch smaller than a tile still gives every lane of the current
+    /// `delrec-par` pool one — and the tiles go to that pool as one
+    /// `for_each_range`, each encoded independently into its own disjoint
+    /// rows of the logits buffer: inline and in order on one lane, claimed
+    /// dynamically on several. An empty batch has no tiles and
+    /// returns `[0, vocab_size]`. The result is bitwise the untiled pass at
+    /// every lane count because an example's scores never depend on which
+    /// other examples share its call (batch-row independence, pinned by
+    /// `tests/batch_row_independence.rs`, `tests/engine_tiles.rs` and
+    /// `tests/par_determinism.rs`): attention is truncated to each example's
+    /// own valid keys, padding rows feed nothing, and the batch-level
+    /// soft-scatter flag is computed here — over the *whole* batch — before
+    /// tiling.
     pub fn mask_logits_infer_batch(
         &self,
         ic: &InferCtx,
@@ -532,45 +548,39 @@ impl MiniLm {
         let has_soft = seqs
             .iter()
             .any(|s| s.iter().any(|t| matches!(t, LmToken::Soft(_))));
-        let mut logits = ic.alloc(bsz * vsz);
+        // Rows an example contributes: its tokens past the cached prefix.
+        let p = cache.map_or(0, |c| c.p);
+        let longest = seqs.iter().map(|s| s.len().saturating_sub(p)).max();
         let pool = delrec_par::current();
-        let chunks = delrec_par::partition(bsz, pool.lanes());
-        if chunks.len() > 1 {
-            let elem_ranges: Vec<_> = chunks.iter().map(|r| r.start * vsz..r.end * vsz).collect();
-            pool.for_each_range(&mut logits, &elem_ranges, |ci, out| {
-                let r = chunks[ci].clone();
-                self.mask_logits_rows(
-                    ic,
-                    &seqs[r.clone()],
-                    soft_table,
-                    &mask_pos[r],
-                    cache,
-                    &pack,
-                    has_soft,
-                    out,
-                );
-            });
-        } else {
+        // L2-sized, but never so large that a lane is left without a tile: a
+        // solo 7-prompt re-rank fits one L2 tile and must still spread.
+        let tile = (ENGINE_TILE_ROWS / longest.unwrap_or(1).max(1))
+            .min(bsz.div_ceil(pool.lanes()))
+            .max(1);
+        let tiles = delrec_par::chunk_ranges(bsz, tile);
+        delrec_obs::counter!("lm.engine.tiles").add(tiles.len() as u64);
+        let elem_ranges: Vec<_> = tiles.iter().map(|r| r.start * vsz..r.end * vsz).collect();
+        let mut logits = ic.alloc(bsz * vsz);
+        pool.for_each_range(&mut logits, &elem_ranges, |ti, out| {
+            let r = tiles[ti].clone();
             self.mask_logits_rows(
                 ic,
-                seqs,
+                &seqs[r.clone()],
                 soft_table,
-                mask_pos,
+                &mask_pos[r],
                 cache,
                 &pack,
                 has_soft,
-                &mut logits,
+                out,
             );
-        }
+        });
         Tensor::new([bsz, vsz], logits)
     }
 
-    /// Encode + head for one contiguous slice of the batch, writing
-    /// `seqs.len() * vocab_size` logits into `out`. The serial path is one
-    /// call over the whole batch; the parallel path runs one call per
-    /// example chunk, each with its own scratch from the (thread-sharded)
-    /// buffer pool. `has_soft` is the *batch-level* soft flag, computed by
-    /// the caller before chunking.
+    /// Encode + head for one tile of the batch, writing
+    /// `seqs.len() * vocab_size` logits into `out`, with scratch from the
+    /// (thread-sharded) buffer pool. `has_soft` is the *batch-level* soft
+    /// flag, computed by the caller before tiling.
     #[allow(clippy::too_many_arguments)]
     fn mask_logits_rows(
         &self,
@@ -660,10 +670,9 @@ impl MiniLm {
         let rows = bsz * s_max;
         let kmax = p + s_max;
         // `has_soft` is the *batch-level* flag, passed in by the caller so a
-        // parallel example chunk embeds exactly like the full serial batch
-        // (a hard token receives the soft scatter's exact `+0.0` whenever
-        // any example in the batch has a soft token — even one in another
-        // chunk).
+        // tile embeds exactly like the whole batch on the tape (a hard token
+        // receives the soft scatter's exact `+0.0` whenever any example in
+        // the batch has a soft token — even one in another tile).
         debug_assert!(
             has_soft
                 || !seqs
@@ -1017,6 +1026,26 @@ mod tests {
                 let got = lm.mask_logits_infer_batch(&ic, &seqs, None, &mask_pos, Some(c));
                 assert_eq!(got.data(), want.data(), "{name}: engine with prefix cache");
             }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one mask position per sequence")]
+    fn mask_positions_must_match_the_batch() {
+        let lm = MiniLm::new(MiniLmConfig::large(60), 7);
+        let ic = InferCtx::new(MathMode::Exact);
+        lm.mask_logits_infer_batch(&ic, &[toks(&[5, 6, 1])], None, &[2, 1], None);
+    }
+
+    #[test]
+    fn an_empty_batch_has_no_tiles_and_no_logits() {
+        let lm = MiniLm::new(MiniLmConfig::large(60), 7);
+        let ic = InferCtx::new(MathMode::Exact);
+        let cache = lm.build_prefix_cache(&ic, &toks(&[5, 6]), None);
+        for cache in [None, cache.as_ref()] {
+            let got = lm.mask_logits_infer_batch(&ic, &[], None, &[], cache);
+            assert_eq!((got.shape().dim(0), got.shape().dim(1)), (0, 60));
+            assert!(got.data().is_empty());
         }
     }
 

@@ -27,7 +27,15 @@
 //! zeros into dead accumulators that are never written back. The property
 //! tests in `tests/gemm_properties.rs` pin `gemm == matmul_raw` to the bit
 //! across randomized shapes including every remainder class.
+//!
+//! **Vector width.** The panel drivers and [`matmul_raw_strided`] are each
+//! one `#[inline(always)]` body behind a `simd_dispatch!` entry
+//! (`ops::dispatch`): compiled at the build's baseline width and, on x86-64,
+//! once more at 256 bits, chosen at run time. The per-element expression
+//! above has no `mul_add` and a fixed order, so the width cannot change a
+//! bit; this module's tests pin body ≡ entry.
 
+use super::dispatch::simd_dispatch;
 use super::matmul::matmul_raw;
 
 /// Rows of the register-blocked output tile.
@@ -292,6 +300,24 @@ pub fn gemm_packed_panels(
     gemm_panel_range::<false>(a, lda, &bp.data, bp.k, bp.n, out, m, panels, w);
 }
 
+/// [`gemm_packed`]'s kernel body as the build's baseline compiles it (128-bit
+/// vectors on x86-64), serial, overwrite mode, whatever the host supports:
+/// the reference the dispatched kernel is gated bitwise against and timed
+/// beside (`bench/bin/gemm`). Not a second code path — nothing outside
+/// benches and tests calls it.
+#[doc(hidden)]
+pub fn gemm_packed_baseline(a: &[f32], lda: usize, bp: &PackedB, out: &mut [f32], m: usize) {
+    // Its own function with the pack as a slice *parameter*, like the
+    // dispatched instantiations: see `gemm_packed` on why that matters.
+    #[inline(never)]
+    fn run(a: &[f32], lda: usize, data: &[f32], k: usize, n: usize, out: &mut [f32], m: usize) {
+        gemm_panel_range_body::<false>(a, lda, data, k, n, out, m, 0..n.div_ceil(NR), n);
+    }
+    let all = 0..bp.n.div_ceil(NR);
+    panel_block_width(bp.k, bp.n, lda, a.len(), m, &all, out.len());
+    run(a, lda, &bp.data, bp.k, bp.n, out, m);
+}
+
 /// Width of the `[m, w]` block a panel-range entry writes, after checking the
 /// operand shapes against it.
 fn panel_block_width(
@@ -424,12 +450,30 @@ fn gemm_panels<const ACC: bool>(
     gemm_panel_range::<ACC>(a, lda, data, k, n, out, m, 0..n.div_ceil(NR), n);
 }
 
-/// [`gemm_panels`] restricted to panels `p_range`, writing into an `out`
-/// whose rows are `ldo` floats apart and whose column 0 is global column
-/// `p_range.start * NR`. The serial path is the full range with `ldo = n`.
-#[inline]
+simd_dispatch! {
+    /// [`gemm_panels`] restricted to panels `p_range`, writing into an `out`
+    /// whose rows are `ldo` floats apart and whose column 0 is global column
+    /// `p_range.start * NR`. The serial path is the full range with `ldo = n`.
+    /// Runs [`gemm_panel_range_body`] at the host's vector width.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_panel_range<const ACC: bool>(
+        a: &[f32],
+        lda: usize,
+        data: &[f32],
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+        m: usize,
+        p_range: std::ops::Range<usize>,
+        ldo: usize,
+    ) => gemm_panel_range_body
+}
+
+/// The one source body of [`gemm_panel_range`]; `#[inline(always)]` so each
+/// instantiation compiles it, micro-kernel included, at its own vector width.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_panel_range<const ACC: bool>(
+fn gemm_panel_range_body<const ACC: bool>(
     a: &[f32],
     lda: usize,
     data: &[f32],
@@ -675,12 +719,30 @@ fn q8_panels<const ACC: bool>(
     q8_panel_range::<ACC>(a, lda, data, scales, k, n, out, m, 0..n.div_ceil(NR), n);
 }
 
-/// [`q8_panels`] restricted to panels `p_range` — the q8 mirror of
-/// [`gemm_panel_range`], with the panel's `NR` scales sliced alongside its
-/// codes.
-#[inline]
+simd_dispatch! {
+    /// [`q8_panels`] restricted to panels `p_range` — the q8 mirror of
+    /// [`gemm_panel_range`], with the panel's `NR` scales sliced alongside
+    /// its codes. Runs [`q8_panel_range_body`] at the host's vector width.
+    #[allow(clippy::too_many_arguments)]
+    fn q8_panel_range<const ACC: bool>(
+        a: &[f32],
+        lda: usize,
+        data: &[i8],
+        scales: &[f32],
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+        m: usize,
+        p_range: std::ops::Range<usize>,
+        ldo: usize,
+    ) => q8_panel_range_body
+}
+
+/// The one source body of [`q8_panel_range`] (see
+/// [`gemm_panel_range_body`]).
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn q8_panel_range<const ACC: bool>(
+fn q8_panel_range_body<const ACC: bool>(
     a: &[f32],
     lda: usize,
     data: &[i8],
@@ -804,17 +866,35 @@ pub fn gemm_auto(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
     }
 }
 
-/// [`matmul_raw`] with `A` rows `lda` floats apart and explicit accumulate
-/// control: the small-shape companion of [`gemm_packed`] for operands built
-/// on the fly (attention scores over an assembled `Kᵀ`, attn·V) where `A` is
-/// a strided view into a fused projection buffer and packing `B` per call
-/// would cost more than it saves.
-///
-/// `accumulate = false` zero-fills exactly the `m·n` region the kernel
-/// writes — no caller-side clears of anything wider — and matches
-/// [`matmul_raw`] over a zeroed `out` bitwise.
+simd_dispatch! {
+    /// [`matmul_raw`] with `A` rows `lda` floats apart and explicit accumulate
+    /// control: the small-shape companion of [`gemm_packed`] for operands built
+    /// on the fly (attention scores over an assembled `Kᵀ`, attn·V) where `A` is
+    /// a strided view into a fused projection buffer and packing `B` per call
+    /// would cost more than it saves.
+    ///
+    /// `accumulate = false` zero-fills exactly the `m·n` region the kernel
+    /// writes — no caller-side clears of anything wider — and matches
+    /// [`matmul_raw`] over a zeroed `out` bitwise.
+    ///
+    /// Runs its one source body at the host's vector width (`simd_dispatch!`).
+    #[allow(clippy::too_many_arguments)]
+    pub fn matmul_raw_strided(
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        accumulate: bool,
+    ) => matmul_raw_strided_body
+}
+
+/// The one source body of [`matmul_raw_strided`].
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub fn matmul_raw_strided(
+fn matmul_raw_strided_body(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -871,6 +951,73 @@ mod tests {
                 ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
             })
             .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Widths and depths whose remainders differ between 4 and 8 lanes.
+    const WIDTHS: [usize; 8] = [1, 7, 8, 9, 15, 16, 17, 127];
+    const DEPTHS: [usize; 5] = [1, 3, 4, 16, 127];
+
+    /// Each packed kernel's baseline body (inlined here, so compiled at the
+    /// build's width) against its dispatched entry, f32 and q8, both `ACC`
+    /// modes, every tile-height remainder.
+    #[test]
+    fn dispatched_panel_kernels_are_bitwise_their_baseline_body() {
+        use crate::ops::dispatch::report_instantiation;
+        report_instantiation("gemm_panel_range / q8_panel_range");
+        fn case<const ACC: bool>(m: usize, k: usize, n: usize) {
+            let a = fill(m as u64 * 31 + k as u64, m * k);
+            let b = fill(n as u64 * 17 + 7, k * n);
+            let (bp, bq) = (pack_b(&b, k, n), pack_b_q8(&b, k, n));
+            let panels = 0..n.div_ceil(NR);
+            let prior = fill(99, m * n);
+
+            let (mut want, mut got) = (prior.clone(), prior.clone());
+            gemm_panel_range_body::<ACC>(&a, k, &bp.data, k, n, &mut want, m, panels.clone(), n);
+            gemm_panel_range::<ACC>(&a, k, &bp.data, k, n, &mut got, m, panels.clone(), n);
+            assert_eq!(bits(&want), bits(&got), "f32 acc={ACC} m={m} k={k} n={n}");
+
+            let (mut want, mut got) = (prior.clone(), prior);
+            let (q, sc) = (&bq.data, &bq.scales);
+            q8_panel_range_body::<ACC>(&a, k, q, sc, k, n, &mut want, m, panels.clone(), n);
+            q8_panel_range::<ACC>(&a, k, q, sc, k, n, &mut got, m, panels, n);
+            assert_eq!(bits(&want), bits(&got), "q8 acc={ACC} m={m} k={k} n={n}");
+        }
+        for m in [1usize, 3, 4, 9] {
+            for k in DEPTHS {
+                for n in WIDTHS {
+                    case::<false>(m, k, n);
+                    case::<true>(m, k, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_strided_matmul_is_bitwise_its_baseline_body() {
+        crate::ops::dispatch::report_instantiation("matmul_raw_strided");
+        for m in [1usize, 5] {
+            for k in DEPTHS {
+                for n in WIDTHS {
+                    let lda = k + 3;
+                    let a = fill(m as u64 * 13 + k as u64, m * lda);
+                    let b = fill(n as u64 * 19 + 3, k * n);
+                    for accumulate in [false, true] {
+                        let (mut want, mut got) = (fill(5, m * n), fill(5, m * n));
+                        matmul_raw_strided_body(&a, lda, &b, &mut want, m, k, n, accumulate);
+                        matmul_raw_strided(&a, lda, &b, &mut got, m, k, n, accumulate);
+                        assert_eq!(
+                            bits(&want),
+                            bits(&got),
+                            "acc={accumulate} m={m} k={k} n={n}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

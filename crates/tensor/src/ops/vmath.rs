@@ -21,6 +21,13 @@
 //! Accuracy (pinned by `tests/vmath_properties.rs`, `exp` over every `f32`
 //! input in range): [`exp`] relative error ≤ 2e-7 and monotone; [`tanh`]
 //! absolute error ≤ 2e-7, odd and sign-preserving.
+//!
+//! The two slice kernels the LM forward spends time in, [`softmax_row`] and
+//! [`gelu_slice`], are instantiated twice from one body (128-bit baseline and
+//! 256-bit AVX2, chosen at run time — see `ops::dispatch`); by the argument
+//! above the two instantiations agree bitwise, which this module's tests pin.
+
+use super::dispatch::simd_dispatch;
 
 /// Accumulator lanes of the row sum ([`sum_row`]).
 pub const LANES: usize = 8;
@@ -136,8 +143,14 @@ pub fn gelu_grad(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * dt * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEF * x * x)
 }
 
-/// In place `x ← gelu(x)` over a slice.
-pub fn gelu_slice(xs: &mut [f32]) {
+simd_dispatch! {
+    /// In place `x ← gelu(x)` over a slice, at the host's vector width.
+    pub fn gelu_slice(xs: &mut [f32]) => gelu_slice_body
+}
+
+/// The one source body of [`gelu_slice`].
+#[inline(always)]
+fn gelu_slice_body(xs: &mut [f32]) {
     for x in xs.iter_mut() {
         *x = gelu(*x);
     }
@@ -145,6 +158,7 @@ pub fn gelu_slice(xs: &mut [f32]) {
 
 /// In place `x ← exp(x − shift)` over a slice. The pass carries no
 /// loop-carried value (the sum is a separate pass), so it vectorises.
+#[inline(always)]
 pub fn exp_sub_slice(xs: &mut [f32], shift: f32) {
     for x in xs.iter_mut() {
         *x = exp(*x - shift);
@@ -154,6 +168,7 @@ pub fn exp_sub_slice(xs: &mut [f32], shift: f32) {
 /// Largest element of `xs` (`−∞` when empty); NaNs are skipped. `max` is
 /// associative and commutative, so the lane-wise order changes nothing (the
 /// sign of a zero maximum aside, which `exp(x − max)` cannot see).
+#[inline(always)]
 fn row_max(xs: &[f32]) -> f32 {
     let pick = |m: f32, x: f32| if x > m { x } else { m };
     let mut lanes = [f32::NEG_INFINITY; LANES];
@@ -190,13 +205,23 @@ fn lane_sum(xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
 /// `len % 8` tail elements are then added one at a time, in order. Float
 /// addition is not reassociated by the compiler, so this order *is* the
 /// result, whatever vector width the lane adds compile to.
+#[inline(always)]
 pub fn sum_row(xs: &[f32]) -> f32 {
     lane_sum(xs, |x| x)
 }
 
-/// In-place numerically-stable softmax of one row: max-shift, `exp` pass,
-/// row sum in the fixed [`sum_row`] order, one `1/sum` multiply.
-pub fn softmax_row(row: &mut [f32]) {
+simd_dispatch! {
+    /// In-place numerically-stable softmax of one row: max-shift, `exp` pass,
+    /// row sum in the fixed [`sum_row`] order, one `1/sum` multiply — all
+    /// three passes at the host's vector width.
+    pub fn softmax_row(row: &mut [f32]) => softmax_row_body
+}
+
+/// The one source body of [`softmax_row`]; every helper it calls is
+/// `#[inline(always)]`, so the max, `exp` and sum passes are instantiated
+/// with it.
+#[inline(always)]
+fn softmax_row_body(row: &mut [f32]) {
     let max = row_max(row);
     exp_sub_slice(row, max);
     let inv = 1.0 / sum_row(row);
@@ -227,6 +252,49 @@ mod tests {
         for (&x, &p) in raw.iter().zip(&sm) {
             assert!((exp(x - lse) - p).abs() < 1e-6);
         }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Each slice kernel's baseline body (inlined here, so compiled at the
+    /// build's width) against its dispatched entry, at lengths whose
+    /// remainders differ between 4 and 8 lanes and on the special values.
+    #[test]
+    fn dispatched_slice_kernels_are_bitwise_their_baseline_body() {
+        crate::ops::dispatch::report_instantiation("softmax_row / gelu_slice");
+        for len in [1usize, 7, 8, 9, 15, 16, 17, 127] {
+            let raw: Vec<f32> = (0..len).map(|i| (i as f32 * 0.61).sin() * 6.0).collect();
+            let (mut want, mut got) = (raw.clone(), raw.clone());
+            gelu_slice_body(&mut want);
+            gelu_slice(&mut got);
+            assert_eq!(bits(&want), bits(&got), "gelu, len {len}");
+
+            // One special value per row: a NaN's payload is part of the bits,
+            // and two *different* NaNs meeting in one add (an input NaN and
+            // the ∞ − ∞ one) would make the result depend on operand order,
+            // which no instantiation promises.
+            for special in [
+                None,
+                Some(f32::INFINITY),
+                Some(f32::NEG_INFINITY),
+                Some(f32::NAN),
+            ] {
+                let mut row = raw.clone();
+                if let Some(v) = special {
+                    row[len / 2] = v;
+                }
+                let (mut want, mut got) = (row.clone(), row);
+                softmax_row_body(&mut want);
+                softmax_row(&mut got);
+                assert_eq!(bits(&want), bits(&got), "softmax, len {len}, {special:?}");
+            }
+        }
+        let (mut want, mut got) = ([f32::NEG_INFINITY; 9], [f32::NEG_INFINITY; 9]);
+        softmax_row_body(&mut want);
+        softmax_row(&mut got);
+        assert_eq!(bits(&want), bits(&got), "all −∞");
     }
 
     #[test]

@@ -11,6 +11,9 @@ cargo clippy -p delrec-obs --all-targets -- -D warnings
 # The tensor crate carries the GEMM micro-kernel; lint its tests and the
 # gemm property suite at the same bar.
 cargo clippy -p delrec-tensor --all-targets -- -D warnings
+# The LM crate owns the engine's tile loop and its equivalence suites; lint
+# it (tests included) at the same bar.
+cargo clippy -p delrec-lm --all-targets -- -D warnings
 # The thread pool underpins every parallel path and owns the only unsafe
 # lifetime erasure in the workspace; lint it (tests included) at -D warnings.
 cargo clippy -p delrec-par --all-targets -- -D warnings
@@ -31,6 +34,11 @@ cargo build --release --manifest-path perfbench/Cargo.toml
 # two lines; several also inject lanes {1,2,4,8} themselves via with_pool.
 DELREC_THREADS=1 cargo test -q
 DELREC_THREADS=4 cargo test -q
+# The tensor kernels run `unsafe` `#[target_feature]` twins picked at run
+# time, and the LM engine's bitwise pins sit on top of them. The test profile
+# keeps `debug_assert!` on; release drops it (and links with thin LTO, where
+# the twins get their 256-bit code), so both crates must also hold there.
+cargo test --release -q -p delrec-tensor -p delrec-lm
 
 # Smoke-run the inference-engine benchmark: asserts the grad-free engine's
 # scores are bitwise identical to the tape before timing anything, then that
