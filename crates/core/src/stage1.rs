@@ -258,6 +258,7 @@ pub fn distill(
             let (ta_l, rps_l, mut updates) = {
                 let tape = Tape::new();
                 let ctx = Ctx::new(&tape, lm.store(), true);
+                let forward = delrec_obs::span!("train.forward");
                 let soft_table = Some(sp.var(&ctx));
                 let mut total = None;
                 let mut ta_l = None;
@@ -282,11 +283,14 @@ pub fn distill(
                     });
                 }
                 let total = total.expect("a non-empty batch");
+                drop(forward);
                 let mut grads = tape.backward(total);
                 (ta_l, rps_l, ctx.grads(&mut grads))
             };
+            let apply = delrec_obs::span!("train.apply");
             clip_grad_norm(&mut updates, 5.0);
             opt.apply(lm.store_mut(), &updates);
+            drop(apply);
             if let Some(l) = ta_l {
                 ta_sum += l;
                 ta_n += 1;

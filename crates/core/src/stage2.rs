@@ -109,17 +109,21 @@ pub fn finetune(
             let (loss_value, mut updates) = {
                 let tape = Tape::new();
                 let ctx = Ctx::new(&tape, lm.store(), true);
+                let forward = delrec_obs::span!("train.forward");
                 let soft_table = sp.map(|s| s.var(&ctx));
                 let batch: Vec<&TrainItem> = chunk.iter().map(|&i| &items[i]).collect();
                 let loss = batch_loss(lm, &ctx, soft_table, &batch, &mut rng);
                 let loss_value = tape.get(loss).item();
+                drop(forward);
                 let mut grads = tape.backward(loss);
                 (loss_value, ctx.grads(&mut grads))
             };
+            let apply = delrec_obs::span!("train.apply");
             clip_grad_norm(&mut updates, 5.0);
             // Sensitivity uses the pre-update values: observe, then apply.
             lm.adalora_observe(&updates);
             opt.apply(lm.store_mut(), &updates);
+            drop(apply);
             step_count += 1;
             total += loss_value;
             batches += 1;

@@ -71,6 +71,7 @@ pub fn pretrain_mlm(
             let (loss_value, mut updates) = {
                 let tape = Tape::new();
                 let ctx = Ctx::new(&tape, lm.store(), true);
+                let forward = delrec_obs::span!("train.forward");
                 let mut rows = Vec::new();
                 let mut targets = Vec::new();
                 for &di in chunk {
@@ -112,11 +113,14 @@ pub fn pretrain_mlm(
                 let stacked = tape.concat_rows(&rows);
                 let loss = tape.cross_entropy(stacked, &targets);
                 let loss_value = tape.get(loss).item();
+                drop(forward);
                 let mut grads = tape.backward(loss);
                 (loss_value, ctx.grads(&mut grads))
             };
+            let apply = delrec_obs::span!("train.apply");
             clip_grad_norm(&mut updates, 5.0);
             opt.apply(lm.store_mut(), &updates);
+            drop(apply);
             total += loss_value;
             batches += 1;
         }

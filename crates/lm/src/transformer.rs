@@ -255,8 +255,8 @@ impl MiniLm {
     /// Returns `([B·t_max, d], t_max)` where `t_max` is the longest input
     /// length; sequence `b`'s position `t` lives at row `b·t_max + t`.
     /// Row-wise layers (projections, layer norm, FFN) run over the whole
-    /// flattened batch at once; attention is the only cross-row op, and its
-    /// [`delrec_tensor::Tape::softmax_masked`] valid-prefix masking gives
+    /// flattened batch at once; attention is the only cross-row op, and
+    /// [`delrec_tensor::Tape::attention`]'s valid-prefix masking gives
     /// padded key positions exactly zero weight, so values in padded rows
     /// never leak into valid rows. Padded rows themselves carry finite
     /// garbage and must be ignored by the caller (e.g. gathered around).
@@ -282,12 +282,11 @@ impl MiniLm {
             );
             t_max = t_max.max(tokens.len());
         }
-        let rows = bsz * t_max;
         // Per-(sequence, query-position) count of attendable key positions:
         // the sequence's valid prefix, additionally clipped to `t + 1` for
         // the decoder-only variant. Padded query rows get their sequence's
         // count too — their output is garbage either way, but the count must
-        // stay in softmax_masked's 1..=t_max range.
+        // stay in the attention node's 1..=t_max range.
         let valid: Vec<usize> = seqs
             .iter()
             .flat_map(|tokens| {
@@ -307,25 +306,15 @@ impl MiniLm {
         let scale = 1.0 / (dh as f32).sqrt();
         for block in &self.blocks {
             let xin = tape.layer_norm(h, ctx.p(block.ln1_g), ctx.p(block.ln1_b));
-            let mut outs_t = Vec::new();
+            let mut heads = Vec::with_capacity(self.cfg.num_heads);
             for hd in 0..self.cfg.num_heads {
                 let q = tape.matmul(xin, self.proj(ctx, block.wq[hd]));
                 let k = tape.matmul(xin, self.proj(ctx, block.wk[hd]));
                 let v = tape.matmul(xin, self.proj(ctx, block.wv[hd]));
-                let q3 = tape.reshape(q, [bsz, t_max, dh]);
-                let k3 = tape.reshape(k, [bsz, t_max, dh]);
-                let v3 = tape.reshape(v, [bsz, t_max, dh]);
-                let kt = tape.transpose(k3);
-                let scores = tape.matmul(q3, kt);
-                let scores = tape.scale(scores, scale);
-                let attn = tape.softmax_masked(scores, &valid);
-                let attn = tape.dropout(attn, self.cfg.dropout, ctx.train, rng);
-                let out = tape.matmul(attn, v3);
-                let out = tape.reshape(out, [rows, dh]);
-                outs_t.push(tape.transpose(out));
+                let (p, train) = (self.cfg.dropout, ctx.train);
+                heads.push(tape.attention(q, k, v, bsz, t_max, &valid, scale, p, train, rng));
             }
-            let concat_t = tape.concat_rows(&outs_t);
-            let attn_out = tape.transpose(concat_t);
+            let attn_out = tape.concat_cols(&heads);
             let attn_out = tape.matmul(attn_out, ctx.p(block.wo));
             let attn_out = tape.dropout(attn_out, self.cfg.dropout, ctx.train, rng);
             h = tape.add(h, attn_out);

@@ -222,25 +222,15 @@ impl NeuralSeqModel for Bert4Rec {
         let scale = 1.0 / (dh as f32).sqrt();
         for block in &self.blocks {
             let xin = tape.layer_norm(h, ctx.p(block.ln1_g), ctx.p(block.ln1_b));
-            let mut outs_t = Vec::new();
+            let mut heads = Vec::with_capacity(self.cfg.num_heads);
             for hd in 0..self.cfg.num_heads {
                 let q = tape.matmul(xin, ctx.p(block.wq[hd]));
                 let k = tape.matmul(xin, ctx.p(block.wk[hd]));
                 let v = tape.matmul(xin, ctx.p(block.wv[hd]));
-                let q3 = tape.reshape(q, [bsz, t_max, dh]);
-                let k3 = tape.reshape(k, [bsz, t_max, dh]);
-                let v3 = tape.reshape(v, [bsz, t_max, dh]);
-                let kt = tape.transpose(k3);
-                let scores = tape.matmul(q3, kt);
-                let scores = tape.scale(scores, scale);
-                let attn = tape.softmax_masked(scores, &valid);
-                let attn = tape.dropout(attn, self.cfg.dropout, ctx.train, rng);
-                let out = tape.matmul(attn, v3);
-                let out = tape.reshape(out, [rows, dh]);
-                outs_t.push(tape.transpose(out));
+                let (p, train) = (self.cfg.dropout, ctx.train);
+                heads.push(tape.attention(q, k, v, bsz, t_max, &valid, scale, p, train, rng));
             }
-            let concat_t = tape.concat_rows(&outs_t);
-            let attn_out = tape.transpose(concat_t);
+            let attn_out = tape.concat_cols(&heads);
             let attn_out = tape.matmul(attn_out, ctx.p(block.wo));
             let attn_out = tape.dropout(attn_out, self.cfg.dropout, ctx.train, rng);
             h = tape.add(h, attn_out);

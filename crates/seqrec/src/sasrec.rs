@@ -176,26 +176,15 @@ impl SasRec {
 
         for block in &self.blocks {
             let xin = tape.layer_norm(h, ctx.p(block.ln1_g), ctx.p(block.ln1_b));
-            // Heads → [dh, B·T] slices concatenated into [d, B·T], then back.
-            let mut head_outs_t = Vec::with_capacity(block.heads.len());
+            let mut heads = Vec::with_capacity(block.heads.len());
             for head in &block.heads {
                 let q = tape.matmul(xin, ctx.p(head.wq));
                 let k = tape.matmul(xin, ctx.p(head.wk));
                 let v = tape.matmul(xin, ctx.p(head.wv));
-                let q3 = tape.reshape(q, [bsz, t_max, dh]);
-                let k3 = tape.reshape(k, [bsz, t_max, dh]);
-                let v3 = tape.reshape(v, [bsz, t_max, dh]);
-                let kt = tape.transpose(k3);
-                let scores = tape.matmul(q3, kt); // [B, T, T]
-                let scores = tape.scale(scores, scale);
-                let attn = tape.softmax_masked(scores, &valid);
-                let attn = tape.dropout(attn, self.cfg.dropout, ctx.train, rng);
-                let out = tape.matmul(attn, v3); // [B, T, dh]
-                let out = tape.reshape(out, [rows, dh]);
-                head_outs_t.push(tape.transpose(out)); // [dh, B·T]
+                let (p, train) = (self.cfg.dropout, ctx.train);
+                heads.push(tape.attention(q, k, v, bsz, t_max, &valid, scale, p, train, rng));
             }
-            let concat_t = tape.concat_rows(&head_outs_t); // [d, B·T]
-            let attn_out = tape.transpose(concat_t); // [B·T, d]
+            let attn_out = tape.concat_cols(&heads); // [B·T, d]
             let attn_out = tape.matmul(attn_out, ctx.p(block.wo));
             let attn_out = tape.dropout(attn_out, self.cfg.dropout, ctx.train, rng);
             h = tape.add(h, attn_out);

@@ -2,57 +2,26 @@
 
 use super::vmath;
 use crate::tape::{Tape, Var};
-use crate::tensor::Tensor;
 
 impl Tape {
-    fn pointwise(
-        &self,
-        a: Var,
-        fwd: impl Fn(f32) -> f32,
-        // Derivative as a function of (input, output).
-        bwd: impl Fn(f32, f32) -> f32 + 'static,
-    ) -> Var {
-        let (shape, out) = {
-            let va = self.value(a);
-            let mut out = self.alloc(va.numel());
-            for (o, &x) in out.iter_mut().zip(va.data()) {
-                *o = fwd(x);
-            }
-            (va.shape().clone(), out)
-        };
-        self.push(
-            Tensor::new(shape, out),
-            vec![a.id],
-            Some(Box::new(move |ctx| {
-                let (va, y, g) = (ctx.value(a), ctx.out(), ctx.grad());
-                let mut gr = ctx.alloc(va.numel());
-                let xy = va.data().iter().zip(y.data());
-                for ((o, &gv), (&x, &yv)) in gr.iter_mut().zip(g.data()).zip(xy) {
-                    *o = gv * bwd(x, yv);
-                }
-                vec![Tensor::new(va.shape().clone(), gr)]
-            })),
-        )
-    }
-
     /// Rectified linear unit.
     pub fn relu(&self, a: Var) -> Var {
-        self.pointwise(a, |x| x.max(0.0), |x, _| if x > 0.0 { 1.0 } else { 0.0 })
+        self.unary(a, |x| x.max(0.0), |x, _| if x > 0.0 { 1.0 } else { 0.0 })
     }
 
     /// GELU with the tanh approximation (the transformer FFN nonlinearity).
     pub fn gelu(&self, a: Var) -> Var {
-        self.pointwise(a, vmath::gelu, |x, _| vmath::gelu_grad(x))
+        self.unary(a, vmath::gelu, |x, _| vmath::gelu_grad(x))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self, a: Var) -> Var {
-        self.pointwise(a, vmath::sigmoid, |_, y| y * (1.0 - y))
+        self.unary(a, vmath::sigmoid, |_, y| y * (1.0 - y))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self, a: Var) -> Var {
-        self.pointwise(a, vmath::tanh, |_, y| 1.0 - y * y)
+        self.unary(a, vmath::tanh, |_, y| 1.0 - y * y)
     }
 }
 
@@ -61,6 +30,7 @@ mod tests {
     use super::*;
     use crate::grad_check::check_grad;
     use crate::shape::Shape;
+    use crate::tensor::Tensor;
 
     #[test]
     fn relu_clamps_negatives() {

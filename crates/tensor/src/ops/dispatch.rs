@@ -43,18 +43,18 @@ pub fn simd_lanes() -> usize {
 }
 
 /// Define `fn $name(args)` as the runtime-dispatched entry to the
-/// `#[inline(always)]` kernel body `$body` (same arguments, optionally one
-/// const generic): on x86-64 with AVX2 it calls a `#[target_feature]` twin
+/// `#[inline(always)]` kernel body `$body` (same arguments, optionally const
+/// generics): on x86-64 with AVX2 it calls a `#[target_feature]` twin
 /// whose only statement is the call to `$body` — so the arithmetic exists
 /// once in source — and everywhere else `$body` itself.
 macro_rules! simd_dispatch {
     (
         $(#[$meta:meta])*
-        $vis:vis fn $name:ident $(<const $cg:ident: $cgt:ty>)? ($($arg:ident: $ty:ty),* $(,)?)
+        $vis:vis fn $name:ident $(<$(const $cg:ident: $cgt:ty),+>)? ($($arg:ident: $ty:ty),* $(,)?)
             => $body:ident
     ) => {
         $(#[$meta])*
-        $vis fn $name $(<const $cg: $cgt>)? ($($arg: $ty),*) {
+        $vis fn $name $(<$(const $cg: $cgt),+>)? ($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             {
                 /// The kernel body instantiated with 256-bit vectors.
@@ -63,17 +63,17 @@ macro_rules! simd_dispatch {
                 /// The running CPU must support AVX2.
                 #[target_feature(enable = "avx2")]
                 #[allow(clippy::too_many_arguments)]
-                unsafe fn avx2 $(<const $cg: $cgt>)? ($($arg: $ty),*) {
-                    $body $(::<$cg>)? ($($arg),*)
+                unsafe fn avx2 $(<$(const $cg: $cgt),+>)? ($($arg: $ty),*) {
+                    $body $(::<$($cg),+>)? ($($arg),*)
                 }
                 if $crate::ops::dispatch::simd_lanes() == 8 {
                     // SAFETY: `simd_lanes` returns 8 only after
                     // `is_x86_feature_detected!("avx2")` reported AVX2 on
                     // this CPU, which is the twin's one requirement.
-                    return unsafe { avx2 $(::<$cg>)? ($($arg),*) };
+                    return unsafe { avx2 $(::<$($cg),+>)? ($($arg),*) };
                 }
             }
-            $body $(::<$cg>)? ($($arg),*)
+            $body $(::<$($cg),+>)? ($($arg),*)
         }
     };
 }

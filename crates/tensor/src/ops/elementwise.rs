@@ -32,6 +32,26 @@ fn classify(a: &Shape, b: &Shape) -> Broadcast {
     }
 }
 
+/// `out[i] = f(g[i], a[i], b[i mod n])`, `n = b.len()`, as a walk over
+/// `n`-long row chunks of the left-shaped operands against the whole of `b`:
+/// no integer division per element, and an inner loop over three plain
+/// slices. Covers all three broadcast modes (Exact is one chunk, Scalar is
+/// chunks of one).
+fn broadcast_map(
+    out: &mut [f32],
+    g: &[f32],
+    a: &[f32],
+    b: &[f32],
+    f: impl Fn(f32, f32, f32) -> f32,
+) {
+    let n = b.len().max(1);
+    for ((oc, gc), ac) in out.chunks_mut(n).zip(g.chunks(n)).zip(a.chunks(n)) {
+        for (((o, &gv), &x), &y) in oc.iter_mut().zip(gc).zip(ac).zip(b) {
+            *o = f(gv, x, y);
+        }
+    }
+}
+
 impl Tape {
     fn binary(
         &self,
@@ -43,16 +63,10 @@ impl Tape {
     ) -> Var {
         let (shape, out) = {
             let (va, vb) = (self.value(a), self.value(b));
-            let mode = classify(va.shape(), vb.shape());
-            debug_assert!(matches!(
-                mode,
-                Broadcast::Exact | Broadcast::Scalar | Broadcast::Suffix
-            ));
-            let n = vb.numel();
+            classify(va.shape(), vb.shape()); // panics unless `b` broadcasts
             let mut out = self.alloc(va.numel());
-            for (i, (o, &x)) in out.iter_mut().zip(va.data()).enumerate() {
-                *o = fwd(x, vb.data()[i % n]);
-            }
+            let xs = va.data();
+            broadcast_map(&mut out, xs, xs, vb.data(), |_, x, y| fwd(x, y));
             (va.shape().clone(), out)
         };
         self.push(
@@ -60,25 +74,24 @@ impl Tape {
             vec![a.id, b.id],
             Some(Box::new(move |ctx| {
                 let (va, vb, g) = (ctx.value(a), ctx.value(b), ctx.grad());
-                let mode = classify(va.shape(), vb.shape());
-                let n = vb.numel();
-                let mut ga = ctx.alloc(va.numel());
-                for (i, (o, &gv)) in ga.iter_mut().zip(g.data()).enumerate() {
-                    *o = gv * dfa(va.data()[i], vb.data()[i % n]);
-                }
-                let gb = match mode {
+                let (xs, ys, gs) = (va.data(), vb.data(), g.data());
+                let mut ga = ctx.alloc(xs.len());
+                broadcast_map(&mut ga, gs, xs, ys, |gv, x, y| gv * dfa(x, y));
+                let gb = match classify(va.shape(), vb.shape()) {
                     Broadcast::Exact => {
-                        let mut gb = ctx.alloc(va.numel());
-                        for (i, (o, &gv)) in gb.iter_mut().zip(g.data()).enumerate() {
-                            *o = gv * dfb(va.data()[i], vb.data()[i]);
-                        }
+                        let mut gb = ctx.alloc(xs.len());
+                        broadcast_map(&mut gb, gs, xs, ys, |gv, x, y| gv * dfb(x, y));
                         gb
                     }
                     Broadcast::Scalar | Broadcast::Suffix => {
-                        // Sum the full-shaped gradient down onto the suffix.
-                        let mut gb = ctx.alloc(n);
-                        for (i, &gv) in g.data().iter().enumerate() {
-                            gb[i % n] += gv * dfb(va.data()[i], vb.data()[i % n]);
+                        // Sum the full-shaped gradient down onto the suffix,
+                        // row chunk by row chunk (ascending, per element).
+                        let mut gb = ctx.alloc(ys.len());
+                        let n = ys.len().max(1);
+                        for (gc, xc) in gs.chunks(n).zip(xs.chunks(n)) {
+                            for (((o, &gv), &x), &y) in gb.iter_mut().zip(gc).zip(xc).zip(ys) {
+                                *o += gv * dfb(x, y);
+                            }
                         }
                         gb
                     }
@@ -111,7 +124,9 @@ impl Tape {
         self.binary(a, b, |x, y| x / y, |_, y| 1.0 / y, |x, y| -x / (y * y))
     }
 
-    fn unary(
+    /// Pointwise `fwd(x)`; `dfa` is the derivative as a function of
+    /// (input, output). Shared with the activations in `ops::activation`.
+    pub(super) fn unary(
         &self,
         a: Var,
         fwd: impl Fn(f32) -> f32,
@@ -131,8 +146,9 @@ impl Tape {
             Some(Box::new(move |ctx| {
                 let (va, y, g) = (ctx.value(a), ctx.out(), ctx.grad());
                 let mut ga = ctx.alloc(va.numel());
-                for (i, (o, &gv)) in ga.iter_mut().zip(g.data()).enumerate() {
-                    *o = gv * dfa(va.data()[i], y.data()[i]);
+                let xy = va.data().iter().zip(y.data());
+                for ((o, &gv), (&x, &yv)) in ga.iter_mut().zip(g.data()).zip(xy) {
+                    *o = gv * dfa(x, yv);
                 }
                 vec![Tensor::new(va.shape().clone(), ga)]
             })),

@@ -132,20 +132,31 @@ pub fn pack_b_into(b: &[f32], k: usize, n: usize, bp: &mut PackedB) {
 /// embedding head, whose weight lives as `[vocab, d]` but multiplies as
 /// `[d, vocab]`.
 pub fn pack_b_transposed(src: &[f32], k: usize, n: usize) -> PackedB {
+    let mut bp = PackedB::default();
+    pack_b_transposed_into(src, k, n, &mut bp);
+    bp
+}
+
+/// [`pack_b_transposed`] into an existing pack, reusing its allocation (see
+/// [`pack_b_into`]): the tape's `X · Yᵀ` products — attention scores over
+/// `Kᵀ`, every matmul backward's `g · Bᵀ` — pack `Y` as it lies.
+pub(crate) fn pack_b_transposed_into(src: &[f32], k: usize, n: usize, bp: &mut PackedB) {
     debug_assert_eq!(src.len(), n * k);
     let panels = n.div_ceil(NR);
-    let mut data = vec![0.0f32; panels * k * NR];
+    bp.data.clear();
+    bp.data.resize(panels * k * NR, 0.0);
     for p in 0..panels {
         let j0 = p * NR;
         let w = NR.min(n - j0);
-        let dst = &mut data[p * k * NR..(p + 1) * k * NR];
-        for (j, col) in src[j0 * k..(j0 + w) * k].chunks_exact(k).enumerate() {
+        let dst = &mut bp.data[p * k * NR..(p + 1) * k * NR];
+        for (j, col) in src[j0 * k..(j0 + w) * k].chunks_exact(k.max(1)).enumerate() {
             for (kk, &v) in col.iter().enumerate() {
                 dst[kk * NR + j] = v;
             }
         }
     }
-    PackedB { data, k, n }
+    bp.k = k;
+    bp.n = n;
 }
 
 /// A right-hand GEMM operand quantized to int8 with per-output-channel
@@ -271,9 +282,9 @@ pub fn gemm_packed(
     // not — and without provable no-aliasing against `out`, the whole micro-
     // kernel compiles to scalar stack code (measured ~2.6x slower).
     if accumulate {
-        gemm_dispatch::<true>(a, lda, bp, out, m);
+        gemm_dispatch::<true, false>(a, lda, bp, out, m);
     } else {
-        gemm_dispatch::<false>(a, lda, bp, out, m);
+        gemm_dispatch::<false, false>(a, lda, bp, out, m);
     }
 }
 
@@ -297,7 +308,27 @@ pub fn gemm_packed_panels(
     m: usize,
 ) {
     let w = panel_block_width(bp.k, bp.n, lda, a.len(), m, &panels, out.len());
-    gemm_panel_range::<false>(a, lda, &bp.data, bp.k, bp.n, out, m, panels, w);
+    gemm_panel_range::<false, false>(a, lda, &bp.data, bp.k, bp.n, out, m, panels, w);
+}
+
+/// Serial `out[m, n] = A · B` over every panel of a packed `B`, `A`
+/// contiguous: `a` is `A` itself (`[m, k]`) or, with `TA`, its transpose as it
+/// lies in memory (`[k, m]`) — what a backward pass holds when it needs
+/// `Xᵀ · g`, read in place instead of through a transposed copy. The tape's
+/// products (batched matmul, the attention node, matmul backward) run this:
+/// [`matmul_raw`]'s bits from the register-blocked kernel, and never a fork
+/// per (head, example).
+pub(crate) fn gemm_packed_serial<const TA: bool>(
+    a: &[f32],
+    bp: &PackedB,
+    out: &mut [f32],
+    m: usize,
+) {
+    let (k, n) = (bp.k, bp.n);
+    assert_eq!(a.len(), m * k, "A is [m, k] (or its transpose)");
+    assert_eq!(out.len(), m * n, "out is [m, n]");
+    let lda = if TA { m } else { k };
+    gemm_panel_range::<false, TA>(a, lda, &bp.data, k, n, out, m, 0..n.div_ceil(NR), n);
 }
 
 /// [`gemm_packed`]'s kernel body as the build's baseline compiles it (128-bit
@@ -311,7 +342,7 @@ pub fn gemm_packed_baseline(a: &[f32], lda: usize, bp: &PackedB, out: &mut [f32]
     // dispatched instantiations: see `gemm_packed` on why that matters.
     #[inline(never)]
     fn run(a: &[f32], lda: usize, data: &[f32], k: usize, n: usize, out: &mut [f32], m: usize) {
-        gemm_panel_range_body::<false>(a, lda, data, k, n, out, m, 0..n.div_ceil(NR), n);
+        gemm_panel_range_body::<false, false>(a, lda, data, k, n, out, m, 0..n.div_ceil(NR), n);
     }
     let all = 0..bp.n.div_ceil(NR);
     panel_block_width(bp.k, bp.n, lda, a.len(), m, &all, out.len());
@@ -350,11 +381,17 @@ fn panel_block_width(
 /// the module docs' bitwise-identity argument — tile heights and panel
 /// boundaries don't enter the per-element expression).
 #[inline]
-fn gemm_dispatch<const ACC: bool>(a: &[f32], lda: usize, bp: &PackedB, out: &mut [f32], m: usize) {
-    if gemm_try_parallel::<ACC>(a, lda, bp, out, m) {
+fn gemm_dispatch<const ACC: bool, const TA: bool>(
+    a: &[f32],
+    lda: usize,
+    bp: &PackedB,
+    out: &mut [f32],
+    m: usize,
+) {
+    if gemm_try_parallel::<ACC, TA>(a, lda, bp, out, m) {
         return;
     }
-    gemm_panels::<ACC>(a, lda, &bp.data, bp.k, bp.n, out, m);
+    gemm_panels::<ACC, TA>(a, lda, &bp.data, bp.k, bp.n, out, m);
 }
 
 /// Parallel driver: returns `false` (caller runs serial) when the current
@@ -369,7 +406,7 @@ fn gemm_dispatch<const ACC: bool>(a: &[f32], lda: usize, bp: &PackedB, out: &mut
 ///   stripe buffer (reading the prior `out` values first when accumulating),
 ///   and the caller copies the stripes back serially. Copies preserve bits,
 ///   so this too is exactly the serial arithmetic.
-fn gemm_try_parallel<const ACC: bool>(
+fn gemm_try_parallel<const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
     bp: &PackedB,
@@ -398,7 +435,9 @@ fn gemm_try_parallel<const ACC: bool>(
         pool.for_each_range(out, &row_ranges, |ti, out_chunk| {
             let i0 = tile_ranges[ti].start * MR;
             let rows = out_chunk.len() / n;
-            gemm_panels::<ACC>(&a[i0 * lda..], lda, data, k, n, out_chunk, rows);
+            // Output rows are columns of a transposed `A`.
+            let a_block = &a[if TA { i0 } else { i0 * lda }..];
+            gemm_panels::<ACC, TA>(a_block, lda, data, k, n, out_chunk, rows);
         });
         return true;
     }
@@ -419,7 +458,7 @@ fn gemm_try_parallel<const ACC: bool>(
                     tmp[i * w..(i + 1) * w].copy_from_slice(&prior[i * n + j0..i * n + j0 + w]);
                 }
             }
-            gemm_panel_range::<ACC>(a, lda, data, k, n, &mut tmp, m, pr.clone(), w);
+            gemm_panel_range::<ACC, TA>(a, lda, data, k, n, &mut tmp, m, pr.clone(), w);
             slot[0] = tmp;
         });
         for (ti, pr) in panel_ranges.iter().enumerate() {
@@ -438,7 +477,7 @@ fn gemm_try_parallel<const ACC: bool>(
 /// Panel/tile driver for [`gemm_packed`], monomorphized on `ACC`.
 #[inline]
 #[allow(clippy::too_many_arguments)]
-fn gemm_panels<const ACC: bool>(
+fn gemm_panels<const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
     data: &[f32],
@@ -447,16 +486,17 @@ fn gemm_panels<const ACC: bool>(
     out: &mut [f32],
     m: usize,
 ) {
-    gemm_panel_range::<ACC>(a, lda, data, k, n, out, m, 0..n.div_ceil(NR), n);
+    gemm_panel_range::<ACC, TA>(a, lda, data, k, n, out, m, 0..n.div_ceil(NR), n);
 }
 
 simd_dispatch! {
     /// [`gemm_panels`] restricted to panels `p_range`, writing into an `out`
     /// whose rows are `ldo` floats apart and whose column 0 is global column
     /// `p_range.start * NR`. The serial path is the full range with `ldo = n`.
-    /// Runs [`gemm_panel_range_body`] at the host's vector width.
+    /// With `TA`, `a` holds the left operand transposed (`[k, m]`, rows `lda`
+    /// apart). Runs [`gemm_panel_range_body`] at the host's vector width.
     #[allow(clippy::too_many_arguments)]
-    fn gemm_panel_range<const ACC: bool>(
+    fn gemm_panel_range<const ACC: bool, const TA: bool>(
         a: &[f32],
         lda: usize,
         data: &[f32],
@@ -473,7 +513,7 @@ simd_dispatch! {
 /// instantiation compiles it, micro-kernel included, at its own vector width.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_panel_range_body<const ACC: bool>(
+fn gemm_panel_range_body<const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
     data: &[f32],
@@ -492,16 +532,16 @@ fn gemm_panel_range_body<const ACC: bool>(
         let panel = &data[p * k * NR..(p + 1) * k * NR];
         let mut i0 = 0;
         while i0 + MR <= m {
-            micro_tile::<MR, ACC>(a, lda, panel, out, i0, jo, w, k, ldo);
+            micro_tile::<MR, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo);
             i0 += MR;
         }
         // Remainder rows dispatch to compile-time heights so the tile still
         // lives in registers (MR is 4; 1..=3 are the only partial heights).
         match m - i0 {
             0 => {}
-            1 => micro_tile::<1, ACC>(a, lda, panel, out, i0, jo, w, k, ldo),
-            2 => micro_tile::<2, ACC>(a, lda, panel, out, i0, jo, w, k, ldo),
-            _ => micro_tile::<3, ACC>(a, lda, panel, out, i0, jo, w, k, ldo),
+            1 => micro_tile::<1, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
+            2 => micro_tile::<2, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
+            _ => micro_tile::<3, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
         }
     }
 }
@@ -512,9 +552,13 @@ fn gemm_panel_range_body<const ACC: bool>(
 /// tile load forces the array to be addressable — the tile spills to the
 /// stack, every k-step becomes a memory round trip, and the kernel loses to
 /// [`matmul_raw`] on wide shapes by ~2.5x.
+///
+/// `TA` reads the left operand from its transpose (`a[kk * lda + i]` for
+/// `a[i * lda + kk]`): the same values into the same expression, so the
+/// same bits — and a tile's `MRT` values at one `kk` lie contiguous.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_tile<const MRT: usize, const ACC: bool>(
+fn micro_tile<const MRT: usize, const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
     panel: &[f32],
@@ -525,6 +569,10 @@ fn micro_tile<const MRT: usize, const ACC: bool>(
     k: usize,
     ldo: usize,
 ) {
+    let at = |im: usize, kk: usize| match TA {
+        true => a[kk * lda + i0 + im],
+        false => a[(i0 + im) * lda + kk],
+    };
     // The output tile lives in registers across the whole k loop.
     let mut acc = [[0.0f32; NR]; MRT];
     if ACC {
@@ -540,8 +588,12 @@ fn micro_tile<const MRT: usize, const ACC: bool>(
         let (b1, rest) = rest.split_at(NR);
         let (b2, b3) = rest.split_at(NR);
         for (im, tile) in acc.iter_mut().enumerate() {
-            let ar = &a[(i0 + im) * lda + kk..(i0 + im) * lda + kk + 4];
-            let (a0, a1, a2, a3) = (ar[0], ar[1], ar[2], ar[3]);
+            let (a0, a1, a2, a3) = if TA {
+                (at(im, kk), at(im, kk + 1), at(im, kk + 2), at(im, kk + 3))
+            } else {
+                let ar = &a[(i0 + im) * lda + kk..(i0 + im) * lda + kk + 4];
+                (ar[0], ar[1], ar[2], ar[3])
+            };
             for jn in 0..NR {
                 // Same left-associated group expression as matmul_raw.
                 tile[jn] += a0 * b0[jn] + a1 * b1[jn] + a2 * b2[jn] + a3 * b3[jn];
@@ -552,7 +604,7 @@ fn micro_tile<const MRT: usize, const ACC: bool>(
     while kk < k {
         let strip = &panel[kk * NR..(kk + 1) * NR];
         for (im, tile) in acc.iter_mut().enumerate() {
-            let av = a[(i0 + im) * lda + kk];
+            let av = at(im, kk);
             for jn in 0..NR {
                 tile[jn] += av * strip[jn];
             }
@@ -866,6 +918,32 @@ pub fn gemm_auto(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
     }
 }
 
+/// Both gradients of `a[m, k] · b[k, n]` given the upstream `g[m, n]`, into
+/// **zero-filled** outputs: `ga = g · bᵀ` and `gb = aᵀ · g` — the backward of
+/// [`crate::Tape::matmul`]'s 2-D product. Neither transpose is materialised:
+/// `b` is packed transposed as it lies and `a` is read through the kernel's
+/// transposed-`A` mode, so each element is bitwise what [`matmul_raw`] gives
+/// over explicit transposes. Forks like [`gemm_packed`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_backward(
+    a: &[f32],
+    b: &[f32],
+    g: &[f32],
+    ga: &mut [f32],
+    gb: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    debug_assert!(a.len() == m * k && b.len() == k * n && g.len() == m * n);
+    debug_assert!(ga.len() == m * k && gb.len() == k * n);
+    let mut bp = PackedB::default();
+    pack_b_transposed_into(b, n, k, &mut bp);
+    gemm_dispatch::<false, false>(g, n, &bp, ga, m);
+    pack_b_into(g, m, n, &mut bp);
+    gemm_dispatch::<false, true>(a, k, &bp, gb, k);
+}
+
 simd_dispatch! {
     /// [`matmul_raw`] with `A` rows `lda` floats apart and explicit accumulate
     /// control: the small-shape companion of [`gemm_packed`] for operands built
@@ -891,10 +969,11 @@ simd_dispatch! {
     ) => matmul_raw_strided_body
 }
 
-/// The one source body of [`matmul_raw_strided`].
+/// The one source body of [`matmul_raw_strided`] — and, instantiated at the
+/// build's baseline width with `lda = k`, of [`matmul_raw`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn matmul_raw_strided_body(
+pub(super) fn matmul_raw_strided_body(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -976,8 +1055,18 @@ mod tests {
             let prior = fill(99, m * n);
 
             let (mut want, mut got) = (prior.clone(), prior.clone());
-            gemm_panel_range_body::<ACC>(&a, k, &bp.data, k, n, &mut want, m, panels.clone(), n);
-            gemm_panel_range::<ACC>(&a, k, &bp.data, k, n, &mut got, m, panels.clone(), n);
+            gemm_panel_range_body::<ACC, false>(
+                &a,
+                k,
+                &bp.data,
+                k,
+                n,
+                &mut want,
+                m,
+                panels.clone(),
+                n,
+            );
+            gemm_panel_range::<ACC, false>(&a, k, &bp.data, k, n, &mut got, m, panels.clone(), n);
             assert_eq!(bits(&want), bits(&got), "f32 acc={ACC} m={m} k={k} n={n}");
 
             let (mut want, mut got) = (prior.clone(), prior);
@@ -1382,6 +1471,47 @@ mod tests {
                         "m={m} k={k} n={n} acc={accumulate} lanes={lanes}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `gemm_backward` — transposing pack for `g · Bᵀ`, transposed-`A` kernel
+    /// for `Aᵀ · g` — against `matmul_raw` over explicit transposes, on small
+    /// shapes and on ones that fork (row blocks and panel stripes), at
+    /// several lane counts.
+    #[test]
+    fn backward_products_are_bitwise_matmul_raw_over_transposes() {
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (5, 7, 9),
+            (3, 512, 256),
+            (64, 64, 40),
+            (48, 3, 1024),
+        ] {
+            let (a, b, g) = (fill(1, m * k), fill(2, k * n), fill(3, m * n));
+            let (mut at, mut bt) = (vec![0.0f32; m * k], vec![0.0f32; k * n]);
+            transpose_into(&a, m, k, &mut at);
+            transpose_into(&b, k, n, &mut bt);
+            let (mut want_ga, mut want_gb) = (vec![0.0f32; m * k], vec![0.0f32; k * n]);
+            matmul_raw(&g, &bt, &mut want_ga, m, n, k);
+            matmul_raw(&at, &g, &mut want_gb, k, m, n);
+            for lanes in [1usize, 2, 4] {
+                let pool = delrec_par::ThreadPool::new(lanes);
+                let (ga, gb) = delrec_par::with_pool(&pool, || {
+                    let (mut ga, mut gb) = (vec![0.0f32; m * k], vec![0.0f32; k * n]);
+                    gemm_backward(&a, &b, &g, &mut ga, &mut gb, m, k, n);
+                    (ga, gb)
+                });
+                assert_eq!(
+                    bits(&want_ga),
+                    bits(&ga),
+                    "ga m={m} k={k} n={n} lanes={lanes}"
+                );
+                assert_eq!(
+                    bits(&want_gb),
+                    bits(&gb),
+                    "gb m={m} k={k} n={n} lanes={lanes}"
+                );
             }
         }
     }

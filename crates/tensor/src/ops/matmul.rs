@@ -1,5 +1,8 @@
 //! Matrix multiplication and transposes.
 
+use super::gemm::{
+    gemm_backward, gemm_packed_serial, pack_b_into, pack_b_transposed_into, PackedB,
+};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 
@@ -9,32 +12,15 @@ use crate::tensor::Tensor;
 /// output row folds four rank-1 updates into one fused sweep — four times
 /// fewer passes over `out`, and an inner loop the compiler can vectorize
 /// without a data-dependent branch.
+///
+/// This is [`super::gemm::matmul_raw_strided`]'s one source body at
+/// `lda = k`, accumulating, compiled at the build's baseline width — the
+/// reference every other kernel is pinned to, so deliberately *not* the
+/// dispatched entry (whose 256-bit loop never reaches its main body at the
+/// narrow `n` this is still called with, and measured slower).
 pub fn matmul_raw(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        let mut kk = 0;
-        while kk + 4 <= k {
-            let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-            let (b0, rest) = b[kk * n..].split_at(n);
-            let (b1, rest) = rest.split_at(n);
-            let (b2, rest) = rest.split_at(n);
-            let b3 = &rest[..n];
-            for (j, o) in out_row.iter_mut().enumerate() {
-                *o += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-            }
-            kk += 4;
-        }
-        for (kk, &av) in a_row.iter().enumerate().skip(kk) {
-            let b_row = &b[kk * n..(kk + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
+    super::gemm::matmul_raw_strided_body(a, k, b, out, m, k, n, true);
 }
 
 /// Transpose tile edge: 32×32 f32 tiles are 4 KiB read + 4 KiB write,
@@ -47,13 +33,17 @@ const TR_TILE: usize = 32;
 ///
 /// Tiled: the naive double loop strides `rows`-wide on every write, so past
 /// L1 each store is a fresh cache line touched once per column sweep. Walking
-/// [`TR_TILE`]² tiles keeps both the read rows and the write columns resident
-/// while a tile is transposed. Pure data movement — element placement is
-/// identical to the naive loop (pinned in this module's tests and in
-/// `tests/gemm_properties.rs`).
+/// [`TR_TILE`]² tiles keeps both sides resident — and each tile goes through
+/// a stack buffer, so memory is only touched in contiguous runs: written
+/// directly, a tile's [`TR_TILE`] output rows lie `rows` floats apart, which
+/// at `rows = 4096` (an item table) is one L1 set for all of them (measured
+/// 454 → 95 µs for `[4096, 32]`; other shapes unchanged). Pure data movement
+/// — element placement is identical to the naive loop (pinned in this
+/// module's tests and in `tests/gemm_properties.rs`).
 pub fn transpose_into(x: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
     debug_assert_eq!(x.len(), rows * cols);
     debug_assert_eq!(out.len(), rows * cols);
+    let mut tile = [0.0f32; TR_TILE * TR_TILE];
     let mut r0 = 0;
     while r0 < rows {
         let r1 = (r0 + TR_TILE).min(rows);
@@ -61,9 +51,12 @@ pub fn transpose_into(x: &[f32], rows: usize, cols: usize, out: &mut [f32]) {
         while c0 < cols {
             let c1 = (c0 + TR_TILE).min(cols);
             for r in r0..r1 {
-                for c in c0..c1 {
-                    out[c * rows + r] = x[r * cols + c];
+                for (c, &v) in x[r * cols + c0..r * cols + c1].iter().enumerate() {
+                    tile[c * TR_TILE + r - r0] = v;
                 }
+            }
+            for (c, run) in tile.chunks_exact(TR_TILE).enumerate().take(c1 - c0) {
+                out[(c0 + c) * rows + r0..(c0 + c) * rows + r1].copy_from_slice(&run[..r1 - r0]);
             }
             c0 = c1;
         }
@@ -117,16 +110,9 @@ impl Tape {
             Some(Box::new(move |ctx| {
                 // dA = g @ B^T ; dB = A^T @ g
                 let (va, vb, g) = (ctx.value(a), ctx.value(b), ctx.grad());
-                let mut bt = ctx.alloc(k * n);
-                transpose_into(vb.data(), k, n, &mut bt);
                 let mut ga = ctx.alloc(m * k);
-                super::gemm::gemm_auto(g.data(), &bt, &mut ga, m, n, k);
-                ctx.recycle(bt);
-                let mut at = ctx.alloc(m * k);
-                transpose_into(va.data(), m, k, &mut at);
                 let mut gb = ctx.alloc(k * n);
-                super::gemm::gemm_auto(&at, g.data(), &mut gb, k, m, n);
-                ctx.recycle(at);
+                gemm_backward(va.data(), vb.data(), g.data(), &mut ga, &mut gb, m, k, n);
                 vec![Tensor::new([m, k], ga), Tensor::new([k, n], gb)]
             })),
         )
@@ -141,15 +127,11 @@ impl Tape {
             assert_eq!(bsz, bsz2, "batched matmul batch dims differ");
             assert_eq!(k, k2, "matmul inner dims: {} x {}", va.shape(), vb.shape());
             let mut out = self.alloc(bsz * m * n);
+            let mut bp = PackedB::default();
             for i in 0..bsz {
-                matmul_raw(
-                    &va.data()[i * m * k..(i + 1) * m * k],
-                    &vb.data()[i * k * n..(i + 1) * k * n],
-                    &mut out[i * m * n..(i + 1) * m * n],
-                    m,
-                    k,
-                    n,
-                );
+                pack_b_into(&vb.data()[i * k * n..(i + 1) * k * n], k, n, &mut bp);
+                let a_i = &va.data()[i * m * k..(i + 1) * m * k];
+                gemm_packed_serial::<false>(a_i, &bp, &mut out[i * m * n..(i + 1) * m * n], m);
             }
             (bsz, m, k, n, out)
         };
@@ -157,22 +139,20 @@ impl Tape {
             Tensor::new([bsz, m, n], out),
             vec![a.id, b.id],
             Some(Box::new(move |ctx| {
+                // Per item: dA = g @ B^T ; dB = A^T @ g, both operands read
+                // as they lie (transposing pack, transposed-A kernel).
                 let (va, vb, g) = (ctx.value(a), ctx.value(b), ctx.grad());
                 let mut ga = ctx.alloc(bsz * m * k);
                 let mut gb = ctx.alloc(bsz * k * n);
-                let mut bt = ctx.alloc(k * n);
-                let mut at = ctx.alloc(m * k);
+                let mut bp = PackedB::default();
                 for i in 0..bsz {
                     let gs = &g.data()[i * m * n..(i + 1) * m * n];
-                    let asl = &va.data()[i * m * k..(i + 1) * m * k];
-                    let bsl = &vb.data()[i * k * n..(i + 1) * k * n];
-                    transpose_into(bsl, k, n, &mut bt);
-                    matmul_raw(gs, &bt, &mut ga[i * m * k..(i + 1) * m * k], m, n, k);
-                    transpose_into(asl, m, k, &mut at);
-                    matmul_raw(&at, gs, &mut gb[i * k * n..(i + 1) * k * n], k, m, n);
+                    pack_b_transposed_into(&vb.data()[i * k * n..(i + 1) * k * n], n, k, &mut bp);
+                    gemm_packed_serial::<false>(gs, &bp, &mut ga[i * m * k..(i + 1) * m * k], m);
+                    let a_i = &va.data()[i * m * k..(i + 1) * m * k];
+                    pack_b_into(gs, m, n, &mut bp);
+                    gemm_packed_serial::<true>(a_i, &bp, &mut gb[i * k * n..(i + 1) * k * n], k);
                 }
-                ctx.recycle(bt);
-                ctx.recycle(at);
                 vec![Tensor::new([bsz, m, k], ga), Tensor::new([bsz, k, n], gb)]
             })),
         )

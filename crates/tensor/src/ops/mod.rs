@@ -5,6 +5,7 @@
 //! property-test suite.
 
 mod activation;
+mod attention;
 mod dispatch;
 mod elementwise;
 mod embedding;

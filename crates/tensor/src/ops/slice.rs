@@ -5,6 +5,21 @@ use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 use rand::Rng;
 
+/// Draw an inverted-dropout mask: one `f32` per element, in order, keeping
+/// it (as `1/(1-p)`) with probability `1-p`.
+pub(super) fn fill_dropout_mask<R: Rng>(mask: &mut [f32], p: f32, rng: &mut R) {
+    assert!(p < 1.0, "dropout probability must be < 1");
+    let keep = 1.0 - p;
+    let scale = 1.0 / keep;
+    for m in mask.iter_mut() {
+        *m = if rng.random::<f32>() < keep {
+            scale
+        } else {
+            0.0
+        };
+    }
+}
+
 impl Tape {
     /// Reinterpret a value with a new shape of equal element count.
     pub fn reshape(&self, a: Var, shape: impl Into<Shape>) -> Var {
@@ -100,25 +115,61 @@ impl Tape {
         )
     }
 
+    /// Concatenate rank-2 tensors of equal row count along the column axis
+    /// (attention heads back into `[rows, d]`). Pure data movement, forward
+    /// and backward.
+    pub fn concat_cols(&self, parts: &[Var]) -> Var {
+        let rows = self.value(parts[0]).shape().dim(0);
+        let widths: Vec<usize> = parts
+            .iter()
+            .map(|&p| {
+                let shape = self.shape_of(p);
+                assert!(
+                    shape.rank() == 2 && shape.dim(0) == rows,
+                    "concat_cols parts are [{rows}, _], got {shape}"
+                );
+                shape.dim(1)
+            })
+            .collect();
+        let d: usize = widths.iter().sum();
+        let mut data = self.alloc(rows * d);
+        let mut offset = 0;
+        for (&p, &w) in parts.iter().zip(&widths) {
+            let vp = self.value(p);
+            for (dst, src) in data.chunks_exact_mut(d).zip(vp.data().chunks_exact(w)) {
+                dst[offset..offset + w].copy_from_slice(src);
+            }
+            offset += w;
+        }
+        self.push(
+            Tensor::new([rows, d], data),
+            parts.iter().map(|p| p.id).collect(),
+            Some(Box::new(move |ctx| {
+                let mut offset = 0;
+                let split = widths.iter().map(|&w| {
+                    let mut part = ctx.alloc(rows * w);
+                    let g = ctx.grad().data();
+                    for (dst, src) in part.chunks_exact_mut(w).zip(g.chunks_exact(d)) {
+                        dst.copy_from_slice(&src[offset..offset + w]);
+                    }
+                    offset += w;
+                    Tensor::new([rows, w], part)
+                });
+                split.collect()
+            })),
+        )
+    }
+
     /// Inverted dropout: during training, zero each element with probability
     /// `p` and scale survivors by `1/(1-p)`; identity in eval mode.
     pub fn dropout<R: Rng>(&self, a: Var, p: f32, train: bool, rng: &mut R) -> Var {
         if !train || p <= 0.0 {
             return a;
         }
-        assert!(p < 1.0, "dropout probability must be < 1");
         let (shape, out, mask) = {
             let va = self.value(a);
-            let keep = 1.0 - p;
-            let scale = 1.0 / keep;
             let mut mask = self.alloc(va.numel());
-            for m in mask.iter_mut() {
-                *m = if rng.random::<f32>() < keep {
-                    scale
-                } else {
-                    0.0
-                };
-            }
+            fill_dropout_mask(&mut mask, p, rng);
             let mut out = self.alloc(va.numel());
             for ((o, &x), &m) in out.iter_mut().zip(va.data()).zip(&mask) {
                 *o = x * m;

@@ -70,11 +70,17 @@ impl Default for BufferPool {
 /// Shard count for every pool in the process: enough for the configured lane
 /// count (power of two for cheap masking), at least 4 so test-injected pools
 /// on small machines still spread, at most 16 to bound per-pool overhead.
+/// Computed once: `default_lanes` reads the environment (and, with
+/// `DELREC_THREADS` unset, the affinity mask and cgroup files; with it
+/// invalid, prints a warning), and every tape builds a pool.
 fn pool_shards() -> usize {
-    delrec_par::default_lanes()
-        .max(4)
-        .next_power_of_two()
-        .min(16)
+    static SHARDS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *SHARDS.get_or_init(|| {
+        delrec_par::default_lanes()
+            .max(4)
+            .next_power_of_two()
+            .min(16)
+    })
 }
 
 /// This thread's home shard, assigned round-robin at first use.
@@ -411,6 +417,7 @@ impl Tape {
     /// # Panics
     /// Panics if `loss` is not a single-element tensor.
     pub fn backward(&self, loss: Var) -> Gradients {
+        let _span = delrec_obs::span!("tensor.backward");
         let nodes = self.nodes.borrow();
         assert_eq!(
             nodes[loss.id].value.numel(),
@@ -558,6 +565,27 @@ mod tests {
         let tape = Tape::new();
         let x = tape.leaf(Tensor::from_vec(vec![1., 2.]));
         tape.backward(x);
+    }
+
+    #[test]
+    fn shard_count_is_read_from_the_environment_once() {
+        // Start the global pool first: it is the one other reader of the
+        // variable, and must not see the values set below.
+        delrec_par::global();
+        let before = pool_shards();
+        let saved = std::env::var("DELREC_THREADS").ok();
+        // Re-read, "64" would give 16 shards (more than any host of up to 8
+        // lanes starts with) and "zero" would print the invalid-value warning
+        // once per tape; read once, neither can.
+        for value in ["64", "zero"] {
+            std::env::set_var("DELREC_THREADS", value);
+            assert_eq!(pool_shards(), before);
+            assert_eq!(Tape::new().pool().shards.len(), before);
+        }
+        match saved {
+            Some(v) => std::env::set_var("DELREC_THREADS", v),
+            None => std::env::remove_var("DELREC_THREADS"),
+        }
     }
 
     #[test]

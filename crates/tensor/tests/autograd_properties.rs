@@ -119,3 +119,125 @@ proptest! {
         }
     }
 }
+
+/// `Σ_k a[i,k]·b[k,j]` for one output element in `matmul_raw`'s order: full
+/// 4-groups in ascending `k`, each as one left-associated expression added to
+/// the accumulator, then the remainder one product at a time.
+fn dot_in_kernel_order(k: usize, a: impl Fn(usize) -> f32, b: impl Fn(usize) -> f32) -> f32 {
+    let mut acc = 0.0f32;
+    let mut kk = 0;
+    while kk + 4 <= k {
+        acc +=
+            a(kk) * b(kk) + a(kk + 1) * b(kk + 1) + a(kk + 2) * b(kk + 2) + a(kk + 3) * b(kk + 3);
+        kk += 4;
+    }
+    while kk < k {
+        acc += a(kk) * b(kk);
+        kk += 1;
+    }
+    acc
+}
+
+fn to_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Batched matmul (and the 2-D product, drawn as `bsz = 0`), forward and
+    /// both gradients, against the naive per-element sums — bitwise, across
+    /// every tile and k-group remainder.
+    #[test]
+    fn matmul_batched_is_bitwise_the_naive_reference(
+        bsz in 0usize..3, m in 1usize..10, k in 1usize..10, n in 1usize..19,
+        seed in 0u64..1000,
+    ) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut fill = |len: usize| -> Vec<f32> {
+            (0..len).map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+            }).collect()
+        };
+        let dims = |r: usize, c: usize| match bsz {
+            0 => Shape::from([r, c]),
+            _ => Shape::from([bsz, r, c]),
+        };
+        let bsz = bsz.max(1);
+        let (a, b, w) = (fill(bsz * m * k), fill(bsz * k * n), fill(bsz * m * n));
+        let tape = Tape::new();
+        let av = tape.leaf(Tensor::new(dims(m, k), a.clone()));
+        let bv = tape.leaf(Tensor::new(dims(k, n), b.clone()));
+        let out = tape.matmul(av, bv);
+        // Weighted sum: the upstream gradient of `out` is exactly `w`.
+        let loss = tape.sum_all(tape.mul(out, tape.constant(Tensor::new(dims(m, n), w.clone()))));
+        let grads = tape.backward(loss);
+        let (mut want, mut want_ga, mut want_gb) =
+            (vec![0.0f32; bsz * m * n], vec![0.0f32; bsz * m * k], vec![0.0f32; bsz * k * n]);
+        for i in 0..bsz {
+            let (a, b, g) = (&a[i * m * k..], &b[i * k * n..], &w[i * m * n..]);
+            for r in 0..m {
+                for c in 0..n {
+                    want[(i * m + r) * n + c] =
+                        dot_in_kernel_order(k, |kk| a[r * k + kk], |kk| b[kk * n + c]);
+                }
+                // dA = g · Bᵀ
+                for c in 0..k {
+                    want_ga[(i * m + r) * k + c] =
+                        dot_in_kernel_order(n, |j| g[r * n + j], |j| b[c * n + j]);
+                }
+            }
+            // dB = Aᵀ · g
+            for r in 0..k {
+                for c in 0..n {
+                    want_gb[(i * k + r) * n + c] =
+                        dot_in_kernel_order(m, |j| a[j * k + r], |j| g[j * n + c]);
+                }
+            }
+        }
+        prop_assert_eq!(to_bits(tape.get(out).data()), to_bits(&want));
+        prop_assert_eq!(to_bits(grads.get(av).unwrap().data()), to_bits(&want_ga));
+        prop_assert_eq!(to_bits(grads.get(bv).unwrap().data()), to_bits(&want_gb));
+    }
+
+    /// The binary ops in their three broadcast modes (Exact / Scalar /
+    /// Suffix), forward and both gradients, against per-element `i % n`
+    /// indexing — bitwise, including the order the suffix gradient sums in.
+    #[test]
+    fn binary_ops_are_bitwise_the_per_element_reference(
+        rows in 1usize..6, d in 1usize..9, mode in 0usize..3, op in 0usize..4,
+        a in values(40), b in values(40), w in values(40),
+    ) {
+        let len = rows * d;
+        let (b_shape, n) = match mode {
+            0 => (Shape::from([rows, d]), len),
+            1 => (Shape::scalar(), 1),
+            _ => (Shape::from([d]), d),
+        };
+        let (a, b, w) = (&a[..len], &b[..n], &w[..len]);
+        let tape = Tape::new();
+        let av = tape.leaf(Tensor::new([rows, d], a.to_vec()));
+        let bv = tape.leaf(Tensor::new(b_shape, b.to_vec()));
+        type F = fn(f32, f32) -> f32;
+        let (out, fwd, dfa, dfb): (_, F, F, F) = match op {
+            0 => (tape.add(av, bv), |x, y| x + y, |_, _| 1.0, |_, _| 1.0),
+            1 => (tape.sub(av, bv), |x, y| x - y, |_, _| 1.0, |_, _| -1.0),
+            2 => (tape.mul(av, bv), |x, y| x * y, |_, y| y, |x, _| x),
+            _ => (tape.div(av, bv), |x, y| x / y, |_, y| 1.0 / y, |x, y| -x / (y * y)),
+        };
+        let loss = tape.sum_all(tape.mul(out, tape.constant(Tensor::new([rows, d], w.to_vec()))));
+        let grads = tape.backward(loss);
+        let want: Vec<f32> = (0..len).map(|i| fwd(a[i], b[i % n])).collect();
+        let want_ga: Vec<f32> = (0..len).map(|i| w[i] * dfa(a[i], b[i % n])).collect();
+        let mut want_gb = vec![0.0f32; n];
+        for i in 0..len {
+            let term = w[i] * dfb(a[i], b[i % n]);
+            // Exact assigns; the broadcast modes sum onto zeros, in order.
+            want_gb[i % n] = if mode == 0 { term } else { want_gb[i % n] + term };
+        }
+        prop_assert_eq!(to_bits(tape.get(out).data()), to_bits(&want));
+        prop_assert_eq!(to_bits(grads.get(av).unwrap().data()), to_bits(&want_ga));
+        prop_assert_eq!(to_bits(grads.get(bv).unwrap().data()), to_bits(&want_gb));
+    }
+}

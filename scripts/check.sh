@@ -20,6 +20,9 @@ cargo clippy -p delrec-par --all-targets -- -D warnings
 # The retrieval crate pins the full-catalog scan's determinism contract;
 # lint it (tests and proptests included) at the same bar.
 cargo clippy -p delrec-retrieval --all-targets -- -D warnings
+# The seqrec crate holds two of the three models built on the tape's attention
+# node and the suite that pins their training bits; same bar.
+cargo clippy -p delrec-seqrec --all-targets -- -D warnings
 # The benchmark package (perfbench/, a workspace of its own) builds the
 # product crates through path dependencies and uses only their public API:
 # build it here so an API break against it is caught before the pipeline
@@ -37,8 +40,11 @@ DELREC_THREADS=4 cargo test -q
 # The tensor kernels run `unsafe` `#[target_feature]` twins picked at run
 # time, and the LM engine's bitwise pins sit on top of them. The test profile
 # keeps `debug_assert!` on; release drops it (and links with thin LTO, where
-# the twins get their 256-bit code), so both crates must also hold there.
-cargo test --release -q -p delrec-tensor -p delrec-lm
+# the twins get their 256-bit code), so both crates must also hold there —
+# and delrec-seqrec with them: the tape's attention node is now the attention
+# of all three models (MiniLM, SASRec, BERT4Rec) and its blessed training
+# bits must hold without `debug_assert!` too.
+cargo test --release -q -p delrec-tensor -p delrec-lm -p delrec-seqrec
 
 # Smoke-run the inference-engine benchmark: asserts the grad-free engine's
 # scores are bitwise identical to the tape before timing anything, then that

@@ -49,6 +49,21 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("mrr", 0, 0x3FD721DCC877321D),
 ];
 
+/// FNV-1a over the bits of every fitted parameter (backbone, soft prompts,
+/// adapters), in store order. HR/NDCG over 24 examples cannot see a last-ulp
+/// drift in training; this can. Re-bless it by the procedure above.
+const GOLDEN_PARAM_BITS: u64 = 0xF53F_45E3_0092_D51E;
+
+fn fnv1a_param_bits(store: &delrec::tensor::ParamStore) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (_, _, t) in store.iter() {
+        for byte in t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 #[test]
 fn metrics_are_bit_stable_across_builds() {
     let seed = 33;
@@ -84,6 +99,13 @@ fn metrics_are_bit_stable_across_builds() {
     assert_eq!(report.len(), 24, "evaluation example count changed");
 
     let mut failures = Vec::new();
+    let param_bits = fnv1a_param_bits(model.lm().store());
+    println!("golden metrics: fitted parameter bits = {param_bits:#018X}");
+    if param_bits != GOLDEN_PARAM_BITS {
+        failures.push(format!(
+            "fitted parameter bits: got {param_bits:#018X}, blessed {GOLDEN_PARAM_BITS:#018X}"
+        ));
+    }
     for &(label, k, want_bits) in GOLDEN {
         let got = match label {
             "hr" => report.hr(k),
