@@ -33,8 +33,8 @@ use delrec_eval::json::Json;
 use delrec_eval::report::Table;
 use delrec_lm::{verbalizer, LmToken, MiniLm, MiniLmConfig};
 use delrec_tensor::{
-    gemm_packed_panels, matmul_raw_strided, pack_b_into, simd_lanes, vmath, Ctx, InferCtx,
-    MathMode, PackedB, Tape, NR,
+    gemm_packed_panels, matmul_raw_strided, pack_b_into, simd_lanes, vmath, Ctx, InferCtx, PackedB,
+    Tape, NR,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -154,7 +154,7 @@ const XL_SWEEP_PROMPTS: [usize; 3] = [7, 32, 224];
 fn xl_prompt_sweep() -> Vec<(usize, f64)> {
     let vocab = 512;
     let lm = MiniLm::new(MiniLmConfig::xl(vocab), 7);
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let one_lane = delrec_par::ThreadPool::new(1);
     XL_SWEEP_PROMPTS
         .iter()
@@ -229,7 +229,7 @@ fn main() {
         let logits = tape.get(lm.mask_logits_batch(&c, seqs, None, mask_pos, &mut rng));
         let refs: Vec<&[Vec<u32>]> = title_sets.iter().map(|t| t.as_slice()).collect();
         let want = verbalizer::rank_candidates_batch(&logits, &refs);
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         let cache = lm.build_prefix_cache(&ic, &shared_prefix, None);
         let logits = lm.mask_logits_infer_batch(&ic, seqs, None, mask_pos, cache.as_ref());
         let got = verbalizer::rank_candidates_batch(&logits, &refs);
@@ -285,9 +285,9 @@ fn main() {
 
     // Closure shared by the two engine configurations.
     let mut run_engine = |label: &str, use_cache: bool, table: &mut Table| {
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         // Built once per run, like the eval path (rebuilt only when
-        // parameters, math mode, or the template prefix change).
+        // parameters or the template prefix change).
         let cache = if use_cache {
             lm.build_prefix_cache(&ic, &shared_prefix, None)
         } else {

@@ -31,7 +31,7 @@ use delrec_data::synthetic::DatasetProfile;
 use delrec_eval::json::Json;
 use delrec_lm::verbalizer;
 use delrec_obs::{FlatSpanStats, MetricValue, SpanStats};
-use delrec_tensor::{InferCtx, MathMode};
+use delrec_tensor::InferCtx;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -98,7 +98,7 @@ fn main() {
     let lm = ctx.lm(LmPreset::Large);
     let prompts = PromptStream::build(&ctx, TeacherKind::SASRec, args.seed, 64);
     let n = prompts.len();
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let cache = lm.build_prefix_cache(&ic, prompts.shared_prefix(), None);
     let one_pass = || {
         let mut i = 0;

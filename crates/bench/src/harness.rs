@@ -5,8 +5,7 @@
 //! timing is reported, best-of-N timing loops, and a JSON blob written to
 //! `results/BENCH_*.json`. This module holds the pieces that used to be
 //! copy-pasted across `bin/{infer,serve,obs,gemm,par}.rs` so a new benchmark
-//! (e.g. `bin/quant`) starts from the shared, already-trusted building
-//! blocks.
+//! starts from the shared, already-trusted building blocks.
 
 use crate::ExperimentContext;
 use delrec_core::{DelRec, LmPreset, PromptBuilder, SoftMode, TeacherKind};

@@ -4,7 +4,6 @@
 use crate::ablation::Variant;
 use crate::pipeline::LmPreset;
 use delrec_lm::AdaLoraConfig;
-use delrec_tensor::MathMode;
 
 /// Which conventional model distills into the soft prompts (the paper
 /// reports DELRec (Caser), DELRec (GRU4Rec), DELRec (SASRec)).
@@ -108,14 +107,6 @@ pub struct DelRecConfig {
     /// Pin the multi-task weight λ of Eq. 6 (None = dynamic weighting, the
     /// paper's behaviour; used by the design-ablation harness).
     pub fixed_lambda: Option<f32>,
-    /// Numeric mode of the scoring engine a fitted/loaded model starts in
-    /// ([`MathMode::Exact`] by default). Training always runs exact; this
-    /// only selects the inference path — `Quantized` serves int8 weight
-    /// panels. The eval
-    /// harness and server both construct models through this config, so
-    /// setting it here plumbs the mode end to end;
-    /// `DelRec::set_math_mode` remains the runtime switch.
-    pub math: MathMode,
     /// Master seed.
     pub seed: u64,
 }
@@ -158,7 +149,6 @@ impl DelRecConfig {
             adalora_prune_every: 20,
             variant: Variant::Default,
             fixed_lambda: None,
-            math: MathMode::Exact,
             seed: 42,
         }
     }

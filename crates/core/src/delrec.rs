@@ -10,17 +10,17 @@ use delrec_data::{Dataset, ItemId, Vocab};
 use delrec_eval::Ranker;
 use delrec_lm::{verbalizer, LmToken, MiniLm, PrefixCache, SoftPrompt, TitleCache};
 use delrec_seqrec::SequentialRecommender;
-use delrec_tensor::{Ctx, InferCtx, MathMode, Tape, Tensor};
+use delrec_tensor::{Ctx, InferCtx, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lazily-maintained state of the grad-free scoring engine: the tape-free
-/// forward context (buffer pool + math mode) and the current prefix K/V
-/// cache, rebuilt whenever the parameter-store version, math mode, or prompt
-/// prefix changes.
+/// forward context (a buffer pool) and the current prefix K/V cache, rebuilt
+/// whenever the parameter-store version or prompt prefix changes.
+#[derive(Default)]
 struct EngineState {
     ctx: InferCtx,
     cache: Option<PrefixCache>,
@@ -34,28 +34,23 @@ struct EngineState {
 /// inference context and prefix cache, while a single-threaded caller reuses
 /// one warm state forever. The pool is bounded by the number of concurrent
 /// scorers.
-struct EnginePool {
-    states: Mutex<Vec<EngineState>>,
-    math: MathMode,
-}
+#[derive(Default)]
+struct EnginePool(Mutex<Vec<EngineState>>);
 
 impl EnginePool {
-    fn new(math: MathMode) -> Self {
-        EnginePool {
-            states: Mutex::new(Vec::new()),
-            math,
-        }
+    /// The pooled states, recovered if a holder panicked: each critical
+    /// section is one push or one pop, so the vector is always valid — and a
+    /// panic contained by the server must not fail every later request.
+    fn states(&self) -> MutexGuard<'_, Vec<EngineState>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn checkout(&self) -> EngineState {
-        self.states.lock().unwrap().pop().unwrap_or(EngineState {
-            ctx: InferCtx::new(self.math),
-            cache: None,
-        })
+        self.states().pop().unwrap_or_default()
     }
 
     fn checkin(&self, state: EngineState) {
-        self.states.lock().unwrap().push(state);
+        self.states().push(state);
     }
 }
 
@@ -77,7 +72,6 @@ pub struct DelRec {
     /// Whether scoring routes through the grad-free inference engine
     /// (default) or the reference autograd tape.
     infer_enabled: bool,
-    math: MathMode,
     engine: EnginePool,
     titles: TitleCache,
 }
@@ -206,8 +200,7 @@ impl DelRec {
             stage1_stats,
             stage2_losses,
             infer_enabled: true,
-            math: cfg.math,
-            engine: EnginePool::new(cfg.math),
+            engine: EnginePool::default(),
             titles: TitleCache::new(),
         }
     }
@@ -266,16 +259,15 @@ impl DelRec {
             stage1_stats: Stage1Stats::default(),
             stage2_losses: Vec::new(),
             infer_enabled: true,
-            math: cfg.math,
-            engine: EnginePool::new(cfg.math),
+            engine: EnginePool::default(),
             titles: TitleCache::new(),
         })
     }
 
     /// Route candidate scoring through the grad-free inference engine
     /// (`true`, the default) or through the reference autograd-tape forward
-    /// (`false`). In [`MathMode::Exact`] the two produce bitwise-identical
-    /// scores; the tape path remains as the always-correct oracle.
+    /// (`false`). The two produce bitwise-identical scores; the tape path
+    /// remains as the always-correct oracle.
     pub fn set_inference_engine(&mut self, enabled: bool) {
         self.infer_enabled = enabled;
     }
@@ -283,22 +275,6 @@ impl DelRec {
     /// Whether scoring currently uses the inference engine.
     pub fn inference_engine_enabled(&self) -> bool {
         self.infer_enabled
-    }
-
-    /// Numeric mode for engine scoring: [`MathMode::Exact`] mirrors the tape
-    /// bit for bit, and [`MathMode::Quantized`] serves per-channel int8 weight
-    /// panels (activations stay f32; see `delrec-lm`). Switching drops every
-    /// pooled engine state (contexts and prefix K/V caches are keyed on the
-    /// mode); the weight-pack cache keeps one slot per pack format, so
-    /// toggling between modes never rebuilds a still-valid pack.
-    pub fn set_math_mode(&mut self, math: MathMode) {
-        self.math = math;
-        self.engine = EnginePool::new(math);
-    }
-
-    /// Current numeric mode of the engine.
-    pub fn math_mode(&self) -> MathMode {
-        self.math
     }
 
     /// The Stage-2 prompt of one request: the paper's `n − 1 = 9` most recent
@@ -343,7 +319,7 @@ impl DelRec {
         let fresh = eng
             .cache
             .as_ref()
-            .is_some_and(|c| c.is_valid_for(version, eng.ctx.math(), shared_prefix));
+            .is_some_and(|c| c.is_valid_for(version, shared_prefix));
         if !fresh {
             delrec_obs::counter!("core.prefix_cache.rebuild").incr();
             let _build = delrec_obs::span!("core.prefix_cache.build");

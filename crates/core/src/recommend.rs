@@ -8,20 +8,18 @@
 //! chunks (prompt context caps how many titles fit per forward). Both stages
 //! are bitwise thread-count deterministic, so the composition is too.
 //!
-//! The retriever is cached per parameter-store version with one slot per
-//! index format — the exact discipline of the LM weight-pack cache: the f32
-//! slot serves [`MathMode::Exact`], the q8 slot serves
-//! [`MathMode::Quantized`], and a version bump invalidates a slot without
-//! touching the other. `retrieval.index.{build,hit}` counters and the
-//! `retrieval.index.bytes` gauge make the cache observable.
+//! The retriever lives in a [`VersionedSlot`] — the LM weight pack's
+//! discipline: rebuilt from re-exported embeddings when the parameter-store
+//! version moves. `retrieval.index.{build,hit}` counters and the
+//! `retrieval.index.bytes` gauge make the slot observable.
 
 use crate::delrec::DelRec;
 use delrec_data::ItemId;
 use delrec_eval::{Ranker, ScoreRequest, TopKQuery, TopKRecommender};
 use delrec_lm::MiniLm;
 use delrec_retrieval::{sort_ranked, IndexFormat, Retriever};
-use delrec_tensor::MathMode;
-use std::sync::{Arc, Mutex};
+use delrec_tensor::VersionedSlot;
+use std::sync::Arc;
 
 /// Pipeline knobs for [`Recommender`].
 #[derive(Clone, Debug)]
@@ -34,6 +32,10 @@ pub struct RecommendConfig {
     /// candidate sets; chunks reuse that shape so the scorer stays in
     /// distribution).
     pub rerank_chunk: usize,
+    /// Storage format of the item index, fixed at construction: f32 panels
+    /// by default, or int8 codes — a 3.6x smaller index at f32-parity scan
+    /// speed, with scores that differ in low bits.
+    pub index_format: IndexFormat,
 }
 
 impl Default for RecommendConfig {
@@ -41,21 +43,7 @@ impl Default for RecommendConfig {
         RecommendConfig {
             retrieve_n: 100,
             rerank_chunk: 15,
-        }
-    }
-}
-
-/// Version-keyed retriever cache: slot 0 holds f32 panels (Exact),
-/// slot 1 holds q8 panels (Quantized) — mirror of the LM's dual-slot
-/// weight-pack cache.
-struct RetrieverCache {
-    slots: Mutex<[Option<Arc<Retriever>>; 2]>,
-}
-
-impl RetrieverCache {
-    fn new() -> Self {
-        RetrieverCache {
-            slots: Mutex::new([None, None]),
+            index_format: IndexFormat::F32,
         }
     }
 }
@@ -65,12 +53,11 @@ impl RetrieverCache {
 pub struct Recommender {
     model: DelRec,
     cfg: RecommendConfig,
-    cache: RetrieverCache,
+    cache: VersionedSlot<Retriever>,
 }
 
 /// The pipeline must be shareable across serving threads like [`DelRec`]
-/// itself (the cache is a `Mutex` over `Arc`s; the retriever is immutable
-/// once built).
+/// itself (the retriever is immutable once built).
 #[allow(dead_code)]
 fn _assert_recommender_send_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
@@ -90,7 +77,7 @@ impl Recommender {
         Recommender {
             model,
             cfg,
-            cache: RetrieverCache::new(),
+            cache: VersionedSlot::default(),
         }
     }
 
@@ -109,13 +96,6 @@ impl Recommender {
     /// The pipeline configuration.
     pub fn config(&self) -> &RecommendConfig {
         &self.cfg
-    }
-
-    /// Switch the re-ranker's numeric mode (see [`DelRec::set_math_mode`]).
-    /// The retriever cache keeps one slot per index format, so toggling
-    /// between modes never rebuilds a still-valid index.
-    pub fn set_math_mode(&mut self, math: MathMode) {
-        self.model.set_math_mode(math);
     }
 
     /// Export the `[n_items, d_model]` item-embedding matrix from the LM:
@@ -150,42 +130,18 @@ impl Recommender {
         (emb, dim)
     }
 
-    /// The current retriever: cached when its parameter-store version (and
-    /// format slot) still match, rebuilt from freshly exported embeddings
-    /// otherwise.
+    /// The current retriever: the slot's while the parameter-store version
+    /// stands, rebuilt from freshly exported embeddings once it moves.
     fn retriever(&self) -> Arc<Retriever> {
         let version = self.model.lm().store().version();
-        let (slot, format) = match self.model.math_mode() {
-            MathMode::Quantized => (1, IndexFormat::Q8),
-            MathMode::Exact => (0, IndexFormat::F32),
-        };
-        {
-            let slots = self.cache.slots.lock().unwrap();
-            if let Some(r) = &slots[slot] {
-                if r.index().version() == version {
-                    delrec_obs::counter!("retrieval.index.hit").incr();
-                    return Arc::clone(r);
-                }
-            }
+        let (retriever, hit) = self.cache.get_or_build(version, || {
+            let (emb, dim) = Self::export_embeddings(self.model.lm(), self.model.items());
+            Retriever::build(emb, dim, version, self.cfg.index_format)
+        });
+        if hit {
+            delrec_obs::counter!("retrieval.index.hit").incr();
         }
-        // Build outside the lock: export + pack dominate a miss by orders of
-        // magnitude, and holding the mutex across them would stall every
-        // concurrent recommend — including hits on the *other* slot. Two
-        // threads can race past the miss and both build; the double-check
-        // below resolves it toward the first insert. Both builds are bitwise
-        // identical (same version, same embeddings), so discarding the
-        // loser's copy changes nothing but some wasted work under a race
-        // that only fires on simultaneous first-touch of a new version.
-        let (emb, dim) = Self::export_embeddings(self.model.lm(), self.model.items());
-        let built = Arc::new(Retriever::build(emb, dim, version, format));
-        let mut slots = self.cache.slots.lock().unwrap();
-        if let Some(r) = &slots[slot] {
-            if r.index().version() == version {
-                return Arc::clone(r);
-            }
-        }
-        slots[slot] = Some(Arc::clone(&built));
-        built
+        retriever
     }
 
     /// Retrieve-only entry (no re-ranking): the scan's best-first top-`n`.

@@ -4,18 +4,19 @@
 //! sets including empty histories, per-request `k`s larger than
 //! `retrieve_n`, both index formats, and at `DELREC_THREADS` ∈ {1, 2, 4, 8}.
 //!
-//! One smoke model is fitted per math mode and shared across all the checks
-//! (fitting dominates this test's runtime; the checks themselves are cheap).
+//! One smoke model is fitted and shared across all the checks (fitting
+//! dominates this test's runtime; the checks themselves are cheap): the
+//! second index format gets a save/load copy of it.
 
 use delrec_core::{
     build_teacher, pretrained_lm, DelRec, DelRecConfig, LmPreset, Pipeline, RecommendConfig,
     Recommender, TeacherKind,
 };
 use delrec_data::synthetic::{DatasetProfile, SyntheticConfig};
-use delrec_data::{ItemId, Split};
+use delrec_data::{Dataset, ItemId, Split};
 use delrec_eval::{TopKQuery, TopKRecommender};
 use delrec_par::{with_pool, ThreadPool};
-use delrec_tensor::MathMode;
+use delrec_retrieval::IndexFormat;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -23,11 +24,32 @@ fn bits(ranked: &[(ItemId, f32)]) -> Vec<(u32, u32)> {
     ranked.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
 }
 
-fn smoke_recommender() -> (Recommender, Vec<Vec<ItemId>>) {
+fn smoke_dataset() -> (Dataset, Pipeline) {
     let ds = SyntheticConfig::profile(DatasetProfile::MovieLens100K)
         .scaled(0.08)
         .generate(23);
     let pipeline = Pipeline::build(&ds);
+    (ds, pipeline)
+}
+
+fn smoke_config() -> DelRecConfig {
+    let mut cfg = DelRecConfig::smoke(TeacherKind::SASRec);
+    cfg.lm = LmPreset::Large;
+    cfg
+}
+
+/// A recommender over a save/load copy of `rec`'s model: identical
+/// parameters, an empty retriever slot, and its own pipeline configuration.
+fn restored(rec: &Recommender, cfg: RecommendConfig) -> Recommender {
+    let mut blob = Vec::new();
+    rec.model().save(&mut blob).expect("serialize");
+    let (_, pipeline) = smoke_dataset();
+    let model = DelRec::load(&pipeline, &smoke_config(), &mut blob.as_slice()).expect("restore");
+    Recommender::with_config(model, cfg)
+}
+
+fn smoke_recommender() -> (Recommender, Vec<Vec<ItemId>>) {
+    let (ds, pipeline) = smoke_dataset();
     let lm = pretrained_lm(
         &ds,
         &pipeline,
@@ -40,16 +62,14 @@ fn smoke_recommender() -> (Recommender, Vec<Vec<ItemId>>) {
         2,
     );
     let teacher = build_teacher(&ds, TeacherKind::SASRec, 1, Some(30), 5);
-    let mut cfg = DelRecConfig::smoke(TeacherKind::SASRec);
-    cfg.lm = LmPreset::Large;
-    let model = DelRec::fit(&ds, &pipeline, teacher.as_ref(), lm, &cfg);
+    let model = DelRec::fit(&ds, &pipeline, teacher.as_ref(), lm, &smoke_config());
     // A small retrieve_n so the k > retrieve_n requests below actually
     // exercise the per-request max(retrieve_n, k) depth widening.
     let rec = Recommender::with_config(
         model,
         RecommendConfig {
             retrieve_n: 8,
-            rerank_chunk: 15,
+            ..Default::default()
         },
     );
     // Ragged histories: real test prefixes of varying length, a one-item
@@ -65,15 +85,22 @@ fn smoke_recommender() -> (Recommender, Vec<Vec<ItemId>>) {
 
 #[test]
 fn recommend_batch_is_bitwise_sequential_across_threads_and_modes() {
-    let (mut rec, histories) = smoke_recommender();
+    let (rec, histories) = smoke_recommender();
     let refs: Vec<&[ItemId]> = histories.iter().map(|h| h.as_slice()).collect();
     // Per-request depths straddling retrieve_n = 8 (the 20s force the
     // widened retrieval depth path).
     let ks: [usize; 6] = [5, 20, 8, 3, 20, 1];
     let requests: Vec<TopKQuery<'_>> = refs.iter().zip(ks).map(|(&h, k)| (h, k)).collect();
 
-    for mode in [MathMode::Exact, MathMode::Quantized] {
-        rec.set_math_mode(mode);
+    let q8 = restored(
+        &rec,
+        RecommendConfig {
+            index_format: IndexFormat::Q8,
+            ..rec.config().clone()
+        },
+    );
+    for rec in [&rec, &q8] {
+        let mode = rec.config().index_format;
         let serial = ThreadPool::new(1);
         let want: Vec<_> = with_pool(&serial, || {
             requests
@@ -119,21 +146,8 @@ fn parallel_embedding_export_matches_serial_bitwise() {
     // parameters) and compare full catalog rankings, which are a function of
     // every exported row.
     let (rec, histories) = smoke_recommender();
-    let mut blob = Vec::new();
-    rec.model().save(&mut blob).expect("serialize");
-    let ds_cfg = DelRecConfig::smoke(TeacherKind::SASRec);
     let history = histories[0].as_slice();
-
-    let make_fresh = || {
-        let ds = SyntheticConfig::profile(DatasetProfile::MovieLens100K)
-            .scaled(0.08)
-            .generate(23);
-        let pipeline = Pipeline::build(&ds);
-        let mut cfg = ds_cfg.clone();
-        cfg.lm = LmPreset::Large;
-        let restored = DelRec::load(&pipeline, &cfg, &mut blob.as_slice()).expect("restore");
-        Recommender::new(restored)
-    };
+    let make_fresh = || restored(&rec, RecommendConfig::default());
 
     let serial = ThreadPool::new(1);
     let want = with_pool(&serial, || {

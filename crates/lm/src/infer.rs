@@ -21,11 +21,11 @@
 //!   and the scratch a forward touches stays within what the buffer pool
 //!   retains; the tiles are also the unit the thread pool's lanes claim.
 //!
-//! In [`MathMode::Exact`] the output is **bitwise identical** to
-//! [`MiniLm::mask_logits_batch`]: softmax and GELU are the tape's own
-//! kernels ([`delrec_tensor::vmath`]), every GEMM keeps `matmul_raw`'s
-//! k-grouping, the layer norm mirrors the tape's, padded tails contribute
-//! exact `+0.0` terms, and row-local ops are computed per row either way.
+//! The output is **bitwise identical** to [`MiniLm::mask_logits_batch`]:
+//! softmax and GELU are the tape's own kernels ([`delrec_tensor::vmath`]),
+//! every GEMM keeps `matmul_raw`'s k-grouping, the layer norm mirrors the
+//! tape's, padded tails contribute exact `+0.0` terms, and row-local ops are
+//! computed per row either way.
 //! The tests below pin this for every preset, with soft prompts and AdaLoRA
 //! adapters attached.
 //!
@@ -44,18 +44,18 @@
 //! reads suffix positions into every prefix hidden state), so
 //! [`MiniLm::build_prefix_cache`] returns `None` otherwise and callers fall
 //! back to the plain tape-free forward. A cache is also keyed on the
-//! parameter-store [`version`](delrec_tensor::ParamStore::version) and the
-//! [`MathMode`], so any soft-prompt or AdaLoRA update invalidates it.
+//! parameter-store [`version`](delrec_tensor::ParamStore::version), so any
+//! soft-prompt or AdaLoRA update invalidates it.
 
 use crate::transformer::{LmToken, MiniLm};
-use delrec_tensor::infer::{layer_norm_rows, InferCtx, MathMode};
+use delrec_tensor::infer::{layer_norm_rows, InferCtx};
 use delrec_tensor::vmath::softmax_row;
 use delrec_tensor::{
-    gemm_packed, gemm_packed_panels, gemm_packed_q8, matmul_raw_strided, pack_b, pack_b_into,
-    pack_b_transposed, quantize_pack, PackedB, ParamId, QuantizedPanel, Tensor, NR,
+    gemm_packed, gemm_packed_panels, matmul_raw_strided, pack_b, pack_b_into, pack_b_transposed,
+    PackedB, ParamId, Tensor, NR,
 };
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Token rows per engine tile. Every per-row buffer of a forward is
 /// `[rows, ≤ 3·d]` floats, so ~1 Ki rows keep a tile's working set inside a
@@ -79,7 +79,6 @@ type HeadKv = (Vec<f32>, Vec<f32>);
 pub struct PrefixCache {
     tokens: Vec<LmToken>,
     version: u64,
-    math: MathMode,
     layers: Vec<Vec<HeadKv>>,
     p: usize,
     has_soft: bool,
@@ -102,51 +101,15 @@ impl PrefixCache {
         &self.tokens
     }
 
-    /// Whether this cache may be used for the given store version, math mode
-    /// and prompt prefix. Any parameter write (soft-prompt or AdaLoRA
-    /// update, optimizer step) bumps the store version and invalidates.
-    pub fn is_valid_for(&self, store_version: u64, math: MathMode, prefix: &[LmToken]) -> bool {
-        self.version == store_version && self.math == math && self.tokens == prefix
+    /// Whether this cache may be used for the given store version and
+    /// prompt prefix. Any parameter write (soft-prompt or AdaLoRA update,
+    /// optimizer step) bumps the store version and invalidates.
+    pub fn is_valid_for(&self, store_version: u64, prefix: &[LmToken]) -> bool {
+        self.version == store_version && self.tokens == prefix
     }
 }
 
-/// One packed projection panel in either precision: f32
-/// ([`MathMode::Exact`]) or per-channel int8 ([`MathMode::Quantized`]). The
-/// kernel dispatch lives here so the forward pass reads identically in both
-/// modes — outputs are f32 either way.
-pub(crate) enum Panel {
-    F32(PackedB),
-    Q8(QuantizedPanel),
-}
-
-impl Panel {
-    /// `out[m, n] (+)= a[m, k] · B` through the precision-matched kernel.
-    fn gemm(&self, a: &[f32], lda: usize, out: &mut [f32], m: usize, accumulate: bool) {
-        match self {
-            Panel::F32(p) => gemm_packed(a, lda, p, out, m, accumulate),
-            Panel::Q8(p) => gemm_packed_q8(a, lda, p, out, m, accumulate),
-        }
-    }
-
-    /// Heap bytes of this panel (codes/floats plus q8 scales).
-    fn bytes(&self) -> usize {
-        match self {
-            Panel::F32(p) => p.bytes(),
-            Panel::Q8(p) => p.bytes(),
-        }
-    }
-
-    /// Quantize an f32 panel in place of its layout; a q8 panel passes
-    /// through unchanged.
-    fn quantized(self) -> Panel {
-        match self {
-            Panel::F32(p) => Panel::Q8(quantize_pack(&p)),
-            q8 => q8,
-        }
-    }
-}
-
-/// Packed weight panels of one block, ready for [`Panel::gemm`].
+/// Packed weight panels of one block, ready for [`gemm_packed`].
 ///
 /// `qkv` is the fused `[d, 3·d]` panel — columns `0..d` are the per-head
 /// `wq` side by side (head `h` at columns `h·dh..(h+1)·dh`), `d..2d` the
@@ -157,88 +120,35 @@ impl Panel {
 /// pruning, queries run over the gathered mask rows while keys/values still
 /// cover every row, so the three cannot share one call there.
 pub(crate) struct LayerPack {
-    qkv: Panel,
-    q: Option<Panel>,
-    kv: Option<Panel>,
-    wo: Panel,
-    w1: Panel,
-    w2: Panel,
+    qkv: PackedB,
+    q: Option<PackedB>,
+    kv: Option<PackedB>,
+    wo: PackedB,
+    w1: PackedB,
+    w2: PackedB,
 }
 
 impl LayerPack {
     fn bytes(&self) -> usize {
         self.qkv.bytes()
-            + self.q.as_ref().map_or(0, Panel::bytes)
-            + self.kv.as_ref().map_or(0, Panel::bytes)
+            + self.q.as_ref().map_or(0, PackedB::bytes)
+            + self.kv.as_ref().map_or(0, PackedB::bytes)
             + self.wo.bytes()
             + self.w1.bytes()
             + self.w2.bytes()
     }
-
-    fn quantized(self) -> LayerPack {
-        LayerPack {
-            qkv: self.qkv.quantized(),
-            q: self.q.map(Panel::quantized),
-            kv: self.kv.map(Panel::quantized),
-            wo: self.wo.quantized(),
-            w1: self.w1.quantized(),
-            w2: self.w2.quantized(),
-        }
-    }
 }
 
-/// Every packed weight panel of a [`MiniLm`], built once per
-/// (parameter-store version, precision): the attention/FFN panels per block
-/// plus the transposed tied-embedding head. Attention projections are packed
-/// with their AdaLoRA delta folded in (`W + ΔW`), so the per-forward
-/// `eff_proj` materialization disappears from the hot path along with the
-/// packing itself — and under [`MathMode::Quantized`] the delta is folded
-/// *before* quantization, exactly like the f32 pack, because the q8 panels
-/// are quantized from that same f32 pack.
+/// Every packed weight panel of a [`MiniLm`], held in the model's
+/// [`VersionedSlot`](delrec_tensor::VersionedSlot) and so rebuilt once per
+/// parameter-store version: the attention/FFN panels per block plus the
+/// transposed tied-embedding head. Attention projections are packed with
+/// their AdaLoRA delta folded in (`W + ΔW`), so the per-forward `eff_proj`
+/// materialization disappears from the hot path along with the packing
+/// itself.
 pub(crate) struct LmPack {
-    version: u64,
     layers: Vec<LayerPack>,
-    head: Panel,
-}
-
-impl LmPack {
-    /// Heap bytes of every panel in the pack (q8 scales included).
-    fn bytes(&self) -> usize {
-        self.layers.iter().map(LayerPack::bytes).sum::<usize>() + self.head.bytes()
-    }
-}
-
-/// Lazily built, version-checked cache slots for the model's [`LmPack`]s —
-/// the same invalidation discipline as [`PrefixCache`]: any parameter write
-/// bumps the store version and the next forward repacks. The f32 and int8
-/// packs live in separate slots keyed on (store version, precision), so the
-/// two coexist — a serving fleet can flip `MathMode` without thrashing —
-/// and invalidate independently.
-///
-/// `Clone` deliberately resets to empty: [`MiniLm`] is `Clone`, and two
-/// clones have independent stores whose version counters advance
-/// independently from identical starting values, so a shared pack could
-/// validate against the wrong clone's weights.
-pub(crate) struct PackCache(Mutex<[Option<Arc<LmPack>>; 2]>);
-
-impl PackCache {
-    /// Slot index for a math mode: f32 panels serve `Exact`, int8 panels
-    /// `Quantized`.
-    fn slot(math: MathMode) -> usize {
-        usize::from(math == MathMode::Quantized)
-    }
-}
-
-impl Default for PackCache {
-    fn default() -> Self {
-        PackCache(Mutex::new([None, None]))
-    }
-}
-
-impl Clone for PackCache {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
+    head: PackedB,
 }
 
 /// Embedding tables plus the batch-level soft flag, so suffix rows mirror
@@ -348,18 +258,10 @@ impl MiniLm {
         }
     }
 
-    /// Build every packed weight panel from the current store contents. With
-    /// `quantized`, the f32 panels (AdaLoRA deltas already folded) are
-    /// converted to per-channel int8 as a final pass under the
-    /// `pack.quantize` span, and the byte gauges record whichever precision
-    /// was built.
-    fn build_pack(&self, quantized: bool) -> LmPack {
+    /// Build every packed weight panel from the current store contents.
+    fn build_pack(&self) -> LmPack {
         let _span = delrec_obs::span!("lm.pack");
-        if quantized {
-            delrec_obs::counter!("lm.weight_pack.build_q8").incr();
-        } else {
-            delrec_obs::counter!("lm.weight_pack.build").incr();
-        }
+        delrec_obs::counter!("lm.weight_pack.build").incr();
         let cfg = &self.cfg;
         let d = cfg.d_model;
         let heads = cfg.num_heads;
@@ -397,69 +299,37 @@ impl MiniLm {
                         kvb[r * 2 * d..(r + 1) * 2 * d]
                             .copy_from_slice(&qkv[r * 3 * d + d..(r + 1) * 3 * d]);
                     }
-                    (
-                        Some(Panel::F32(pack_b(&qb, d, d))),
-                        Some(Panel::F32(pack_b(&kvb, d, 2 * d))),
-                    )
+                    (Some(pack_b(&qb, d, d)), Some(pack_b(&kvb, d, 2 * d)))
                 } else {
                     (None, None)
                 };
                 LayerPack {
-                    qkv: Panel::F32(pack_b(&qkv, d, 3 * d)),
+                    qkv: pack_b(&qkv, d, 3 * d),
                     q,
                     kv,
-                    wo: Panel::F32(pack_b(self.store.get(b.wo).data(), d, d)),
-                    w1: Panel::F32(pack_b(self.store.get(b.w1).data(), d, ffn)),
-                    w2: Panel::F32(pack_b(self.store.get(b.w2).data(), ffn, d)),
+                    wo: pack_b(self.store.get(b.wo).data(), d, d),
+                    w1: pack_b(self.store.get(b.w1).data(), d, ffn),
+                    w2: pack_b(self.store.get(b.w2).data(), ffn, d),
                 }
             })
             .collect::<Vec<_>>();
         // The tied embedding is stored [vocab, d] but multiplies as
         // [d, vocab]: the head panel is packed from the transpose.
-        let mut head = Panel::F32(pack_b_transposed(
-            self.store.get(self.tok_emb).data(),
-            d,
-            cfg.vocab_size,
-        ));
-        let mut layers = layers;
-        if quantized {
-            let _qspan = delrec_obs::span!("pack.quantize");
-            layers = layers.into_iter().map(LayerPack::quantized).collect();
-            head = head.quantized();
-        }
-        let pack = LmPack {
-            version: self.store.version(),
-            layers,
-            head,
-        };
-        if quantized {
-            delrec_obs::gauge!("lm.weight_pack.bytes_q8").set(pack.bytes() as f64);
-        } else {
-            delrec_obs::gauge!("lm.weight_pack.bytes").set(pack.bytes() as f64);
-        }
-        pack
+        let head = pack_b_transposed(self.store.get(self.tok_emb).data(), d, cfg.vocab_size);
+        let bytes = layers.iter().map(LayerPack::bytes).sum::<usize>() + head.bytes();
+        delrec_obs::gauge!("lm.weight_pack.bytes").set(bytes as f64);
+        LmPack { layers, head }
     }
 
-    /// The model's packed weight panels for a math mode, rebuilt iff the
-    /// parameter-store version moved since that precision's cached pack was
-    /// built. `Exact` owns the f32 slot, `Quantized` the int8 slot — the two
-    /// never evict each other.
-    fn lm_pack(&self, math: MathMode) -> Arc<LmPack> {
-        let quantized = math == MathMode::Quantized;
-        let mut slots = self.pack_cache.0.lock().expect("pack cache poisoned");
-        let slot = &mut slots[PackCache::slot(math)];
-        if let Some(pack) = slot.as_ref() {
-            if pack.version == self.store.version() {
-                if quantized {
-                    delrec_obs::counter!("lm.weight_pack.hit_q8").incr();
-                } else {
-                    delrec_obs::counter!("lm.weight_pack.hit").incr();
-                }
-                return Arc::clone(pack);
-            }
+    /// The model's packed weight panels, rebuilt iff the parameter-store
+    /// version moved since the cached pack was built.
+    fn lm_pack(&self) -> Arc<LmPack> {
+        let (pack, hit) = self
+            .pack_cache
+            .get_or_build(self.store.version(), || self.build_pack());
+        if hit {
+            delrec_obs::counter!("lm.weight_pack.hit").incr();
         }
-        let pack = Arc::new(self.build_pack(quantized));
-        *slot = Some(Arc::clone(&pack));
         pack
     }
 
@@ -487,7 +357,7 @@ impl MiniLm {
         );
         let mut layers = Vec::with_capacity(self.cfg.num_layers);
         let seqs = [prefix.to_vec()];
-        let pack = self.lm_pack(ic.math());
+        let pack = self.lm_pack();
         let has_soft = prefix.iter().any(|t| matches!(t, LmToken::Soft(_)));
         let h = self.encode_infer(
             ic,
@@ -503,7 +373,6 @@ impl MiniLm {
         Some(PrefixCache {
             tokens: prefix.to_vec(),
             version: self.store.version(),
-            math: ic.math(),
             layers,
             p: prefix.len(),
             has_soft,
@@ -511,10 +380,9 @@ impl MiniLm {
     }
 
     /// Batched mask-position logits `[B, vocab_size]` without a tape: the
-    /// grad-free counterpart of [`MiniLm::mask_logits_batch`], bitwise
-    /// identical to it in [`MathMode::Exact`]. With a [`PrefixCache`], every
-    /// sequence must extend the cached prefix and only the suffix is
-    /// embedded and encoded.
+    /// grad-free counterpart of [`MiniLm::mask_logits_batch`] and bitwise
+    /// identical to it. With a [`PrefixCache`], every sequence must extend
+    /// the cached prefix and only the suffix is embedded and encoded.
     ///
     /// The batch is cut into **tiles** of consecutive examples —
     /// [`ENGINE_TILE_ROWS`] token rows' worth, so a tile's `[rows, d]`
@@ -544,7 +412,7 @@ impl MiniLm {
         let bsz = seqs.len();
         assert_eq!(bsz, mask_pos.len(), "one mask position per sequence");
         let vsz = self.cfg.vocab_size;
-        let pack = self.lm_pack(ic.math());
+        let pack = self.lm_pack();
         let has_soft = seqs
             .iter()
             .any(|s| s.iter().any(|t| matches!(t, LmToken::Soft(_))));
@@ -618,7 +486,7 @@ impl MiniLm {
             &mut hf,
         );
         ic.recycle(h);
-        pack.head.gemm(&hf, d, out, bsz, false);
+        gemm_packed(&hf, d, &pack.head, out, bsz, false);
         add_row_bias(out, self.store.get(self.head_bias).data());
         ic.recycle(hf);
     }
@@ -775,19 +643,16 @@ impl MiniLm {
             let (q_own, wide, wide_lda, k_band) = match pruned {
                 Some(_) => {
                     let mut q = ic.alloc(nq * d);
-                    lp.q.as_ref()
-                        .expect("last-layer q pack")
-                        .gemm(q_in, d, &mut q, nq, false);
+                    let q_pack = lp.q.as_ref().expect("last-layer q pack");
+                    gemm_packed(q_in, d, q_pack, &mut q, nq, false);
                     let mut kv = ic.alloc(rows * 2 * d);
-                    lp.kv
-                        .as_ref()
-                        .expect("last-layer kv pack")
-                        .gemm(&xin, d, &mut kv, rows, false);
+                    let kv_pack = lp.kv.as_ref().expect("last-layer kv pack");
+                    gemm_packed(&xin, d, kv_pack, &mut kv, rows, false);
                     (Some(q), kv, 2 * d, 0)
                 }
                 None => {
                     let mut qkv = ic.alloc(rows * 3 * d);
-                    lp.qkv.gemm(&xin, d, &mut qkv, rows, false);
+                    gemm_packed(&xin, d, &lp.qkv, &mut qkv, rows, false);
                     (None, qkv, 3 * d, d)
                 }
             };
@@ -912,7 +777,7 @@ impl MiniLm {
             // adapters on the output projection).
             let wo_span = delrec_obs::span!("lm.wo");
             let mut attn_out = ic.alloc(nq * d);
-            lp.wo.gemm(&attn_cat, d, &mut attn_out, nq, false);
+            gemm_packed(&attn_cat, d, &lp.wo, &mut attn_out, nq, false);
             // Residual; at the final block this compresses h to mask rows.
             h = match pruned {
                 Some(rows_idx) => {
@@ -939,11 +804,11 @@ impl MiniLm {
             let mut xin2 = ic.alloc(nq * d);
             layer_norm_rows(&h, vec_of(blk.ln2_g), vec_of(blk.ln2_b), &mut xin2);
             let mut f = ic.alloc(nq * ffn);
-            lp.w1.gemm(&xin2, d, &mut f, nq, false);
+            gemm_packed(&xin2, d, &lp.w1, &mut f, nq, false);
             add_row_bias(&mut f, vec_of(blk.b1));
             ic.gelu(&mut f);
             let mut f2 = ic.alloc(nq * d);
-            lp.w2.gemm(&f, ffn, &mut f2, nq, false);
+            gemm_packed(&f, ffn, &lp.w2, &mut f2, nq, false);
             add_row_bias(&mut f2, vec_of(blk.b2));
             for (o, &a) in h.iter_mut().zip(f2.iter()) {
                 *o += a;
@@ -1013,7 +878,7 @@ mod tests {
             ];
             let mask_pos = [5usize, 3, 4];
             let want = tape_logits(&lm, &seqs, None, &mask_pos);
-            let ic = InferCtx::new(MathMode::Exact);
+            let ic = InferCtx::default();
             let got = lm.mask_logits_infer_batch(&ic, &seqs, None, &mask_pos, None);
             assert_eq!(got.data(), want.data(), "{name}: engine without cache");
             let cache = lm.build_prefix_cache(&ic, &seqs[0][..3], None);
@@ -1033,14 +898,14 @@ mod tests {
     #[should_panic(expected = "one mask position per sequence")]
     fn mask_positions_must_match_the_batch() {
         let lm = MiniLm::new(MiniLmConfig::large(60), 7);
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         lm.mask_logits_infer_batch(&ic, &[toks(&[5, 6, 1])], None, &[2, 1], None);
     }
 
     #[test]
     fn an_empty_batch_has_no_tiles_and_no_logits() {
         let lm = MiniLm::new(MiniLmConfig::large(60), 7);
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         let cache = lm.build_prefix_cache(&ic, &toks(&[5, 6]), None);
         for cache in [None, cache.as_ref()] {
             let got = lm.mask_logits_infer_batch(&ic, &[], None, &[], cache);
@@ -1079,7 +944,7 @@ mod tests {
         let seqs = vec![s1, s2];
         let mask_pos = [6usize, 4];
         let want = tape_logits(&lm, &seqs, Some(&soft), &mask_pos);
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         let got = lm.mask_logits_infer_batch(&ic, &seqs, Some(&soft), &mask_pos, None);
         assert_eq!(got.data(), want.data(), "engine without cache");
         let cache = lm
@@ -1121,23 +986,16 @@ mod tests {
         cfg.dropout = 0.0;
         let mut lm = MiniLm::new(cfg, 7);
         let prefix = toks(&[5, 6, 1]);
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         let cache = lm.build_prefix_cache(&ic, &prefix, None).unwrap();
         let v = lm.store().version();
-        assert!(cache.is_valid_for(v, MathMode::Exact, &prefix));
-        assert!(
-            !cache.is_valid_for(v, MathMode::Quantized, &prefix),
-            "math mode"
-        );
-        assert!(
-            !cache.is_valid_for(v, MathMode::Exact, &toks(&[5, 6])),
-            "different prefix"
-        );
+        assert!(cache.is_valid_for(v, &prefix));
+        assert!(!cache.is_valid_for(v, &toks(&[5, 6])), "different prefix");
         // Any parameter write bumps the store version.
         let id = lm.store().id_of("lm.tok_emb").unwrap();
         lm.store_mut().get_mut(id).data_mut()[0] += 1.0;
         assert!(
-            !cache.is_valid_for(lm.store().version(), MathMode::Exact, &prefix),
+            !cache.is_valid_for(lm.store().version(), &prefix),
             "parameter write must invalidate"
         );
     }

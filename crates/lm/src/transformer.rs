@@ -2,7 +2,7 @@
 
 use crate::adalora::AdaLora;
 use crate::config::MiniLmConfig;
-use delrec_tensor::{init, Ctx, ParamId, ParamStore, Tensor, Var};
+use delrec_tensor::{init, Ctx, ParamId, ParamStore, Tensor, Var, VersionedSlot};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -57,8 +57,8 @@ pub struct MiniLm {
     pub(crate) adapter_of: HashMap<ParamId, usize>,
     /// Lazily built packed weight panels for the grad-free forward, keyed on
     /// the store version. Cloning a MiniLm resets the slot (see
-    /// [`crate::infer`]) — each clone repacks from its own store.
-    pub(crate) pack_cache: crate::infer::PackCache,
+    /// [`VersionedSlot`]) — each clone repacks from its own store.
+    pub(crate) pack_cache: VersionedSlot<crate::infer::LmPack>,
 }
 
 impl MiniLm {

@@ -8,7 +8,7 @@
 
 use delrec_data::ItemId;
 use delrec_tensor::vmath::log_sum_exp;
-use delrec_tensor::{MathMode, Tape, Tensor, Var};
+use delrec_tensor::{Tape, Tensor, Var};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -207,14 +207,13 @@ pub fn rank_candidates_batch(logits: &Tensor, candidate_sets: &[&[Vec<u32>]]) ->
         .collect()
 }
 
-/// [`rank_candidates_batch`] for callers that carry a [`MathMode`]. The
-/// normalizer is the same `f32` kernel in every mode (a mode only selects
-/// the weight format of the forward that produced `logits`), so the mode is
-/// not consulted.
+/// [`rank_candidates_batch`] under the signature the frozen `perfbench/`
+/// package calls — its one caller. The mode argument is ignored; the shim
+/// goes with that package's `[benchmark]` PR (ROADMAP 6(3)).
 pub fn rank_candidates_batch_mode(
     logits: &Tensor,
     candidate_sets: &[&[Vec<u32>]],
-    _math: MathMode,
+    _math: delrec_tensor::MathMode,
 ) -> Vec<Vec<f32>> {
     rank_candidates_batch(logits, candidate_sets)
 }

@@ -13,7 +13,7 @@
 //! adapters) that could reintroduce batch-shape dependence.
 
 use delrec_lm::{AdaLoraConfig, LmToken, MiniLm, MiniLmConfig};
-use delrec_tensor::{InferCtx, MathMode, Tensor};
+use delrec_tensor::{InferCtx, Tensor};
 
 fn toks(ids: &[u32]) -> Vec<LmToken> {
     ids.iter().map(|&i| LmToken::Vocab(i)).collect()
@@ -57,7 +57,7 @@ fn isolate_cache_only() {
     };
     let seqs = vec![mk(&[7, 2, 9]), mk(&[3]), mk(&[8, 4, 1, 2])];
     let mask_pos = [5usize, 3, 6];
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let cache = lm
         .build_prefix_cache(&ic, &prefix, None)
         .expect("cacheable");
@@ -87,7 +87,7 @@ fn isolate_soft_only() {
     };
     let seqs = vec![mk(&[7, 2, 9]), mk(&[3]), mk(&[8, 4, 1, 2])];
     let mask_pos = [6usize, 4, 7];
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     assert_eq!(
         diff_report(&lm, &ic, &seqs, Some(&soft), &mask_pos, None, "soft-only"),
         0
@@ -116,7 +116,7 @@ fn isolate_adapters_only() {
     };
     let seqs = vec![mk(&[7, 2, 9]), mk(&[3]), mk(&[8, 4, 1, 2])];
     let mask_pos = [5usize, 3, 6];
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     assert_eq!(
         diff_report(&lm, &ic, &seqs, None, &mask_pos, None, "adapters-only"),
         0
@@ -152,7 +152,7 @@ fn batched_rows_match_single_rows_with_cache_soft_and_adapters() {
     };
     let seqs = vec![mk(&[7, 2, 9]), mk(&[3]), mk(&[8, 4, 1, 2])];
     let mask_pos = [6usize, 4, 7];
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let cache = lm
         .build_prefix_cache(&ic, &prefix, Some(&soft))
         .expect("cacheable");
@@ -187,7 +187,7 @@ fn batched_rows_match_single_rows_bitwise() {
         toks(&[5, 6, 1, 8, 4]),
     ];
     let mask_pos = [5usize, 3, 4];
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let batched = lm.mask_logits_infer_batch(&ic, &seqs, None, &mask_pos, None);
     let vsz = batched.data().len() / seqs.len();
     for (i, (s, &mp)) in seqs.iter().zip(&mask_pos).enumerate() {

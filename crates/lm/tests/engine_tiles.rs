@@ -26,7 +26,7 @@
 
 use delrec_lm::{LmToken, MiniLm, MiniLmConfig, PrefixCache};
 use delrec_par::{with_pool, ThreadPool};
-use delrec_tensor::{Ctx, InferCtx, MathMode, Tape, Tensor};
+use delrec_tensor::{Ctx, InferCtx, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard};
@@ -116,7 +116,7 @@ fn tiles_match_their_references(
     len_of: fn(usize) -> usize,
     vs_tape: bool,
 ) {
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let rows = len_of(0) - cache.map_or(0, PrefixCache::len);
     let tile = ENGINE_TILE_ROWS / rows;
     assert!(tile >= 2, "{name}: need a tile boundary to straddle");
@@ -151,7 +151,7 @@ fn tiles_match_their_references(
 fn xl_tiles_match_tape_and_solo_calls() {
     let _turn = serialised();
     let lm = lm_of(MiniLmConfig::xl(60));
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     assert!(
         lm.build_prefix_cache(&ic, &prefix(), None).is_none(),
         "a 2-layer bidirectional model has no exact prefix cache"
@@ -163,7 +163,7 @@ fn xl_tiles_match_tape_and_solo_calls() {
 fn large_tiles_match_tape_and_solo_calls_through_the_prefix_cache() {
     let _turn = serialised();
     let lm = lm_of(MiniLmConfig::large(60));
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let cache = lm.build_prefix_cache(&ic, &prefix(), None);
     assert!(cache.is_some(), "a single-layer model caches its prefix");
     tiles_match_their_references("large+cache", &lm, cache.as_ref(), long_len, true);
@@ -173,7 +173,7 @@ fn large_tiles_match_tape_and_solo_calls_through_the_prefix_cache() {
 fn causal_xl_tiles_match_tape_and_solo_calls() {
     let _turn = serialised();
     let lm = lm_of(MiniLmConfig::causal_xl(60));
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let cache = lm.build_prefix_cache(&ic, &prefix(), None);
     assert!(cache.is_some(), "a causal model caches its prefix");
     tiles_match_their_references("causal_xl short", &lm, None, short_len, true);
@@ -203,7 +203,7 @@ fn a_soft_token_in_another_tile_leaves_this_tile_on_the_tape() {
     let (mut seqs, mask_pos) = batch(tile + 1, long_len);
     seqs[tile][2] = LmToken::Soft(0);
     let want = tape_logits(&lm, &seqs, Some(&soft), &mask_pos);
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     for lanes in [1usize, 2, 4] {
         let got = with_pool(&ThreadPool::new(lanes), || {
             lm.mask_logits_infer_batch(&ic, &seqs, Some(&soft), &mask_pos, None)
@@ -226,7 +226,7 @@ fn a_soft_token_in_another_tile_leaves_this_tile_on_the_tape() {
 fn tile_counter_advances_by_ceil_b_over_tile() {
     let _turn = serialised();
     let lm = lm_of(MiniLmConfig::large(60));
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let tiles = delrec_obs::global().counter("lm.engine.tiles");
     let tile = ENGINE_TILE_ROWS / long_len(0);
     for (lanes, bsz, want) in [

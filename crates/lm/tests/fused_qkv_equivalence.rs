@@ -11,7 +11,7 @@
 
 use delrec_lm::adalora::AdaLoraConfig;
 use delrec_lm::{LmToken, MiniLm, MiniLmConfig};
-use delrec_tensor::{Ctx, InferCtx, MathMode, Tape, Tensor};
+use delrec_tensor::{Ctx, InferCtx, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,7 +76,7 @@ fn fused_matches_tape_bitwise() {
         let mask_pos = [6usize, 4, 5];
         let want = tape_logits(&lm, &seqs, Some(&soft), &mask_pos);
 
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         let fused = lm.mask_logits_infer_batch(&ic, &seqs, Some(&soft), &mask_pos, None);
         assert_eq!(fused.data(), want.data(), "{name}: fused vs tape");
 

@@ -16,7 +16,7 @@
 
 use delrec_lm::{AdaLoraConfig, LmToken, MiniLm, MiniLmConfig};
 use delrec_par::{with_pool, ThreadPool};
-use delrec_tensor::{InferCtx, MathMode, Tensor};
+use delrec_tensor::{InferCtx, Tensor};
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
@@ -80,7 +80,7 @@ proptest! {
             })
             .collect();
         let mask_pos: Vec<usize> = seqs.iter().map(|s| s.len() - 1).collect();
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         let cache = if use_cache {
             Some(
                 lm.build_prefix_cache(&ic, &prefix, Some(&soft))
@@ -121,7 +121,7 @@ fn tiled_batches_are_bitwise_serial() {
     let _turn = serialised();
     let tiles = delrec_obs::global().counter("lm.engine.tiles");
     let (lm, soft, prefix) = build_lm();
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let cache = lm
         .build_prefix_cache(&ic, &prefix, Some(&soft))
         .expect("single-layer model must cache");

@@ -1,8 +1,8 @@
 //! PrefixCache invalidation: each staleness trigger forces a rebuild, and
 //! the rebuilt cache is bitwise-identical to the uncached path.
 //!
-//! `PrefixCache::is_valid_for` keys on three things — parameter-store
-//! version, math mode, and the prefix tokens themselves. For each trigger
+//! `PrefixCache::is_valid_for` keys on two things — parameter-store
+//! version and the prefix tokens themselves. For each trigger
 //! this test walks the full caller protocol (validity check → rebuild →
 //! score) and asserts the rebuilt cache reproduces the uncached logits
 //! bit-for-bit, not approximately: a cache serving stale K/V would still
@@ -10,7 +10,7 @@
 //! invalidation contract.
 
 use delrec_lm::{LmToken, MiniLm, MiniLmConfig, PrefixCache};
-use delrec_tensor::{InferCtx, MathMode, Tensor};
+use delrec_tensor::{InferCtx, Tensor};
 
 fn toks(ids: &[u32]) -> Vec<LmToken> {
     ids.iter().map(|&w| LmToken::Vocab(w)).collect()
@@ -53,9 +53,9 @@ fn assert_cached_matches_uncached(
 #[test]
 fn param_store_version_bump_forces_rebuild() {
     let (mut lm, prefix, seqs, mask_pos) = world();
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let cache = lm.build_prefix_cache(&ic, &prefix, None).unwrap();
-    assert!(cache.is_valid_for(lm.store().version(), ic.math(), &prefix));
+    assert!(cache.is_valid_for(lm.store().version(), &prefix));
     let before = assert_cached_matches_uncached(&lm, &ic, &seqs, &mask_pos, &cache, "fresh cache");
 
     // Any parameter write — here a soft-prompt-style embedding nudge — bumps
@@ -63,12 +63,12 @@ fn param_store_version_bump_forces_rebuild() {
     let id = lm.store().id_of("lm.tok_emb").unwrap();
     lm.store_mut().get_mut(id).data_mut()[0] += 0.5;
     assert!(
-        !cache.is_valid_for(lm.store().version(), ic.math(), &prefix),
+        !cache.is_valid_for(lm.store().version(), &prefix),
         "stale version must invalidate"
     );
 
     let rebuilt = lm.build_prefix_cache(&ic, &prefix, None).unwrap();
-    assert!(rebuilt.is_valid_for(lm.store().version(), ic.math(), &prefix));
+    assert!(rebuilt.is_valid_for(lm.store().version(), &prefix));
     let after =
         assert_cached_matches_uncached(&lm, &ic, &seqs, &mask_pos, &rebuilt, "post-write rebuild");
     assert_ne!(
@@ -80,40 +80,21 @@ fn param_store_version_bump_forces_rebuild() {
 }
 
 #[test]
-fn math_mode_switch_forces_rebuild() {
-    let (lm, prefix, seqs, mask_pos) = world();
-    let exact = InferCtx::new(MathMode::Exact);
-    let cache = lm.build_prefix_cache(&exact, &prefix, None).unwrap();
-    assert!(
-        !cache.is_valid_for(lm.store().version(), MathMode::Quantized, &prefix),
-        "an Exact-mode cache must not serve Quantized-mode scoring"
-    );
-
-    // Rebuild under Quantized and compare against the uncached Quantized
-    // path: int8 projection weights mean Exact-built K/V would differ, so
-    // equality here only holds because the cache really was rebuilt.
-    let quant = InferCtx::new(MathMode::Quantized);
-    let rebuilt = lm.build_prefix_cache(&quant, &prefix, None).unwrap();
-    assert!(rebuilt.is_valid_for(lm.store().version(), MathMode::Quantized, &prefix));
-    assert_cached_matches_uncached(&lm, &quant, &seqs, &mask_pos, &rebuilt, "q8-mode rebuild");
-}
-
-#[test]
 fn prefix_token_change_forces_rebuild() {
     let (lm, prefix, seqs, mask_pos) = world();
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
     let cache = lm.build_prefix_cache(&ic, &prefix, None).unwrap();
 
     // A new prompt template (different teacher name, different instruction
     // wording) shows up as different prefix tokens.
     let new_prefix = toks(&[5, 9, 1]);
     assert!(
-        !cache.is_valid_for(lm.store().version(), ic.math(), &new_prefix),
+        !cache.is_valid_for(lm.store().version(), &new_prefix),
         "a cache built for one prefix must not serve another"
     );
 
     let rebuilt = lm.build_prefix_cache(&ic, &new_prefix, None).unwrap();
-    assert!(rebuilt.is_valid_for(lm.store().version(), ic.math(), &new_prefix));
+    assert!(rebuilt.is_valid_for(lm.store().version(), &new_prefix));
     let new_seqs: Vec<Vec<LmToken>> = seqs
         .iter()
         .map(|s| {

@@ -1,23 +1,18 @@
-//! WeightPack invalidation: a parameter-store version bump forces a repack,
-//! and the repacked scores are bitwise-identical to a fresh pack — the
-//! mirror of `prefix_cache_invalidation.rs` for the packed weight panels.
+//! What is the LM's own about its weight-pack slot (the slot's policy —
+//! hit at one version, one rebuild per bump, racing builders, a panicking
+//! build — is pinned once, beside `delrec_tensor::VersionedSlot`): the pack
+//! folds each AdaLoRA delta into its projection panel, so an *adapter* write
+//! must repack; the `lm.weight_pack.{build,hit}` counters follow the slot;
+//! and a `Clone` packs from its own store.
 //!
-//! The pack cache is internal (built lazily inside the forward), so
-//! this test observes it through its two public surfaces: the
-//! `lm.weight_pack.build` / `lm.weight_pack.hit` obs counters, and the
-//! scores themselves. The fresh-pack reference comes from a `Clone` of the
-//! mutated model: cloning deliberately resets the pack slot (two clones have
-//! independent stores whose version counters advance from identical values),
-//! so the clone packs from scratch while the original must detect staleness
-//! on its own.
-//!
-//! Counters are process-global and other tests may run concurrently in this
-//! binary's process, so assertions are on deltas being *at least* the
-//! expected amount, never exact totals.
+//! The slot is internal (filled lazily inside the forward), so the test
+//! observes it through those counters and through the scores. Counters are
+//! process-global, so assertions are on deltas being *at least* the expected
+//! amount, never exact totals.
 
-use delrec_lm::{LmToken, MiniLm, MiniLmConfig};
+use delrec_lm::{AdaLoraConfig, LmToken, MiniLm, MiniLmConfig};
 use delrec_obs::MetricValue;
-use delrec_tensor::{Ctx, InferCtx, MathMode, Tape, Tensor};
+use delrec_tensor::{Ctx, InferCtx, Tape, Tensor};
 
 fn toks(ids: &[u32]) -> Vec<LmToken> {
     ids.iter().map(|&w| LmToken::Vocab(w)).collect()
@@ -43,68 +38,44 @@ fn version_bump_forces_repack_bitwise_identical_to_fresh_pack() {
     let mut cfg = MiniLmConfig::large(60);
     cfg.dropout = 0.0;
     let mut lm = MiniLm::new(cfg, 17);
+    lm.attach_adalora(AdaLoraConfig::default(), 5);
     let seqs = vec![
         toks(&[5, 6, 1, 7, 2, 9]),
         toks(&[5, 6, 1, 3]),
         toks(&[5, 6, 1, 8, 4]),
     ];
     let mask_pos = [5usize, 3, 4];
-    let ic = InferCtx::new(MathMode::Exact);
+    let ic = InferCtx::default();
 
-    // First forward builds the pack; repeat forwards hit the cached one.
-    let b0 = counter("lm.weight_pack.build");
-    let h0 = counter("lm.weight_pack.hit");
-    let before = score(&lm, &ic, &seqs, &mask_pos);
-    assert!(
-        counter("lm.weight_pack.build") > b0,
-        "first forward must build the pack"
+    let (b0, h0) = (
+        counter("lm.weight_pack.build"),
+        counter("lm.weight_pack.hit"),
     );
-    let b1 = counter("lm.weight_pack.build");
+    let before = score(&lm, &ic, &seqs, &mask_pos);
+    assert!(counter("lm.weight_pack.build") > b0, "first forward packs");
     let again = score(&lm, &ic, &seqs, &mask_pos);
     assert_eq!(before.data(), again.data(), "cached pack changes nothing");
-    assert_eq!(
-        counter("lm.weight_pack.build"),
-        b1,
-        "same-version forward must not repack"
-    );
-    assert!(
-        counter("lm.weight_pack.hit") > h0,
-        "same-version forward must hit the cached pack"
-    );
+    assert!(counter("lm.weight_pack.hit") > h0, "second forward hits");
 
-    // A parameter write bumps the store version: the next forward repacks.
-    let id = lm.store().id_of("lm.b0.h0.wq").unwrap();
-    lm.store_mut().get_mut(id).data_mut()[0] += 0.5;
-    let b2 = counter("lm.weight_pack.build");
+    // Adapters start at ΔW = 0 (zero singular values). Writing them changes
+    // no base weight, only the delta the pack folded in.
+    let e = lm.store().id_of("adalora.0.e").unwrap();
+    lm.store_mut().get_mut(e).data_mut().fill(0.3);
+    let b1 = counter("lm.weight_pack.build");
     let repacked = score(&lm, &ic, &seqs, &mask_pos);
     assert!(
-        counter("lm.weight_pack.build") > b2,
-        "stale version must force a repack"
+        counter("lm.weight_pack.build") > b1,
+        "an adapter write must repack"
     );
     assert_ne!(
         before.data(),
         repacked.data(),
-        "the weight write must actually change the logits — otherwise the \
+        "the adapter write must actually change the logits — otherwise the \
          invalidation test proves nothing"
     );
 
-    // Fresh-pack reference: a clone starts with an empty pack slot and
-    // packs the mutated weights from scratch.
-    let fresh = lm.clone();
-    let b3 = counter("lm.weight_pack.build");
-    let fresh_scores = score(&fresh, &ic, &seqs, &mask_pos);
-    assert!(
-        counter("lm.weight_pack.build") > b3,
-        "a clone must not inherit the original's pack"
-    );
-    assert_eq!(
-        repacked.data(),
-        fresh_scores.data(),
-        "repack must be bitwise-identical to a fresh pack"
-    );
-
-    // And the repack agrees with the tape, which reads the store directly
-    // and so cannot be serving stale weights.
+    // The tape reads the store (and the adapters) directly, so it cannot be
+    // serving a stale delta.
     let tape = Tape::new();
     let ctx = Ctx::new(&tape, lm.store(), false);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(0);
@@ -114,4 +85,14 @@ fn version_bump_forces_repack_bitwise_identical_to_fresh_pack() {
         want.data(),
         "repack must match the tape bitwise"
     );
+
+    // A clone starts with an empty slot and packs from its own store.
+    let fresh = lm.clone();
+    let b2 = counter("lm.weight_pack.build");
+    let fresh_scores = score(&fresh, &ic, &seqs, &mask_pos);
+    assert!(
+        counter("lm.weight_pack.build") > b2,
+        "a clone must not inherit the original's pack"
+    );
+    assert_eq!(repacked.data(), fresh_scores.data());
 }

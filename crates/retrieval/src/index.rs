@@ -37,14 +37,8 @@ const TILE_PANELS: usize = TILE_ITEMS / NR;
 /// forks: the same break-even the GEMM's own parallel driver uses.
 const PAR_MIN_MACS_PER_LANE: usize = 64 * 1024;
 
-/// How the packed item matrix is stored.
-///
-/// Mirrors the LM weight-pack formats: [`MathMode::Exact`] scans f32
-/// panels, while [`MathMode::Quantized`] stores per-item int8 codes at ~4x
-/// smaller footprint with the scan accumulating in f32.
-///
-/// [`MathMode::Exact`]: delrec_tensor::MathMode::Exact
-/// [`MathMode::Quantized`]: delrec_tensor::MathMode::Quantized
+/// How the packed item matrix is stored: f32 panels, or per-item int8 codes
+/// at ~4x smaller footprint with the scan accumulating in f32.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexFormat {
     /// f32 panels ([`PackedB`]).

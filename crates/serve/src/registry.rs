@@ -18,7 +18,7 @@
 //!   against exactly the acknowledged version.
 //!
 //! Publishing a *repacked* model (same parameters, fresh caches — e.g. a
-//! save/load round-trip or a re-quantized pack) must not change a single
+//! save/load round-trip) must not change a single
 //! score bit for untouched sessions; publishing a *refitted* model changes
 //! scores but never mixes versions within a batch. Both properties are
 //! pinned by `tests/hot_swap.rs` and gated by `bench/bin/soak`.

@@ -9,7 +9,6 @@ use delrec_data::synthetic::{DatasetProfile, SyntheticConfig};
 use delrec_data::ItemId;
 use delrec_eval::Ranker;
 use delrec_serve::{RecRequest, ServeConfig, Server};
-use delrec_tensor::MathMode;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -180,60 +179,4 @@ fn served_scores_do_not_depend_on_batch_composition() {
         solo, batched,
         "batchmates must not perturb a request's scores"
     );
-}
-
-#[test]
-fn serving_a_quantized_model_matches_direct_quantized_scoring() {
-    // The math mode is a model-level property set before `Server::start`
-    // (the server is generic over `Ranker` and never sees it): a model
-    // switched to int8 weight panels must serve exactly what it scores
-    // directly, coalescing included.
-    let (mut model, n_items) = smoke_model();
-    model.set_math_mode(MathMode::Quantized);
-    assert_eq!(model.math_mode(), MathMode::Quantized);
-    let model = Arc::new(model);
-
-    let server = Server::start(
-        Arc::clone(&model),
-        ServeConfig {
-            max_batch: 8,
-            batch_window: Duration::from_millis(5),
-            max_history: 12,
-            ..ServeConfig::default()
-        },
-    );
-    let client = server.client();
-    let item = |x: usize| ItemId((x % n_items) as u32);
-    let mut inflight = Vec::new();
-    for i in 0..16usize {
-        let hist: Vec<ItemId> = (0..3 + i % 5).map(|k| item(i * 3 + k)).collect();
-        let cands: Vec<ItemId> = (0..6 + i % 4).map(|k| item(i * 7 + k + 1)).collect();
-        let handle = client
-            .submit(RecRequest {
-                user_id: i as u64, // unique user: session == this history
-                recent_items: hist.clone(),
-                candidates: cands.clone(),
-                deadline: None,
-            })
-            .expect("admitted");
-        inflight.push((handle, hist, cands));
-    }
-    let mut coalesced = 0usize;
-    for (handle, hist, cands) in inflight {
-        let resp = handle.wait().expect("deadline-free requests complete");
-        assert_eq!(
-            resp.scores,
-            model.score_candidates(&hist, &cands),
-            "served quantized scores must be bitwise identical to direct \
-             quantized scoring"
-        );
-        if resp.batch_size > 1 {
-            coalesced += 1;
-        }
-    }
-    assert!(
-        coalesced > 0,
-        "traffic never coalesced; test proves nothing"
-    );
-    server.shutdown();
 }

@@ -4,10 +4,10 @@
 //! [`crate::Tape`] pays for differentiability on every op — a node
 //! allocation, parent bookkeeping, and a boxed backward closure — which is
 //! pure overhead when no gradient will ever be taken. [`InferCtx`] is the
-//! inference-side counterpart: it carries only a [`BufferPool`] and a
-//! [`MathMode`]. Softmax and GELU *are* the tape's — both sides call the one
-//! kernel set in [`crate::vmath`] — and [`layer_norm_rows`] reproduces the
-//! tape's `layer_norm` forward bitwise, so a forward pass built on them is
+//! inference-side counterpart: a [`BufferPool`] and nothing else. Softmax and
+//! GELU *are* the tape's — both sides call the one kernel set in
+//! [`crate::vmath`] — and [`layer_norm_rows`] reproduces the tape's
+//! `layer_norm` forward bitwise, so a forward pass built on them is
 //! indistinguishable from a tape forward — the property the LM-level
 //! equivalence tests pin down.
 
@@ -15,24 +15,15 @@ use crate::ops::{vmath, LN_EPS};
 use crate::tape::BufferPool;
 use std::sync::Arc;
 
-/// Which weight format a grad-free forward runs over.
-///
-/// `Exact` is bitwise identical to the tape's forward — the default, and the
-/// only mode training paths ever see. `Quantized` tells weight-owning layers
-/// (see `delrec-lm`'s `WeightPack`) to run their frozen projection weights
-/// through int8 panels ([`crate::ops::pack_b_q8`] /
-/// [`crate::ops::gemm_packed_q8`]) — activations, norms, and softmax stay
-/// f32 and use the same [`crate::vmath`] kernels, so in this crate
-/// `Quantized` behaves like `Exact` everywhere.
+/// The one numeric mode of a grad-free forward: f32 weights, bitwise the
+/// tape's forward. Nothing reads it; the type exists only because the frozen
+/// `perfbench/` package names it, and goes with that package's
+/// `[benchmark]` PR (ROADMAP 6(3)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum MathMode {
     /// f32 weights; bitwise identical to the tape forward.
     #[default]
     Exact,
-    /// Int8-quantized frozen weights (per-channel scales, f32 accumulation).
-    /// Deterministic, but not bitwise-equal to `Exact`; eval-level drift is
-    /// pinned by the LM test suite.
-    Quantized,
 }
 
 /// Row-wise layer normalization of `x` (row width = `gamma.len()`) into
@@ -54,38 +45,18 @@ pub fn layer_norm_rows(x: &[f32], gamma: &[f32], beta: &[f32], out: &mut [f32]) 
     }
 }
 
-/// Context for grad-free forward passes: a shared [`BufferPool`] plus the
-/// [`MathMode`] every kernel call should use. The inference analogue of
-/// [`crate::Ctx`], minus the tape.
+/// Context for grad-free forward passes: a shared [`BufferPool`]. The
+/// inference analogue of [`crate::Ctx`], minus the tape.
+#[derive(Default)]
 pub struct InferCtx {
     pool: Arc<BufferPool>,
-    math: MathMode,
 }
 
 impl InferCtx {
-    /// New context with its own private buffer pool.
-    pub fn new(math: MathMode) -> Self {
-        InferCtx {
-            pool: Arc::new(BufferPool::new()),
-            math,
-        }
-    }
-
-    /// New context over a shared pool (e.g. the pool a training loop's tapes
-    /// already warmed up).
-    pub fn with_pool(pool: Arc<BufferPool>, math: MathMode) -> Self {
-        InferCtx { pool, math }
-    }
-
-    /// The math mode kernels run in.
-    pub fn math(&self) -> MathMode {
-        self.math
-    }
-
-    /// Switch math mode (callers owning caches keyed on the mode must
-    /// invalidate them).
-    pub fn set_math(&mut self, math: MathMode) {
-        self.math = math;
+    /// [`InferCtx::default`] under the signature the frozen `perfbench/`
+    /// package calls; goes with [`MathMode`].
+    pub fn new(_math: MathMode) -> Self {
+        Self::default()
     }
 
     /// The backing buffer pool.
@@ -157,13 +128,13 @@ mod tests {
         let v = tape.leaf(Tensor::from_vec(raw.clone()));
         let want = tape.get(tape.gelu(v));
         let mut got = raw;
-        InferCtx::new(MathMode::Exact).gelu(&mut got);
+        InferCtx::default().gelu(&mut got);
         assert_eq!(got.as_slice(), want.data());
     }
 
     #[test]
     fn infer_ctx_recycles_buffers() {
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         let mut buf = ic.alloc(64);
         assert_eq!(buf.len(), 64);
         buf.iter_mut().for_each(|v| *v = 5.0);

@@ -37,10 +37,10 @@ pub use ops::vmath;
 pub use ops::{
     gemm, gemm_auto, gemm_packed, gemm_packed_baseline, gemm_packed_panels, gemm_packed_q8,
     gemm_packed_q8_panels, matmul_raw, matmul_raw_strided, pack_b, pack_b_into, pack_b_q8,
-    pack_b_transposed, pack_b_transposed_q8, quantize_pack, simd_lanes, transpose_into, PackedB,
-    QuantizedPanel, AUTO_PACK_MIN_MACS, MR, NR,
+    pack_b_transposed, quantize_pack, simd_lanes, transpose_into, PackedB, QuantizedPanel,
+    AUTO_PACK_MIN_MACS, MR, NR,
 };
-pub use params::{Ctx, ParamId, ParamStore};
+pub use params::{Ctx, ParamId, ParamStore, VersionedSlot};
 pub use shape::Shape;
 pub use tape::{BufferPool, BwdCtx, Gradients, Tape, Var};
 pub use tensor::Tensor;

@@ -12,7 +12,7 @@
 //!   k-major so the kernel's inner loop reads one contiguous, cache-resident
 //!   strip per k-group. Packing is pure data movement — no arithmetic — and
 //!   for the LM's frozen inference weights it amortizes to zero across calls
-//!   (see `delrec-lm`'s `WeightPack`).
+//!   (see `delrec-lm`'s `LmPack`).
 //! * **The micro-kernel holds an `MR`×`NR` output tile in registers** for the
 //!   whole k loop: each output float is loaded and stored once instead of
 //!   `⌈k/4⌉` times, and each packed `B` strip is reused across `MR` rows of
@@ -206,11 +206,10 @@ impl QuantizedPanel {
 
 /// Quantize an existing f32 pack, preserving its layout: per-column max-abs
 /// over the panels (column `j` is lane `j % NR` of panel `j / NR`), then one
-/// rounded, clamped division per element. Both q8 packers go through this,
-/// so the code layout is identical to the f32 pack by construction — and
-/// callers that already hold a [`PackedB`] (e.g. `delrec-lm`'s weight pack,
-/// which folds AdaLoRA deltas into the f32 pack first) can quantize it
-/// without re-deriving the panels.
+/// rounded, clamped division per element. [`pack_b_q8`] goes through this,
+/// so the code layout is identical to the f32 pack by construction — and a
+/// caller that already holds a [`PackedB`] (the retrieval item index) can
+/// quantize it without re-deriving the panels.
 pub fn quantize_pack(bp: &PackedB) -> QuantizedPanel {
     let (k, n) = (bp.k, bp.n);
     let panels = n.div_ceil(NR);
@@ -247,13 +246,6 @@ pub fn quantize_pack(bp: &PackedB) -> QuantizedPanel {
 /// — the quantized counterpart of [`pack_b`].
 pub fn pack_b_q8(b: &[f32], k: usize, n: usize) -> QuantizedPanel {
     quantize_pack(&pack_b(b, k, n))
-}
-
-/// Pack the *transpose* of a row-major `[n, k]` matrix into int8 panels —
-/// the quantized counterpart of [`pack_b_transposed`], used for the tied
-/// embedding head.
-pub fn pack_b_transposed_q8(src: &[f32], k: usize, n: usize) -> QuantizedPanel {
-    quantize_pack(&pack_b_transposed(src, k, n))
 }
 
 /// `out[m, n] (+)= a[m, k] · B` for a packed `B`, with `A` rows `lda` floats
@@ -1296,18 +1288,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn q8_transposed_pack_matches_transpose_then_pack() {
-        let (k, n) = (7, 13);
-        let src = fill(8, n * k); // [n, k] row-major
-        let mut bt = vec![0.0f32; n * k];
-        transpose_into(&src, n, k, &mut bt); // [k, n]
-        let via_transpose = pack_b_q8(&bt, k, n);
-        let direct = pack_b_transposed_q8(&src, k, n);
-        assert_eq!(via_transpose.data, direct.data);
-        assert_eq!(via_transpose.scales, direct.scales);
     }
 
     /// The q8 mirror of `parallel_gemm_is_bitwise_serial`: shapes crossing

@@ -21,7 +21,7 @@ pub use dispatch::simd_lanes;
 pub use gemm::{
     gemm, gemm_auto, gemm_packed, gemm_packed_baseline, gemm_packed_panels, gemm_packed_q8,
     gemm_packed_q8_panels, matmul_raw_strided, pack_b, pack_b_into, pack_b_q8, pack_b_transposed,
-    pack_b_transposed_q8, quantize_pack, PackedB, QuantizedPanel, AUTO_PACK_MIN_MACS, MR, NR,
+    quantize_pack, PackedB, QuantizedPanel, AUTO_PACK_MIN_MACS, MR, NR,
 };
 pub use matmul::{matmul_raw, transpose_into};
 

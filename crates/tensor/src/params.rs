@@ -5,6 +5,7 @@ use crate::tape::{Gradients, Tape, Var};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Stable handle to a parameter inside a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -142,6 +143,60 @@ impl ParamStore {
     }
 }
 
+/// A value derived from a [`ParamStore`]'s contents — packed weight panels,
+/// an item index — built lazily and kept until [`ParamStore::version`] moves.
+///
+/// The policy lives here and nowhere else: look the version up under the
+/// lock; on a miss build *outside* it (a build outlasts a lookup by orders of
+/// magnitude, and a build that panics must not take the slot with it);
+/// re-check before inserting, and the first insert wins. Racing builders of
+/// one version produce identical values, so the loser's copy is dropped.
+///
+/// `Clone` resets to empty: a clone of the owner has its own store, whose
+/// version counter advances independently from the same starting value, so
+/// a shared value could validate against the wrong clone's weights.
+pub struct VersionedSlot<T>(Mutex<Option<(u64, Arc<T>)>>);
+
+impl<T> Default for VersionedSlot<T> {
+    fn default() -> Self {
+        VersionedSlot(Mutex::new(None))
+    }
+}
+
+impl<T> Clone for VersionedSlot<T> {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl<T> VersionedSlot<T> {
+    /// The slot, recovered if a holder panicked: every critical section is
+    /// one read or one assignment, so the contents are always valid.
+    fn lock(&self) -> MutexGuard<'_, Option<(u64, Arc<T>)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The value for `version`, from the slot or from `build`. The flag is
+    /// `true` when the slot served it — a racing builder whose insert lost
+    /// included — so owners can count hits beside their builds.
+    pub fn get_or_build(&self, version: u64, build: impl FnOnce() -> T) -> (Arc<T>, bool) {
+        let current = |slot: &Option<(u64, Arc<T>)>| match slot {
+            Some((v, value)) if *v == version => Some(Arc::clone(value)),
+            _ => None,
+        };
+        if let Some(hit) = current(&self.lock()) {
+            return (hit, true);
+        }
+        let built = Arc::new(build());
+        let mut slot = self.lock();
+        if let Some(winner) = current(&slot) {
+            return (winner, true);
+        }
+        *slot = Some((version, Arc::clone(&built)));
+        (built, false)
+    }
+}
+
 /// One forward/backward pass's view of a [`ParamStore`]: binds parameters
 /// into a [`Tape`] lazily (each parameter is copied in at most once) and
 /// remembers the bindings so gradients can be routed back by [`Ctx::grads`].
@@ -232,6 +287,68 @@ mod tests {
         assert!(!store.is_trainable(b));
         assert!(store.is_trainable(c));
         assert_eq!(store.num_trainable_scalars(), 1);
+    }
+
+    #[test]
+    fn slot_hits_at_one_version_and_rebuilds_once_per_bump() {
+        let slot = VersionedSlot::default();
+        let builds = std::cell::Cell::new(0);
+        let get = |version| {
+            slot.get_or_build(version, || {
+                builds.set(builds.get() + 1);
+                version * 10
+            })
+        };
+        let (first, hit) = get(1);
+        assert!(!hit && *first == 10);
+        let (again, hit) = get(1);
+        assert!(hit && Arc::ptr_eq(&first, &again), "same version, same Arc");
+        let (bumped, hit) = get(2);
+        assert!(!hit && *bumped == 20);
+        assert!(get(2).1, "the rebuilt value is kept");
+        assert_eq!(builds.get(), 2, "one build per version");
+        assert!(
+            !slot.clone().get_or_build(2, || 0).1,
+            "a clone starts empty"
+        );
+    }
+
+    #[test]
+    fn racing_first_touches_all_receive_the_surviving_value() {
+        const N: usize = 8;
+        let slot = VersionedSlot::default();
+        // Every build waits for all N threads to have missed, so all N race
+        // the insert and N - 1 of them lose it.
+        let missed = std::sync::Barrier::new(N);
+        let got: Vec<(Arc<usize>, bool)> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..N)
+                .map(|i| {
+                    let (slot, missed) = (&slot, &missed);
+                    s.spawn(move || {
+                        slot.get_or_build(7, || {
+                            missed.wait();
+                            i
+                        })
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let survivor = &slot.get_or_build(7, || unreachable!()).0;
+        assert!(got.iter().all(|(value, _)| Arc::ptr_eq(value, survivor)));
+        assert_eq!(got.iter().filter(|(_, hit)| !hit).count(), 1, "one winner");
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_slot_usable() {
+        let slot = VersionedSlot::default();
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slot.get_or_build(1, || -> u32 { panic!("build failed") })
+        }));
+        assert!(failed.is_err());
+        assert!(!slot.get_or_build(1, || 5).1, "the next call builds");
+        let (value, hit) = slot.get_or_build(1, || unreachable!());
+        assert!(hit && *value == 5, "and the one after hits");
     }
 
     #[test]

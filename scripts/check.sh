@@ -32,7 +32,7 @@ cargo build --release --manifest-path perfbench/Cargo.toml
 # covers the root package and every crate) must pass single-threaded (pool
 # runs inline) and multi-threaded (parallel paths engage); results are
 # bitwise-identical either way, so both runs use the same expectations. The
-# suites most sensitive to the pool size — lm's quantized_pack, retrieval,
+# suites most sensitive to the pool size — lm's par_determinism, retrieval,
 # serve (incl. topk_serving), tests/streaming_retrieval.rs — ride in these
 # two lines; several also inject lanes {1,2,4,8} themselves via with_pool.
 DELREC_THREADS=1 cargo test -q
@@ -79,11 +79,6 @@ cargo run --release -q -p delrec-bench --bin gemm -- --scale smoke --out "$(mkte
 # batch scoring are bitwise identical to the 1-thread path at every timed
 # thread count before reporting any scaling curve.
 cargo run --release -q -p delrec-bench --bin par -- --scale smoke --out "$(mktemp -d)"
-
-# Smoke-run the quantization benchmark: asserts the int8 pack memory ratio
-# (>= 3.5x), the eval-metric drift budget (|delta| < 1e-2), and bitwise
-# thread-count determinism before timing anything.
-cargo run --release -q -p delrec-bench --bin quant -- --scale smoke --out "$(mktemp -d)"
 
 # Smoke-run the retrieval benchmark: asserts the full-catalog stage's
 # recall floors at depth min(100, n_items/4) and half of it (1.4x the random

@@ -1,9 +1,7 @@
-//! The grad-free inference engine as an evaluation drop-in: with
-//! `MathMode::Exact` it must reproduce the autograd tape's metrics *exactly*
-//! (same `RankingReport`, rank for rank) at every batch size — and, one
-//! level down, the tape's mask logits bit for bit on a ragged batch through
-//! both attn·V paths — and with `MathMode::Quantized` (int8 weight panels)
-//! the metrics may drift only within the documented 1e-2 budget.
+//! The grad-free inference engine as an evaluation drop-in: it must
+//! reproduce the autograd tape's metrics *exactly* (same `RankingReport`,
+//! rank for rank) at every batch size — and, one level down, the tape's mask
+//! logits bit for bit on a ragged batch through both attn·V paths.
 
 use delrec::core::{
     build_teacher, pretrained_lm, DelRec, DelRecConfig, LmPreset, Pipeline, TeacherKind,
@@ -13,7 +11,7 @@ use delrec::data::{Dataset, Split};
 use delrec::eval::{evaluate, EvalConfig, RankingReport};
 use delrec::lm::{AdaLoraConfig, LmToken, MiniLm, MiniLmConfig};
 use delrec::par::{with_pool, ThreadPool};
-use delrec::tensor::{Ctx, InferCtx, MathMode, Tape, Tensor};
+use delrec::tensor::{Ctx, InferCtx, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -57,7 +55,6 @@ fn eval_with(model: &DelRec, ds: &Dataset, batch_size: usize) -> RankingReport {
 fn exact_engine_reproduces_tape_metrics_at_every_batch_size() {
     let (ds, mut model) = fitted_model();
     assert!(model.inference_engine_enabled(), "engine is the default");
-    assert_eq!(model.math_mode(), MathMode::Exact, "exact is the default");
 
     for bs in [1usize, 7, 32] {
         model.set_inference_engine(true);
@@ -136,7 +133,7 @@ fn engine_mask_logits_are_bitwise_the_tapes_on_both_attention_paths() {
         let mut rng = StdRng::seed_from_u64(0);
         let want = tape.get(lm.mask_logits_batch(&ctx, &seqs, Some(soft_var), &mask_pos, &mut rng));
 
-        let ic = InferCtx::new(MathMode::Exact);
+        let ic = InferCtx::default();
         let cache = lm.build_prefix_cache(&ic, &prefix, Some(&soft));
         assert_eq!(cache.is_some(), causal || layers == 1, "{name}: cache gate");
         for lanes in [1usize, 4] {
@@ -161,67 +158,5 @@ fn engine_mask_logits_are_bitwise_the_tapes_on_both_attention_paths() {
                 "{name}: the pruned last layer goes row by row"
             );
         }
-    }
-}
-
-#[test]
-fn quantized_drift_stays_within_metric_budget() {
-    let (ds, mut model) = fitted_model();
-    let exact = eval_with(&model, &ds, 16);
-    model.set_math_mode(MathMode::Quantized);
-    assert_eq!(model.math_mode(), MathMode::Quantized);
-    let quant = eval_with(&model, &ds, 16);
-    for k in [1, 5, 10] {
-        assert!(
-            (exact.hr(k) - quant.hr(k)).abs() < 1e-2,
-            "HR@{k}: {} vs {}",
-            exact.hr(k),
-            quant.hr(k)
-        );
-    }
-    for k in [5, 10] {
-        assert!(
-            (exact.ndcg(k) - quant.ndcg(k)).abs() < 1e-2,
-            "NDCG@{k}: {} vs {}",
-            exact.ndcg(k),
-            quant.ndcg(k)
-        );
-    }
-    // Back to exact: identical to the original run again — the engine pool
-    // and both weight-pack slots key correctly on the mode.
-    model.set_math_mode(MathMode::Exact);
-    assert_eq!(eval_with(&model, &ds, 16), exact);
-}
-
-#[test]
-fn config_math_mode_plumbs_into_fitted_and_loaded_models() {
-    let (ds, model) = fitted_model();
-    let exact_report = eval_with(&model, &ds, 16);
-
-    // A model *loaded* under a Quantized config must come up in that mode
-    // and reproduce a fitted model's quantized metrics exactly — the
-    // config-level plumbing the eval harness and server construct through.
-    let pipeline = Pipeline::build(&ds);
-    let mut cfg = DelRecConfig::smoke(TeacherKind::SASRec);
-    cfg.lm = LmPreset::Large;
-    cfg.math = MathMode::Quantized;
-    let mut blob = Vec::new();
-    model.save(&mut blob).expect("serialize");
-    let restored = DelRec::load(&pipeline, &cfg, &mut blob.as_slice()).expect("restore");
-    assert_eq!(restored.math_mode(), MathMode::Quantized);
-
-    let mut quant_model = model;
-    quant_model.set_math_mode(MathMode::Quantized);
-    assert_eq!(
-        eval_with(&restored, &ds, 16),
-        eval_with(&quant_model, &ds, 16),
-        "config-selected mode must behave exactly like the runtime switch"
-    );
-
-    // Sanity: the restored quantized model still sits within the drift
-    // budget of the exact metrics.
-    let quant_report = eval_with(&restored, &ds, 16);
-    for k in [1, 5, 10] {
-        assert!((exact_report.hr(k) - quant_report.hr(k)).abs() < 1e-2);
     }
 }
