@@ -54,6 +54,16 @@ const GOLDEN: &[(&str, usize, u64)] = &[
 /// drift in training; this can. Re-bless it by the procedure above.
 const GOLDEN_PARAM_BITS: u64 = 0xF53F_45E3_0092_D51E;
 
+/// The same checksum over the 1-layer LM straight out of MLM pretraining, so
+/// a pretraining drift is told apart from a fitting one.
+const GOLDEN_PRETRAINED_BITS: u64 = 0x8CF7_6215_6740_72E4;
+
+/// The two-layer (`LmPreset::Xl`) stack, where a full encoder block feeds the
+/// last one: its pretrained LM, then the fit (Stage 1 on a frozen backbone,
+/// Stage 2 with AdaLoRA), dropout on throughout.
+const GOLDEN_XL_PRETRAINED_BITS: u64 = 0xCD22_1A7D_5335_38D8;
+const GOLDEN_XL_PARAM_BITS: u64 = 0xE4AA_B362_3038_279F;
+
 fn fnv1a_param_bits(store: &delrec::tensor::ParamStore) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (_, _, t) in store.iter() {
@@ -62,6 +72,65 @@ fn fnv1a_param_bits(store: &delrec::tensor::ParamStore) -> u64 {
         }
     }
     h
+}
+
+/// Print a checksum (the line the re-blessing procedure copies from) and
+/// record a mismatch against its blessed value.
+fn check_bits(name: &str, got: u64, blessed: u64, failures: &mut Vec<String>) {
+    println!("golden metrics: {name} = {got:#018X}");
+    if got != blessed {
+        failures.push(format!("{name}: got {got:#018X}, blessed {blessed:#018X}"));
+    }
+}
+
+#[test]
+fn xl_training_is_bit_stable_across_builds() {
+    let seed = 33;
+    let data = SyntheticConfig::profile(DatasetProfile::MovieLens100K)
+        .scaled(0.08)
+        .generate(seed);
+    let pipeline = Pipeline::build(&data);
+    let lm = pretrained_lm(
+        &data,
+        &pipeline,
+        LmPreset::Xl,
+        &PretrainConfig {
+            epochs: 1,
+            max_sentences: Some(20),
+            ..Default::default()
+        },
+        seed,
+    );
+    assert_eq!(
+        lm.cfg.num_layers, 2,
+        "the XL preset has a block before the last"
+    );
+    assert!(lm.cfg.dropout > 0.0, "dropout is on");
+    let pretrained_bits = fnv1a_param_bits(lm.store());
+    let teacher = build_teacher(&data, TeacherKind::SASRec, 1, Some(40), seed);
+    let cfg = DelRecConfig::smoke(TeacherKind::SASRec);
+    assert_eq!(cfg.lm, LmPreset::Xl);
+    let model = DelRec::fit(&data, &pipeline, teacher.as_ref(), lm, &cfg);
+    assert!(model.lm().adalora().is_some(), "Stage 2 ran with AdaLoRA");
+    let mut failures = Vec::new();
+    check_bits(
+        "XL pretrained parameter bits",
+        pretrained_bits,
+        GOLDEN_XL_PRETRAINED_BITS,
+        &mut failures,
+    );
+    check_bits(
+        "XL fitted parameter bits",
+        fnv1a_param_bits(model.lm().store()),
+        GOLDEN_XL_PARAM_BITS,
+        &mut failures,
+    );
+    assert!(
+        failures.is_empty(),
+        "XL training drifted — see the re-blessing procedure in this file's \
+         header before updating:\n{}",
+        failures.join("\n")
+    );
 }
 
 #[test]
@@ -82,6 +151,7 @@ fn metrics_are_bit_stable_across_builds() {
         },
         seed,
     );
+    let pretrained_bits = fnv1a_param_bits(lm.store());
     let teacher = build_teacher(&data, TeacherKind::SASRec, 1, Some(40), seed);
     let mut cfg = DelRecConfig::smoke(TeacherKind::SASRec);
     cfg.lm = LmPreset::Large;
@@ -100,12 +170,18 @@ fn metrics_are_bit_stable_across_builds() {
 
     let mut failures = Vec::new();
     let param_bits = fnv1a_param_bits(model.lm().store());
-    println!("golden metrics: fitted parameter bits = {param_bits:#018X}");
-    if param_bits != GOLDEN_PARAM_BITS {
-        failures.push(format!(
-            "fitted parameter bits: got {param_bits:#018X}, blessed {GOLDEN_PARAM_BITS:#018X}"
-        ));
-    }
+    check_bits(
+        "pretrained parameter bits",
+        pretrained_bits,
+        GOLDEN_PRETRAINED_BITS,
+        &mut failures,
+    );
+    check_bits(
+        "fitted parameter bits",
+        param_bits,
+        GOLDEN_PARAM_BITS,
+        &mut failures,
+    );
     for &(label, k, want_bits) in GOLDEN {
         let got = match label {
             "hr" => report.hr(k),
