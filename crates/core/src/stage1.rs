@@ -183,9 +183,9 @@ pub(crate) fn batch_loss(
     // reduction over its [B, V] mask logits, one cross-entropy. All DELRec
     // training streams use fixed-size candidate sets, which the batched
     // verbalizer requires.
-    let seqs: Vec<Vec<delrec_lm::LmToken>> = batch
+    let seqs: Vec<&[delrec_lm::LmToken]> = batch
         .iter()
-        .map(|item| item.prompt.tokens.clone())
+        .map(|item| item.prompt.tokens.as_slice())
         .collect();
     let mask_pos: Vec<usize> = batch.iter().map(|item| item.prompt.mask_pos).collect();
     let logits = lm.mask_logits_batch(ctx, &seqs, soft_table, &mask_pos, rng);
@@ -228,7 +228,7 @@ pub fn distill(
     let mut stats = Stage1Stats::default();
     let half = (cfg.batch_size / 2).max(1);
 
-    for epoch in 0..cfg.epochs {
+    for _ in 0..cfg.epochs {
         let _epoch_span = delrec_obs::span!("core.stage1.epoch");
         // Dynamic λ: descent-rate weighting once two epochs of history exist.
         let lambda = dynamic_lambda(&stats.ta_losses, &stats.rps_losses, opts);
@@ -311,7 +311,6 @@ pub fn distill(
         delrec_obs::gauge!("core.stage1.ta_loss").set(f64::from(*stats.ta_losses.last().unwrap()));
         delrec_obs::gauge!("core.stage1.rps_loss")
             .set(f64::from(*stats.rps_losses.last().unwrap()));
-        let _ = epoch;
     }
     // Restore the default freeze state.
     lm.set_backbone_trainable(true);

@@ -2,7 +2,9 @@
 
 use crate::adalora::AdaLora;
 use crate::config::MiniLmConfig;
-use delrec_tensor::{init, Ctx, ParamId, ParamStore, Tensor, Var, VersionedSlot};
+use delrec_tensor::{
+    init, k_group_rows, Ctx, ParamId, ParamStore, Rows, Tensor, Var, VersionedSlot,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -205,10 +207,10 @@ impl MiniLm {
     /// hard tokens from the tied table, soft tokens from `soft_table`, plus
     /// learned positions (paper Eq. 2 — soft prompts live directly in
     /// embedding space). Rows past a sequence's length stay exactly zero.
-    fn embed_batch(
+    fn embed_batch<S: AsRef<[LmToken]>>(
         &self,
         ctx: &Ctx<'_>,
-        seqs: &[Vec<LmToken>],
+        seqs: &[S],
         soft_table: Option<Var>,
         t_max: usize,
     ) -> Var {
@@ -218,7 +220,7 @@ impl MiniLm {
         let mut soft = Vec::new();
         let mut pos = Vec::new();
         for (b, tokens) in seqs.iter().enumerate() {
-            for (t, tok) in tokens.iter().enumerate() {
+            for (t, tok) in tokens.as_ref().iter().enumerate() {
                 let dst = b * t_max + t;
                 match *tok {
                     LmToken::Vocab(w) => hard.push((w as usize, dst)),
@@ -237,117 +239,181 @@ impl MiniLm {
         tape.add(x, p)
     }
 
-    /// Hidden states `[T, d]` after the full encoder stack. Thin wrapper over
-    /// [`MiniLm::encode_batch`] with a batch of one.
-    pub fn encode(
+    /// Hidden states `[rows.len(), d]` after the full encoder stack at the
+    /// `(sequence, position)` pairs `rows` of a right-padded batch — the rows
+    /// a loss reads, in the order given (repeats allowed). A position may lie
+    /// in a sequence's padding (below the longest length); such a row holds
+    /// finite garbage.
+    ///
+    /// Row-wise layers (projections, layer norm, FFN) run over the whole
+    /// flattened `[B·t_max, d]` batch; attention is the only cross-row op,
+    /// and [`delrec_tensor::Tape::attention`]'s valid-prefix masking gives
+    /// padded key positions exactly zero weight, so padded rows never leak
+    /// into valid ones. Every block but the last runs over all rows. The
+    /// last computes only what `rows` needs: layer norm, K and V over all
+    /// rows (every query attends to every key), and Q, attention, the output
+    /// projection, both residuals, the FFN and the final layer norm over the
+    /// [`K_GROUP`](delrec_tensor::K_GROUP)-row groups that hold a requested row
+    /// ([`k_group_rows`]) — which keeps every fitted parameter's gradient
+    /// bitwise what the full-row block gives (DESIGN.md, "The last block
+    /// computes only the loss rows"). Its dropout masks are drawn for every
+    /// row, so the RNG stream is unchanged too.
+    pub fn encode_rows<S: AsRef<[LmToken]>>(
         &self,
         ctx: &Ctx<'_>,
-        tokens: &[LmToken],
+        seqs: &[S],
         soft_table: Option<Var>,
+        rows: &[(usize, usize)],
         rng: &mut StdRng,
     ) -> Var {
-        let (h, _) = self.encode_batch(ctx, &[tokens.to_vec()], soft_table, rng);
-        h
-    }
-
-    /// Batched hidden states over right-padded sequences.
-    ///
-    /// Returns `([B·t_max, d], t_max)` where `t_max` is the longest input
-    /// length; sequence `b`'s position `t` lives at row `b·t_max + t`.
-    /// Row-wise layers (projections, layer norm, FFN) run over the whole
-    /// flattened batch at once; attention is the only cross-row op, and
-    /// [`delrec_tensor::Tape::attention`]'s valid-prefix masking gives
-    /// padded key positions exactly zero weight, so values in padded rows
-    /// never leak into valid rows. Padded rows themselves carry finite
-    /// garbage and must be ignored by the caller (e.g. gathered around).
-    pub fn encode_batch(
-        &self,
-        ctx: &Ctx<'_>,
-        seqs: &[Vec<LmToken>],
-        soft_table: Option<Var>,
-        rng: &mut StdRng,
-    ) -> (Var, usize) {
         let _span = delrec_obs::span!("lm.encode_tape");
         let tape = ctx.tape;
         let bsz = seqs.len();
         assert!(bsz > 0, "empty batch");
-        let mut t_max = 0;
-        for tokens in seqs {
-            assert!(!tokens.is_empty(), "empty input");
+        let lens: Vec<usize> = seqs.iter().map(|s| s.as_ref().len()).collect();
+        for &len in &lens {
+            assert!(len > 0, "empty input");
             assert!(
-                tokens.len() <= self.cfg.max_len,
-                "input length {} exceeds max_len {}",
-                tokens.len(),
+                len <= self.cfg.max_len,
+                "input length {len} exceeds max_len {}",
                 self.cfg.max_len
             );
-            t_max = t_max.max(tokens.len());
         }
+        let t_max = *lens.iter().max().unwrap();
+        let n = bsz * t_max;
+        let flat: Vec<usize> = rows
+            .iter()
+            .map(|&(b, t)| {
+                assert!(
+                    b < bsz && t < t_max,
+                    "row ({b}, {t}) outside [{bsz}, {t_max}]"
+                );
+                b * t_max + t
+            })
+            .collect();
+        let kept = k_group_rows(flat.iter().copied(), n);
+        delrec_obs::counter!("lm.encode_tape.last_block_rows").add(kept.len() as u64);
+        let keep = if kept.len() == n {
+            Rows::All
+        } else {
+            Rows::Of { n, rows: &kept }
+        };
         // Per-(sequence, query-position) count of attendable key positions:
         // the sequence's valid prefix, additionally clipped to `t + 1` for
         // the decoder-only variant. Padded query rows get their sequence's
         // count too — their output is garbage either way, but the count must
         // stay in the attention node's 1..=t_max range.
-        let valid: Vec<usize> = seqs
-            .iter()
-            .flat_map(|tokens| {
-                let len = tokens.len();
-                (0..t_max).map(move |t| {
-                    if self.cfg.causal {
-                        (t + 1).min(len)
-                    } else {
-                        len
-                    }
-                })
-            })
-            .collect();
-        let mut h = self.embed_batch(ctx, seqs, soft_table, t_max);
-        h = tape.dropout(h, self.cfg.dropout, ctx.train, rng);
-        let dh = self.cfg.d_model / self.cfg.num_heads;
-        let scale = 1.0 / (dh as f32).sqrt();
-        for block in &self.blocks {
-            let xin = tape.layer_norm(h, ctx.p(block.ln1_g), ctx.p(block.ln1_b));
-            let mut heads = Vec::with_capacity(self.cfg.num_heads);
-            for hd in 0..self.cfg.num_heads {
-                let q = tape.matmul(xin, self.proj(ctx, block.wq[hd]));
-                let k = tape.matmul(xin, self.proj(ctx, block.wk[hd]));
-                let v = tape.matmul(xin, self.proj(ctx, block.wv[hd]));
-                let (p, train) = (self.cfg.dropout, ctx.train);
-                heads.push(tape.attention(q, k, v, bsz, t_max, &valid, scale, p, train, rng));
+        let valid = |r: usize| {
+            let len = lens[r / t_max];
+            if self.cfg.causal {
+                (r % t_max + 1).min(len)
+            } else {
+                len
             }
-            let attn_out = tape.concat_cols(&heads);
-            let attn_out = tape.matmul(attn_out, ctx.p(block.wo));
-            let attn_out = tape.dropout(attn_out, self.cfg.dropout, ctx.train, rng);
-            h = tape.add(h, attn_out);
-
-            let xin2 = tape.layer_norm(h, ctx.p(block.ln2_g), ctx.p(block.ln2_b));
-            let f = tape.matmul(xin2, ctx.p(block.w1));
-            let f = tape.add(f, ctx.p(block.b1));
-            let f = tape.gelu(f);
-            let f = tape.matmul(f, ctx.p(block.w2));
-            let f = tape.add(f, ctx.p(block.b2));
-            let f = tape.dropout(f, self.cfg.dropout, ctx.train, rng);
-            h = tape.add(h, f);
+        };
+        let valid_all: Vec<usize> = (0..n).map(valid).collect();
+        let valid_kept: Vec<usize> = kept.iter().map(|&r| valid(r)).collect();
+        let mut h = self.embed_batch(ctx, seqs, soft_table, t_max);
+        h = tape.dropout(h, Rows::All, self.cfg.dropout, ctx.train, rng);
+        let last = self.blocks.len() - 1;
+        for (i, block) in self.blocks.iter().enumerate() {
+            let (rows, valid) = if i == last {
+                (keep, &valid_kept)
+            } else {
+                (Rows::All, &valid_all)
+            };
+            h = self.block(ctx, block, h, bsz, t_max, rows, valid, rng);
         }
         let h = tape.layer_norm(h, ctx.p(self.ln_f_g), ctx.p(self.ln_f_b));
-        (h, t_max)
+        if keep == Rows::All && flat.iter().copied().eq(0..n) {
+            return h;
+        }
+        let at: Vec<usize> = flat
+            .iter()
+            .map(|r| kept.binary_search(r).expect("kept rows hold every row"))
+            .collect();
+        tape.gather_rows(h, &at)
+    }
+
+    /// One encoder block over the `[B·t_max, d]` hidden states `h`,
+    /// producing the rows `keep` of its output: layer norm, K and V over
+    /// every row; Q, attention, the output projection, both residuals and
+    /// the FFN over the kept rows only. `valid` holds one attendable-key
+    /// count per kept row.
+    #[allow(clippy::too_many_arguments)]
+    fn block(
+        &self,
+        ctx: &Ctx<'_>,
+        block: &Block,
+        h: Var,
+        bsz: usize,
+        t_max: usize,
+        keep: Rows<'_>,
+        valid: &[usize],
+        rng: &mut StdRng,
+    ) -> Var {
+        let tape = ctx.tape;
+        let kept = |x: Var| match keep {
+            Rows::All => x,
+            Rows::Of { rows, .. } => tape.gather_rows(x, rows),
+        };
+        let (p, train) = (self.cfg.dropout, ctx.train);
+        let dh = self.cfg.d_model / self.cfg.num_heads;
+        let scale = 1.0 / (dh as f32).sqrt();
+        let xin = tape.layer_norm(h, ctx.p(block.ln1_g), ctx.p(block.ln1_b));
+        let mut heads = Vec::with_capacity(self.cfg.num_heads);
+        for hd in 0..self.cfg.num_heads {
+            // Q gathers the kept rows per head, where the full-row block
+            // multiplied `xin` itself: the per-head gradients then reach
+            // `xin` in the same order (v, k, q, head by head, backwards).
+            let q = tape.matmul(kept(xin), self.proj(ctx, block.wq[hd]));
+            let k = tape.matmul(xin, self.proj(ctx, block.wk[hd]));
+            let v = tape.matmul(xin, self.proj(ctx, block.wv[hd]));
+            heads.push(tape.attention(q, k, v, bsz, t_max, keep, valid, scale, p, train, rng));
+        }
+        let attn_out = tape.concat_cols(&heads);
+        let attn_out = tape.matmul(attn_out, ctx.p(block.wo));
+        let attn_out = tape.dropout(attn_out, keep, p, train, rng);
+        let h = tape.add(kept(h), attn_out);
+
+        let xin2 = tape.layer_norm(h, ctx.p(block.ln2_g), ctx.p(block.ln2_b));
+        let f = tape.matmul(xin2, ctx.p(block.w1));
+        let f = tape.add(f, ctx.p(block.b1));
+        let f = tape.gelu(f);
+        let f = tape.matmul(f, ctx.p(block.w2));
+        let f = tape.add(f, ctx.p(block.b2));
+        let f = tape.dropout(f, keep, p, train, rng);
+        tape.add(h, f)
+    }
+
+    /// MLM-head logits `[rows, vocab_size]` of hidden states `[rows, d]`:
+    /// the tied embedding table plus the head bias.
+    fn mlm_head(&self, ctx: &Ctx<'_>, h: Var) -> Var {
+        let tape = ctx.tape;
+        let emb_t = tape.transpose(ctx.p(self.tok_emb));
+        let logits = tape.matmul(h, emb_t);
+        tape.add(logits, ctx.p(self.head_bias))
     }
 
     /// Full-vocabulary logits at every position of every sequence:
     /// `[B, t_max, vocab_size]`. One batched forward pass; positions past a
-    /// sequence's length hold garbage and must be masked by the caller.
-    pub fn forward_batch(
+    /// sequence's length hold garbage and must be masked by the caller. The
+    /// full-row reference the row-pruned paths are tested against.
+    pub fn forward_batch<S: AsRef<[LmToken]>>(
         &self,
         ctx: &Ctx<'_>,
-        seqs: &[Vec<LmToken>],
+        seqs: &[S],
         soft_table: Option<Var>,
         rng: &mut StdRng,
     ) -> Var {
-        let tape = ctx.tape;
-        let (h, t_max) = self.encode_batch(ctx, seqs, soft_table, rng);
-        let emb_t = tape.transpose(ctx.p(self.tok_emb));
-        let logits = tape.matmul(h, emb_t);
-        let logits = tape.add(logits, ctx.p(self.head_bias));
-        tape.reshape(logits, [seqs.len(), t_max, self.cfg.vocab_size])
+        let t_max = seqs.iter().map(|s| s.as_ref().len()).max().unwrap_or(0);
+        let rows: Vec<(usize, usize)> = (0..seqs.len())
+            .flat_map(|b| (0..t_max).map(move |t| (b, t)))
+            .collect();
+        let h = self.encode_rows(ctx, seqs, soft_table, &rows, rng);
+        let logits = self.mlm_head(ctx, h);
+        ctx.tape
+            .reshape(logits, [seqs.len(), t_max, self.cfg.vocab_size])
     }
 
     /// MLM-head logits at several positions in one forward pass:
@@ -362,12 +428,15 @@ impl MiniLm {
         rng: &mut StdRng,
     ) -> Var {
         assert!(!positions.is_empty(), "no mask positions");
-        let tape = ctx.tape;
-        let h = self.encode(ctx, tokens, soft_table, rng);
-        let rows = tape.gather_rows(h, positions);
-        let emb_t = tape.transpose(ctx.p(self.tok_emb));
-        let logits = tape.matmul(rows, emb_t);
-        tape.add(logits, ctx.p(self.head_bias))
+        let rows: Vec<(usize, usize)> = positions
+            .iter()
+            .map(|&p| {
+                assert!(p < tokens.len(), "mask position out of range");
+                (0, p)
+            })
+            .collect();
+        let h = self.encode_rows(ctx, &[tokens], soft_table, &rows, rng);
+        self.mlm_head(ctx, h)
     }
 
     /// MLM-head logits (`[vocab_size]`) at `mask_pos` — the LM-head "output
@@ -381,37 +450,35 @@ impl MiniLm {
         mask_pos: usize,
         rng: &mut StdRng,
     ) -> Var {
-        let logits = self.mask_logits_batch(ctx, &[tokens.to_vec()], soft_table, &[mask_pos], rng);
+        let logits = self.mask_logits_batch(ctx, &[tokens], soft_table, &[mask_pos], rng);
         ctx.tape.reshape(logits, [self.cfg.vocab_size])
     }
 
     /// Batched mask-position logits: one `[B, vocab_size]` tensor holding,
     /// for each sequence, the MLM-head scores at that sequence's mask slot.
-    /// The whole batch shares one encoder pass over right-padded inputs.
-    pub fn mask_logits_batch(
+    /// The whole batch shares one encoder pass over right-padded inputs,
+    /// whose last block computes little more than the mask rows
+    /// ([`MiniLm::encode_rows`]).
+    pub fn mask_logits_batch<S: AsRef<[LmToken]>>(
         &self,
         ctx: &Ctx<'_>,
-        seqs: &[Vec<LmToken>],
+        seqs: &[S],
         soft_table: Option<Var>,
         mask_pos: &[usize],
         rng: &mut StdRng,
     ) -> Var {
         assert_eq!(seqs.len(), mask_pos.len(), "one mask position per sequence");
-        let tape = ctx.tape;
-        let (h, t_max) = self.encode_batch(ctx, seqs, soft_table, rng);
-        let rows: Vec<usize> = mask_pos
+        let rows: Vec<(usize, usize)> = mask_pos
             .iter()
             .zip(seqs)
             .enumerate()
             .map(|(b, (&p, tokens))| {
-                assert!(p < tokens.len(), "mask position out of range");
-                b * t_max + p
+                assert!(p < tokens.as_ref().len(), "mask position out of range");
+                (b, p)
             })
             .collect();
-        let at_mask = tape.gather_rows(h, &rows);
-        let emb_t = tape.transpose(ctx.p(self.tok_emb));
-        let logits = tape.matmul(at_mask, emb_t);
-        tape.add(logits, ctx.p(self.head_bias))
+        let at_mask = self.encode_rows(ctx, seqs, soft_table, &rows, rng);
+        self.mlm_head(ctx, at_mask)
     }
 
     /// Plain (non-autograd) mean token embedding of a word sequence — the

@@ -4,7 +4,7 @@
 
 use crate::model::{NeuralSeqModel, SequentialRecommender};
 use delrec_data::ItemId;
-use delrec_tensor::{init, Ctx, ParamId, ParamStore, Tensor, Var};
+use delrec_tensor::{init, Ctx, ParamId, ParamStore, Rows, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -170,7 +170,7 @@ impl NeuralSeqModel for Caser {
         let o = tape.matmul(z, ctx.p(self.w1));
         let o = tape.add(o, ctx.p(self.b1));
         let o = tape.relu(o);
-        let o = tape.dropout(o, self.cfg.dropout, ctx.train, rng);
+        let o = tape.dropout(o, Rows::All, self.cfg.dropout, ctx.train, rng);
         let emb_t = tape.transpose(ctx.p(self.emb));
         let logits = tape.matmul(o, emb_t);
         tape.reshape(logits, [self.num_items])

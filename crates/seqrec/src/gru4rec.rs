@@ -3,7 +3,7 @@
 
 use crate::model::{NeuralSeqModel, SequentialRecommender};
 use delrec_data::ItemId;
-use delrec_tensor::{init, Ctx, ParamId, ParamStore, Tensor, Var};
+use delrec_tensor::{init, Ctx, ParamId, ParamStore, Rows, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -187,7 +187,7 @@ impl NeuralSeqModel for Gru4Rec {
         let tape = ctx.tape;
         let h = self.final_hidden_batch(ctx, prefixes); // [B, hidden]
         let o = tape.matmul(h, ctx.p(self.wo));
-        let o = tape.dropout(o, self.cfg.dropout, ctx.train, rng);
+        let o = tape.dropout(o, Rows::All, self.cfg.dropout, ctx.train, rng);
         let emb_t = tape.transpose(ctx.p(self.emb));
         tape.matmul(o, emb_t) // [B, num_items]
     }

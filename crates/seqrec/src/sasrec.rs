@@ -4,7 +4,7 @@
 
 use crate::model::{NeuralSeqModel, SequentialRecommender};
 use delrec_data::ItemId;
-use delrec_tensor::{init, Ctx, ParamId, ParamStore, Tensor, Var};
+use delrec_tensor::{init, Ctx, ParamId, ParamStore, Rows, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -163,7 +163,7 @@ impl SasRec {
         let p = tape.embedding_padded(ctx.p(self.pos), &pos_seqs, t_max);
         let p = tape.reshape(p, [rows, d]);
         let mut h = tape.add(x, p);
-        h = tape.dropout(h, self.cfg.dropout, ctx.train, rng);
+        h = tape.dropout(h, Rows::All, self.cfg.dropout, ctx.train, rng);
 
         // Causal + padding mask as a valid-prefix count per query row:
         // position t attends to j ≤ t, clipped to the sequence's length.
@@ -182,11 +182,23 @@ impl SasRec {
                 let k = tape.matmul(xin, ctx.p(head.wk));
                 let v = tape.matmul(xin, ctx.p(head.wv));
                 let (p, train) = (self.cfg.dropout, ctx.train);
-                heads.push(tape.attention(q, k, v, bsz, t_max, &valid, scale, p, train, rng));
+                heads.push(tape.attention(
+                    q,
+                    k,
+                    v,
+                    bsz,
+                    t_max,
+                    Rows::All,
+                    &valid,
+                    scale,
+                    p,
+                    train,
+                    rng,
+                ));
             }
             let attn_out = tape.concat_cols(&heads); // [B·T, d]
             let attn_out = tape.matmul(attn_out, ctx.p(block.wo));
-            let attn_out = tape.dropout(attn_out, self.cfg.dropout, ctx.train, rng);
+            let attn_out = tape.dropout(attn_out, Rows::All, self.cfg.dropout, ctx.train, rng);
             h = tape.add(h, attn_out);
 
             let xin2 = tape.layer_norm(h, ctx.p(block.ln2_g), ctx.p(block.ln2_b));
@@ -195,7 +207,7 @@ impl SasRec {
             let f = tape.relu(f);
             let f = tape.matmul(f, ctx.p(block.w2));
             let f = tape.add(f, ctx.p(block.b2));
-            let f = tape.dropout(f, self.cfg.dropout, ctx.train, rng);
+            let f = tape.dropout(f, Rows::All, self.cfg.dropout, ctx.train, rng);
             h = tape.add(h, f);
         }
         let h = tape.layer_norm(h, ctx.p(self.ln_f_g), ctx.p(self.ln_f_b));

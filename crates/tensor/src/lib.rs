@@ -41,6 +41,6 @@ pub use ops::{
     AUTO_PACK_MIN_MACS, MR, NR,
 };
 pub use params::{Ctx, ParamId, ParamStore, VersionedSlot};
-pub use shape::Shape;
+pub use shape::{k_group_rows, Rows, Shape, K_GROUP};
 pub use tape::{BufferPool, BwdCtx, Gradients, Tape, Var};
 pub use tensor::Tensor;

@@ -910,30 +910,36 @@ pub fn gemm_auto(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
     }
 }
 
-/// Both gradients of `a[m, k] · b[k, n]` given the upstream `g[m, n]`, into
-/// **zero-filled** outputs: `ga = g · bᵀ` and `gb = aᵀ · g` — the backward of
-/// [`crate::Tape::matmul`]'s 2-D product. Neither transpose is materialised:
-/// `b` is packed transposed as it lies and `a` is read through the kernel's
-/// transposed-`A` mode, so each element is bitwise what [`matmul_raw`] gives
-/// over explicit transposes. Forks like [`gemm_packed`].
+/// The gradients of `a[m, k] · b[k, n]` given the upstream `g[m, n]` — the
+/// backward of [`crate::Tape::matmul`]'s 2-D product — into **zero-filled**
+/// outputs, each computed only if asked for: `ga = g · bᵀ` and `gb = aᵀ · g`.
+/// Neither transpose is materialised: `b` is packed transposed as it lies and
+/// `a` is read through the kernel's transposed-`A` mode, so each element is
+/// bitwise what [`matmul_raw`] gives over explicit transposes. Forks like
+/// [`gemm_packed`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_backward(
     a: &[f32],
     b: &[f32],
     g: &[f32],
-    ga: &mut [f32],
-    gb: &mut [f32],
+    ga: Option<&mut [f32]>,
+    gb: Option<&mut [f32]>,
     m: usize,
     k: usize,
     n: usize,
 ) {
     debug_assert!(a.len() == m * k && b.len() == k * n && g.len() == m * n);
-    debug_assert!(ga.len() == m * k && gb.len() == k * n);
     let mut bp = PackedB::default();
-    pack_b_transposed_into(b, n, k, &mut bp);
-    gemm_dispatch::<false, false>(g, n, &bp, ga, m);
-    pack_b_into(g, m, n, &mut bp);
-    gemm_dispatch::<false, true>(a, k, &bp, gb, k);
+    if let Some(ga) = ga {
+        debug_assert_eq!(ga.len(), m * k);
+        pack_b_transposed_into(b, n, k, &mut bp);
+        gemm_dispatch::<false, false>(g, n, &bp, ga, m);
+    }
+    if let Some(gb) = gb {
+        debug_assert_eq!(gb.len(), k * n);
+        pack_b_into(g, m, n, &mut bp);
+        gemm_dispatch::<false, true>(a, k, &bp, gb, k);
+    }
 }
 
 simd_dispatch! {
@@ -1479,7 +1485,7 @@ mod tests {
                 let pool = delrec_par::ThreadPool::new(lanes);
                 let (ga, gb) = delrec_par::with_pool(&pool, || {
                     let (mut ga, mut gb) = (vec![0.0f32; m * k], vec![0.0f32; k * n]);
-                    gemm_backward(&a, &b, &g, &mut ga, &mut gb, m, k, n);
+                    gemm_backward(&a, &b, &g, Some(&mut ga), Some(&mut gb), m, k, n);
                     (ga, gb)
                 });
                 assert_eq!(

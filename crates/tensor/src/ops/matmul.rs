@@ -108,12 +108,17 @@ impl Tape {
             Tensor::new([m, n], out),
             vec![a.id, b.id],
             Some(Box::new(move |ctx| {
-                // dA = g @ B^T ; dB = A^T @ g
+                // dA = g @ B^T ; dB = A^T @ g — each only if it is read (a
+                // frozen weight's dB is a whole product over the rows).
                 let (va, vb, g) = (ctx.value(a), ctx.value(b), ctx.grad());
-                let mut ga = ctx.alloc(m * k);
-                let mut gb = ctx.alloc(k * n);
-                gemm_backward(va.data(), vb.data(), g.data(), &mut ga, &mut gb, m, k, n);
-                vec![Tensor::new([m, k], ga), Tensor::new([k, n], gb)]
+                let mut ga = ctx.wants(a).then(|| ctx.alloc(m * k));
+                let mut gb = ctx.wants(b).then(|| ctx.alloc(k * n));
+                let (da, db) = (ga.as_deref_mut(), gb.as_deref_mut());
+                gemm_backward(va.data(), vb.data(), g.data(), da, db, m, k, n);
+                let grad = |d: Option<Vec<f32>>, shape: [usize; 2]| {
+                    d.map_or_else(|| ctx.unread(), |d| Tensor::new(shape, d))
+                };
+                vec![grad(ga, [m, k]), grad(gb, [k, n])]
             })),
         )
     }

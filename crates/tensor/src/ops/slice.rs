@@ -1,22 +1,45 @@
 //! Shape manipulation: reshape, row slices, concatenation, dropout.
 
-use crate::shape::Shape;
+use crate::shape::{Rows, Shape};
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
 use rand::Rng;
 
-/// Draw an inverted-dropout mask: one `f32` per element, in order, keeping
-/// it (as `1/(1-p)`) with probability `1-p`.
-pub(super) fn fill_dropout_mask<R: Rng>(mask: &mut [f32], p: f32, rng: &mut R) {
+/// Draw an inverted-dropout mask: one `f32` per element of the whole
+/// `[n, width]` tensor, in order, keeping it (as `1/(1-p)`) with probability
+/// `1-p`. `mask` receives the rows `rows` produces, packed; the stream is
+/// consumed for every row either way, so later draws do not depend on which
+/// rows were kept.
+pub(super) fn fill_dropout_mask<R: Rng>(
+    mask: &mut [f32],
+    width: usize,
+    rows: Rows<'_>,
+    p: f32,
+    rng: &mut R,
+) {
     assert!(p < 1.0, "dropout probability must be < 1");
     let keep = 1.0 - p;
     let scale = 1.0 / keep;
-    for m in mask.iter_mut() {
-        *m = if rng.random::<f32>() < keep {
+    let mut draw = || {
+        if rng.random::<f32>() < keep {
             scale
         } else {
             0.0
-        };
+        }
+    };
+    let Some((n, rows)) = rows.subset() else {
+        mask.iter_mut().for_each(|m| *m = draw());
+        return;
+    };
+    assert_eq!(mask.len(), rows.len() * width, "mask is [rows, width]");
+    let mut kept = rows.iter().zip(mask.chunks_exact_mut(width)).peekable();
+    for r in 0..n {
+        match kept.next_if(|&(&k, _)| k == r) {
+            Some((_, out)) => out.iter_mut().for_each(|m| *m = draw()),
+            None => (0..width).for_each(|_| {
+                draw();
+            }),
+        }
     }
 }
 
@@ -162,14 +185,27 @@ impl Tape {
 
     /// Inverted dropout: during training, zero each element with probability
     /// `p` and scale survivors by `1/(1-p)`; identity in eval mode.
-    pub fn dropout<R: Rng>(&self, a: Var, p: f32, train: bool, rng: &mut R) -> Var {
+    ///
+    /// With [`Rows::Of`], `a` is `[rows.len(), w]`, the rows `rows` of an
+    /// `[n, w]` activation: the mask is drawn for all `n·w` elements, in
+    /// order, and `a` gets its rows' entries — the values and the RNG stream
+    /// of dropout over the whole activation, for the rows kept.
+    pub fn dropout<R: Rng>(&self, a: Var, rows: Rows<'_>, p: f32, train: bool, rng: &mut R) -> Var {
         if !train || p <= 0.0 {
             return a;
         }
         let (shape, out, mask) = {
             let va = self.value(a);
+            if let Some((_, rows)) = rows.subset() {
+                assert!(
+                    va.shape().rank() == 2 && va.shape().dim(0) == rows.len(),
+                    "dropout over {} rows of a {} operand",
+                    rows.len(),
+                    va.shape()
+                );
+            }
             let mut mask = self.alloc(va.numel());
-            fill_dropout_mask(&mut mask, p, rng);
+            fill_dropout_mask(&mut mask, va.shape().last(), rows, p, rng);
             let mut out = self.alloc(va.numel());
             for ((o, &x), &m) in out.iter_mut().zip(va.data()).zip(&mask) {
                 *o = x * m;
@@ -232,7 +268,7 @@ mod tests {
         let tape = Tape::new();
         let mut rng = StdRng::seed_from_u64(1);
         let a = tape.leaf(Tensor::from_vec(vec![1., 2., 3.]));
-        let d = tape.dropout(a, 0.5, false, &mut rng);
+        let d = tape.dropout(a, Rows::All, 0.5, false, &mut rng);
         assert_eq!(d, a);
     }
 
@@ -242,9 +278,37 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let n = 10_000;
         let a = tape.leaf(Tensor::from_vec(vec![1.0; n]));
-        let d = tape.dropout(a, 0.3, true, &mut rng);
+        let d = tape.dropout(a, Rows::All, 0.3, true, &mut rng);
         let mean = tape.get(d).sum() / n as f32;
         assert!((mean - 1.0).abs() < 0.05, "dropout mean {mean} drifted");
+    }
+
+    #[test]
+    fn row_subset_dropout_is_the_full_dropout_gathered() {
+        use rand::RngCore;
+        let (n, w) = (11, 3);
+        let keep = [0usize, 4, 5, 10];
+        let full_data: Vec<f32> = (0..n * w).map(|i| i as f32 - 7.5).collect();
+        let run = |rows: Rows<'_>, data: Vec<f32>, m: usize| {
+            let tape = Tape::new();
+            let mut rng = StdRng::seed_from_u64(3);
+            let a = tape.leaf(Tensor::new([m, w], data));
+            let d = tape.dropout(a, rows, 0.4, true, &mut rng);
+            let grads = tape.backward(tape.sum_all(tape.sqr(d)));
+            (tape.get(d), grads.get(a).unwrap().clone(), rng.next_u64())
+        };
+        let (full, full_grad, full_next) = run(Rows::All, full_data.clone(), n);
+        let picked: Vec<f32> = keep
+            .iter()
+            .flat_map(|&r| full_data[r * w..(r + 1) * w].to_vec())
+            .collect();
+        let rows = Rows::Of { n, rows: &keep };
+        let (sub, sub_grad, sub_next) = run(rows, picked, keep.len());
+        for (i, &r) in keep.iter().enumerate() {
+            assert_eq!(sub.row(i), full.row(r), "row {r}");
+            assert_eq!(sub_grad.row(i), full_grad.row(r), "grad of row {r}");
+        }
+        assert_eq!(sub_next, full_next, "the whole mask was drawn");
     }
 
     #[test]

@@ -84,8 +84,9 @@ impl ParamStore {
         self.tensors[id.0].shape()
     }
 
-    /// Mark a parameter trainable or frozen. Frozen parameters are skipped by
-    /// optimizers but still participate in forward/backward.
+    /// Mark a parameter trainable or frozen. Frozen parameters still take
+    /// part in the forward pass, but [`Ctx`] binds them as constants: no
+    /// gradient is computed for them and optimizers never see one.
     pub fn set_trainable(&mut self, id: ParamId, trainable: bool) {
         self.trainable[id.0] = trainable;
     }
@@ -220,12 +221,19 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Bind (or reuse) the tape variable holding parameter `id`.
+    /// Bind (or reuse) the tape variable holding parameter `id`: a leaf if
+    /// it is trainable, a [`Tape::constant`] if frozen — no gradient is
+    /// computed for a frozen parameter.
     pub fn p(&self, id: ParamId) -> Var {
         if let Some(&v) = self.bound.borrow().get(&id.0) {
             return v;
         }
-        let v = self.tape.leaf(self.store.get(id).clone());
+        let value = self.store.get(id).clone();
+        let v = if self.store.is_trainable(id) {
+            self.tape.leaf(value)
+        } else {
+            self.tape.constant(value)
+        };
         self.bound.borrow_mut().insert(id.0, v);
         v
     }
@@ -236,16 +244,13 @@ impl<'a> Ctx<'a> {
     }
 
     /// Collect gradients for every *trainable* bound parameter after a
-    /// backward pass. Parameters the loss did not touch are skipped.
+    /// backward pass (frozen ones were bound as constants and have none).
+    /// Parameters the loss did not touch are skipped.
     pub fn grads(&self, grads: &mut Gradients) -> Vec<(ParamId, Tensor)> {
         let mut out: Vec<(ParamId, Tensor)> = Vec::new();
         for (&pid, &var) in self.bound.borrow().iter() {
-            let id = ParamId(pid);
-            if !self.store.is_trainable(id) {
-                continue;
-            }
             if let Some(g) = grads.take(var) {
-                out.push((id, g));
+                out.push((ParamId(pid), g));
             }
         }
         // Deterministic order regardless of hash-map iteration.

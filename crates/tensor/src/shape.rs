@@ -48,6 +48,66 @@ impl Shape {
     }
 }
 
+/// The rows of an `[n, …]` activation an op produces: all of them, or a
+/// subset held packed — row `rows[i]` of the whole is row `i` of the
+/// operand and of the result. [`crate::Tape::attention`] and
+/// [`crate::Tape::dropout`] take one, so a training pass can compute only
+/// the rows its loss reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Rows<'a> {
+    /// Every row.
+    All,
+    /// Rows `rows` of `n`, strictly ascending.
+    Of {
+        /// Rows of the whole activation.
+        n: usize,
+        /// The rows produced, strictly ascending, each below `n`.
+        rows: &'a [usize],
+    },
+}
+
+impl<'a> Rows<'a> {
+    /// `(n, rows)` of a subset, checked; `None` for [`Rows::All`].
+    pub(crate) fn subset(self) -> Option<(usize, &'a [usize])> {
+        let Rows::Of { n, rows } = self else {
+            return None;
+        };
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]) && rows.iter().all(|&r| r < n),
+            "rows must be strictly ascending and below {n}"
+        );
+        Some((n, rows))
+    }
+}
+
+/// Rows per k-group of the GEMM kernels: every product sums its inner
+/// dimension as full groups of this many terms — each one left-associated
+/// expression added to the accumulator — then the remainder one at a time.
+pub const K_GROUP: usize = 4;
+
+/// The rows of `0..n` in the [`K_GROUP`]-row groups that hold any of `rows`:
+/// ascending, each group whole (the last, partial group up to `n`).
+///
+/// A product whose inner dimension runs over rows gives, over these rows,
+/// the bits it gives over all `n` as long as the others contribute exact
+/// zeros: each group keeps its terms at their places, an all-zero group adds
+/// `±0` to an accumulator that is never `-0`, and a zero term inside a group
+/// only ever meets a non-zero partner or another zero. A dense layout of
+/// `rows` alone would regroup the sums and change the bits.
+pub fn k_group_rows(rows: impl IntoIterator<Item = usize>, n: usize) -> Vec<usize> {
+    let mut out: Vec<usize> = rows
+        .into_iter()
+        .flat_map(|r| {
+            assert!(r < n, "row {r} out of {n}");
+            let g0 = r / K_GROUP * K_GROUP;
+            g0..(g0 + K_GROUP).min(n)
+        })
+        .collect();
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
@@ -112,6 +172,24 @@ mod tests {
         assert!(!s.ends_with(&Shape::from([2, 4])));
         assert!(s.ends_with(&Shape::from([2, 3, 4])));
         assert!(!s.ends_with(&Shape::from([1, 2, 3, 4])));
+    }
+
+    #[test]
+    fn k_group_rows_are_whole_groups_ascending() {
+        assert_eq!(k_group_rows([9, 1, 2], 11), vec![0, 1, 2, 3, 8, 9, 10]);
+        assert_eq!(k_group_rows([4, 5, 4], 12), vec![4, 5, 6, 7]);
+        assert_eq!(k_group_rows([0], 2), vec![0, 1]);
+        assert!(k_group_rows([], 5).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn unordered_rows_are_refused() {
+        Rows::Of {
+            n: 4,
+            rows: &[2, 1],
+        }
+        .subset();
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //! * Backward closures receive a [`BwdCtx`] giving read access to every node
 //!   value already on the tape, so ops capture [`Var`] handles and small
 //!   metadata instead of cloning their operands into the closure.
-//! * A [`BufferPool`] recycles `Vec<f32>` buffers. Node values return to the
-//!   pool when the tape drops, gradients when [`Gradients`] drops, and both
-//!   forward and backward passes allocate scratch through it. Sharing one
-//!   pool across the tapes of a training loop (via [`Tape::with_pool`]) makes
-//!   every step after the first run in recycled memory.
+//! * A [`BufferPool`] recycles `Vec<f32>` buffers within one pass. Node
+//!   values return to the tape's pool when the tape drops, gradients when
+//!   [`Gradients`] drops, and both forward and backward passes allocate
+//!   scratch through it, so a backward pass runs largely in the memory its
+//!   forward pass freed.
+//! * Only what the loss can differentiate is differentiated. A
+//!   [`Tape::constant`] — a frozen parameter, a fixed input — needs no
+//!   gradient, nor does any node computed from constants alone: such nodes
+//!   drop their backward closure when recorded, and an op whose other
+//!   parents do need one skips the constant's ([`BwdCtx::wants`]).
 
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -275,6 +280,20 @@ impl<'a> BwdCtx<'a> {
         &self.nodes[v.id].value
     }
 
+    /// Whether the loss's gradient with respect to `v` is wanted — false
+    /// for a [`Tape::constant`] and anything computed from constants alone.
+    /// A backward closure may skip such a parent's gradient and return
+    /// [`BwdCtx::unread`] in its place.
+    pub fn wants(&self, v: Var) -> bool {
+        self.nodes[v.id].needs_grad
+    }
+
+    /// The stand-in for a gradient [`BwdCtx::wants`] says nobody reads: an
+    /// empty tensor, which the tape drops.
+    pub fn unread(&self) -> Tensor {
+        Tensor::new([0], Vec::new())
+    }
+
     /// This node's own forward output.
     pub fn out(&self) -> &'a Tensor {
         &self.nodes[self.id].value
@@ -302,14 +321,16 @@ pub(crate) struct Node {
     value: Tensor,
     parents: Vec<usize>,
     backward: Option<BackwardFn>,
+    /// A [`Tape::leaf`], or computed from one: the loss's gradient with
+    /// respect to this node is wanted.
+    needs_grad: bool,
 }
 
 /// A gradient tape: the computation graph for one forward/backward pass.
 ///
 /// Tapes are intended to be short-lived — build one per training step, call
-/// [`Tape::backward`], read the gradients, and drop it. Loops that build many
-/// tapes should share one [`BufferPool`] via [`Tape::with_pool`] so each
-/// step's tensors are carved out of the previous step's memory.
+/// [`Tape::backward`], read the gradients, and drop it. Each tape recycles
+/// its own buffers through a private [`BufferPool`].
 ///
 /// ```
 /// use delrec_tensor::{Tape, Tensor};
@@ -333,16 +354,6 @@ impl Tape {
         Tape::default()
     }
 
-    /// Create an empty tape backed by a shared buffer pool. Training loops
-    /// pass the same pool to every step's tape so buffers recycle across
-    /// steps instead of hitting the allocator.
-    pub fn with_pool(pool: Arc<BufferPool>) -> Self {
-        Tape {
-            nodes: RefCell::new(Vec::new()),
-            pool,
-        }
-    }
-
     /// The buffer pool backing this tape.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
@@ -358,16 +369,17 @@ impl Tape {
         self.pool.take_copy(src)
     }
 
-    /// Record a leaf value (an input or parameter). Leaves receive gradients
-    /// but have no backward function.
+    /// Record a leaf value (an input or trainable parameter). Leaves receive
+    /// gradients but have no backward function.
     pub fn leaf(&self, value: Tensor) -> Var {
-        self.push(value, vec![], None)
+        self.record(value, vec![], None, true)
     }
 
-    /// Record a constant. Identical to [`Tape::leaf`]; the distinct name
-    /// documents intent (the gradient, if any, is simply never read).
+    /// Record a constant: a leaf whose gradient is never computed (a frozen
+    /// parameter, a fixed input), so neither is that of any node computed
+    /// from constants alone. [`Gradients::get`] returns `None` for it.
     pub fn constant(&self, value: Tensor) -> Var {
-        self.leaf(value)
+        self.record(value, vec![], None, false)
     }
 
     /// Number of recorded nodes.
@@ -395,11 +407,28 @@ impl Tape {
         self.nodes.borrow()[v.id].value.shape().clone()
     }
 
+    /// Record an op's output. It wants a gradient if any parent does; if none
+    /// does, its backward closure is dropped here, with whatever it holds.
     pub(crate) fn push(
         &self,
         value: Tensor,
         parents: Vec<usize>,
         backward: Option<BackwardFn>,
+    ) -> Var {
+        let needs_grad = {
+            let nodes = self.nodes.borrow();
+            parents.iter().any(|&p| nodes[p].needs_grad)
+        };
+        let backward = backward.filter(|_| needs_grad);
+        self.record(value, parents, backward, needs_grad)
+    }
+
+    fn record(
+        &self,
+        value: Tensor,
+        parents: Vec<usize>,
+        backward: Option<BackwardFn>,
+        needs_grad: bool,
     ) -> Var {
         let mut nodes = self.nodes.borrow_mut();
         let id = nodes.len();
@@ -407,6 +436,7 @@ impl Tape {
             value,
             parents,
             backward,
+            needs_grad,
         });
         Var { id }
     }
@@ -446,6 +476,10 @@ impl Tape {
                     "backward fn returned wrong number of gradients"
                 );
                 for (&pid, pg) in node.parents.iter().zip(parent_grads) {
+                    if !nodes[pid].needs_grad {
+                        self.pool.put(pg.into_data());
+                        continue;
+                    }
                     debug_assert_eq!(
                         pg.shape(),
                         nodes[pid].value.shape(),
@@ -718,51 +752,17 @@ mod tests {
     }
 
     #[test]
-    fn dropping_tape_and_grads_refills_shared_pool() {
-        let pool = Arc::new(BufferPool::new());
-        {
-            let tape = Tape::with_pool(Arc::clone(&pool));
-            let x = tape.leaf(Tensor::from_vec(vec![1., 2., 3.]));
-            let y = tape.sqr(x);
-            let loss = tape.sum_all(y);
-            let grads = tape.backward(loss);
-            assert!(grads.get(x).is_some());
-        }
-        assert!(
-            pool.len() >= 3,
-            "node values and gradients should return to the pool"
-        );
-        // A second identical pass should be served from the pool.
-        let before = pool.len();
-        {
-            let tape = Tape::with_pool(Arc::clone(&pool));
-            let x = tape.leaf(Tensor::from_vec(vec![1., 2., 3.]));
-            let y = tape.sqr(x);
-            let loss = tape.sum_all(y);
-            let _ = tape.backward(loss);
-        }
-        assert!(pool.len() >= before, "pool should not shrink across steps");
-    }
-
-    #[test]
-    fn results_identical_with_and_without_shared_pool() {
-        let run = |pool: Option<Arc<BufferPool>>| -> Vec<f32> {
-            let tape = match pool {
-                Some(p) => Tape::with_pool(p),
-                None => Tape::new(),
-            };
-            let x = tape.leaf(Tensor::from_vec(vec![0.5, -1.5, 2.0]));
-            let y = tape.sqr(x);
-            let z = tape.scale(y, 3.0);
-            let loss = tape.sum_all(z);
-            let grads = tape.backward(loss);
-            grads.get(x).unwrap().data().to_vec()
-        };
-        let fresh = run(None);
-        let pool = Arc::new(BufferPool::new());
-        let first = run(Some(Arc::clone(&pool)));
-        let second = run(Some(pool)); // runs entirely on recycled buffers
-        assert_eq!(fresh, first);
-        assert_eq!(fresh, second);
+    fn constants_and_what_only_they_compute_get_no_gradient() {
+        let tape = Tape::new();
+        let x = tape.leaf(Tensor::from_vec(vec![1., 2.]));
+        let c = tape.constant(Tensor::from_vec(vec![3., 4.]));
+        let cc = tape.sqr(c);
+        let y = tape.mul(x, cc);
+        let grads = tape.backward(tape.sum_all(y));
+        assert_eq!(grads.get(x).unwrap().data(), &[9., 16.]);
+        assert!(grads.get(c).is_none() && grads.get(cc).is_none());
+        let nodes = tape.nodes.borrow();
+        assert!(!nodes[cc.id].needs_grad && nodes[cc.id].backward.is_none());
+        assert!(nodes[y.id].needs_grad);
     }
 }

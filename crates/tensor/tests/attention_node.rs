@@ -1,13 +1,15 @@
 //! `Tape::attention` + `Tape::concat_cols` against the generic-op chain they
 //! replaced in the three attention models, bit for bit: output, `dq`, `dk`,
-//! `dv` and the RNG's next draw. The chain lives on here as the oracle.
+//! `dv` and the RNG's next draw. The chain lives on here as the oracle. And
+//! the node over a subset of its query rows against the node over all of
+//! them, gathered.
 
 use delrec_tensor::grad_check::check_grad;
-use delrec_tensor::{Shape, Tape, Tensor, Var};
+use delrec_tensor::{Rows, Shape, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-/// What `MiniLm::encode_batch`, `SasRec` and `Bert4Rec` used to build per
+/// What `MiniLm::encode_rows`, `SasRec` and `Bert4Rec` used to build per
 /// head, op by op.
 #[allow(clippy::too_many_arguments)]
 fn chain_head(
@@ -27,7 +29,7 @@ fn chain_head(
     let scores = tape.matmul(q3, kt);
     let scores = tape.scale(scores, scale);
     let attn = tape.softmax_masked(scores, valid);
-    let attn = tape.dropout(attn, dropout, train, rng);
+    let attn = tape.dropout(attn, Rows::All, dropout, train, rng);
     let out = tape.matmul(attn, v3);
     tape.reshape(out, [bsz * t, dh])
 }
@@ -84,7 +86,19 @@ fn run(
         .map(|h| {
             let (q, k, v) = (h[0], h[1], h[2]);
             if node {
-                tape.attention(q, k, v, bsz, t, &valid, scale, dropout, train, &mut rng)
+                tape.attention(
+                    q,
+                    k,
+                    v,
+                    bsz,
+                    t,
+                    Rows::All,
+                    &valid,
+                    scale,
+                    dropout,
+                    train,
+                    &mut rng,
+                )
             } else {
                 let dims = (bsz, t, dh);
                 chain_head(
@@ -145,6 +159,138 @@ fn node_is_bitwise_the_chain() {
     assert_eq!(masks_drawn, 6 * 2 * 2 * 2);
 }
 
+/// Two heads over the query rows `kept` (all rows when `None`) with the
+/// loss reading only those rows: the full node's output gathered after it,
+/// the subset node's as produced. Returns the kept rows' output bits, the
+/// six input gradients' bits and the RNG's next draw.
+#[allow(clippy::type_complexity)]
+fn run_rows(
+    kept: &[usize],
+    subset: bool,
+    (bsz, t, dh): (usize, usize, usize),
+    causal: bool,
+    dropout: f32,
+) -> (Vec<u32>, Vec<Vec<u32>>, u64) {
+    let mut data = StdRng::seed_from_u64((bsz * 1000 + t * 10 + dh) as u64);
+    let rows = bsz * t;
+    let tape = Tape::new();
+    let inputs: Vec<Var> = (0..6)
+        .map(|_| tape.leaf(Tensor::new([rows, dh], fill(&mut data, rows * dh))))
+        .collect();
+    let weight = Tensor::new([kept.len(), 2 * dh], fill(&mut data, kept.len() * 2 * dh));
+    let valid = valid_counts(bsz, t, causal);
+    let kept_valid: Vec<usize> = kept.iter().map(|&r| valid[r]).collect();
+    let scale = 1.0 / (dh as f32).sqrt();
+    let mut rng = StdRng::seed_from_u64(99);
+    let heads: Vec<Var> = inputs
+        .chunks(3)
+        .map(|h| {
+            let (q, k, v) = (h[0], h[1], h[2]);
+            if subset {
+                let q = tape.gather_rows(q, kept);
+                let queries = Rows::Of {
+                    n: rows,
+                    rows: kept,
+                };
+                tape.attention(
+                    q,
+                    k,
+                    v,
+                    bsz,
+                    t,
+                    queries,
+                    &kept_valid,
+                    scale,
+                    dropout,
+                    true,
+                    &mut rng,
+                )
+            } else {
+                let all = tape.attention(
+                    q,
+                    k,
+                    v,
+                    bsz,
+                    t,
+                    Rows::All,
+                    &valid,
+                    scale,
+                    dropout,
+                    true,
+                    &mut rng,
+                );
+                tape.gather_rows(all, kept)
+            }
+        })
+        .collect();
+    let out = tape.concat_cols(&heads);
+    let loss = tape.sum_all(tape.mul(out, tape.constant(weight)));
+    let grads = tape.backward(loss);
+    let grad_bits = inputs
+        .iter()
+        .map(|&x| bits(grads.get(x).expect("every input reaches the loss")))
+        .collect();
+    (bits(&tape.get(out)), grad_bits, rng.next_u64())
+}
+
+/// Query rows a loss might read: positions 0–3 and near the end, several
+/// inside one k-group — after a full one, so a dense layout would regroup
+/// them — an example with none, an example with all.
+fn loss_rows(bsz: usize, t: usize, pick: usize) -> Vec<usize> {
+    let per_example = |b: usize| -> Vec<usize> {
+        match (pick + b) % 6 {
+            0 => vec![pick % 4],
+            1 => vec![t - 1],
+            2 => vec![0, 1, 3, t / 2, t.saturating_sub(2), t - 1],
+            3 => Vec::new(),
+            4 => vec![0, 1, 2, 3, 5, 6, 9, 10, 11, 13],
+            _ => (0..t).collect(),
+        }
+    };
+    let mut rows: Vec<usize> = (0..bsz)
+        .flat_map(|b| {
+            per_example(b)
+                .into_iter()
+                .filter(|&i| i < t)
+                .map(move |i| b * t + i)
+        })
+        .collect();
+    rows.sort_unstable();
+    rows.dedup();
+    if rows.is_empty() {
+        rows.push(t - 1);
+    }
+    rows
+}
+
+#[test]
+fn query_subset_is_bitwise_the_full_node_gathered() {
+    let mut cases = 0;
+    for t in [1usize, 3, 4, 5, 17, 99] {
+        for bsz in [1usize, 3] {
+            for pick in 0..6 {
+                let kept = loss_rows(bsz, t, pick);
+                for causal in [false, true] {
+                    for dropout in [0.0f32, 0.1] {
+                        let dims = (bsz, t, 8);
+                        let want = run_rows(&kept, false, dims, causal, dropout);
+                        let got = run_rows(&kept, true, dims, causal, dropout);
+                        let case =
+                            format!("t={t} B={bsz} rows={kept:?} causal={causal} p={dropout}");
+                        assert_eq!(want.0, got.0, "output, {case}");
+                        for (i, name) in ["dq", "dk", "dv"].iter().cycle().take(6).enumerate() {
+                            assert_eq!(want.1[i], got.1[i], "{name} of head {}, {case}", i / 3);
+                        }
+                        assert_eq!(want.2, got.2, "RNG stream, {case}");
+                        cases += usize::from(kept.len() < bsz * t);
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases > 80, "most cases keep a strict subset ({cases})");
+}
+
 #[test]
 fn grad_check_attention_and_concat_cols() {
     let (bsz, t, dh) = (2usize, 3usize, 2usize);
@@ -163,7 +309,19 @@ fn grad_check_attention_and_concat_cols() {
                     .chunks(3)
                     .map(|h| {
                         let (q, k, v) = (h[0], h[1], h[2]);
-                        tape.attention(q, k, v, bsz, t, &valid, 0.7, dropout, true, &mut rng)
+                        tape.attention(
+                            q,
+                            k,
+                            v,
+                            bsz,
+                            t,
+                            Rows::All,
+                            &valid,
+                            0.7,
+                            dropout,
+                            true,
+                            &mut rng,
+                        )
                     })
                     .collect();
                 let out = tape.concat_cols(&heads);
@@ -179,5 +337,17 @@ fn valid_count_beyond_the_row_panics() {
     let tape = Tape::new();
     let x = tape.leaf(Tensor::new([3, 2], vec![0.5; 6]));
     let mut rng = StdRng::seed_from_u64(0);
-    tape.attention(x, x, x, 1, 3, &[1, 2, 4], 1.0, 0.0, false, &mut rng);
+    tape.attention(
+        x,
+        x,
+        x,
+        1,
+        3,
+        Rows::All,
+        &[1, 2, 4],
+        1.0,
+        0.0,
+        false,
+        &mut rng,
+    );
 }

@@ -45,6 +45,9 @@ DELREC_THREADS=4 cargo test -q
 # of all three models (MiniLM, SASRec, BERT4Rec) and its blessed training
 # bits must hold without `debug_assert!` too.
 cargo test --release -q -p delrec-tensor -p delrec-lm -p delrec-seqrec
+# The fitted-parameter checksums (one- and two-layer fits, both pretrained
+# LMs) and the golden metrics must hold where the 256-bit kernels engage too.
+cargo test --release -q --test golden_metrics
 
 # Smoke-run the inference-engine benchmark: asserts the grad-free engine's
 # scores are bitwise identical to the tape before timing anything, then that
