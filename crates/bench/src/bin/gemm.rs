@@ -1,33 +1,42 @@
-//! `gemm` — payoff of the packed register-blocked GEMM and fused QKV/FFN
-//! projections (see the "GEMM kernel" section of `DESIGN.md`), written to
-//! `BENCH_gemm.json`.
+//! `gemm` — the kernel table: the packed register-blocked GEMM, the fused
+//! QKV/FFN projections and the vectorised `vmath` loops, timed on the LM's
+//! own shapes (see the "GEMM kernel" section of `DESIGN.md`) and written to
+//! `BENCH_gemm.json`. End-to-end and per-layer timings are `perfbench`'s;
+//! this binary keeps what a kernel edit needs, behind these gates:
 //!
-//! Three measurements, all behind correctness gates that assert **bitwise**
-//! agreement before a single timing is reported:
-//!
-//! 1. **Kernel microbench.** `matmul_raw` vs the blocked kernel (packing per
-//!    call, and against a cached pack) on the LM's own shapes: the old
-//!    per-head projection, the fused per-layer panel, the tied-embedding
-//!    head, and one XL engine tile's fused projection. Beside the dispatched
-//!    kernel runs its baseline body (`gemm_packed_baseline`: the same source
-//!    compiled at the build's 128-bit width), so the file records what the
-//!    host's instantiation buys. Gate: baseline body ≡ dispatched kernel ≡
-//!    `matmul_raw`, bit for bit, on every timed shape. One lane, so a large
-//!    shape times the kernel and not a fork.
-//! 2. **End-to-end batch-32 scoring.** A fitted DELRec scored over the same
-//!    request stream as BENCH_obs through the engine's fused forward,
-//!    best-of-3 wall. Gate: the engine and the autograd tape produce
-//!    identical score bits.
-//! 3. **Attribution re-run.** The BENCH_obs batch-32 profile repeated on the
-//!    fused forward: the `lm.qkv` + `lm.pack` share of wall, against the
-//!    55.5% `lm.qkv` share measured on the per-head projections it replaced.
+//! 1. **Kernel table** (one lane, so a large shape times the kernel and not
+//!    a fork). `matmul_raw` vs the blocked kernel (packing per call, and
+//!    against a cached pack) on the old per-head projection, the fused
+//!    per-layer panel, the tied-embedding head and one XL engine tile's fused
+//!    projection, with the dispatched kernel's baseline body
+//!    (`gemm_packed_baseline`: the same source at the build's 128-bit width)
+//!    beside it. Then `gelu_slice`, `softmax_row` and the blocked attn·V on
+//!    the XL attention shape beside their libm / per-row reference loops.
+//!    Gates: baseline body ≡ dispatched kernel ≡ `matmul_raw` on every timed
+//!    shape and blocked attn·V ≡ the per-row products, bit for bit;
+//!    `gelu_slice` ≥ 2x its libm loop (the softmax and attn·V ratios are
+//!    recorded, not gated).
+//! 2. **End-to-end batch-32 scoring.** A fitted DELRec scored through the
+//!    engine's fused forward, best-of-3 wall with spans off. Gate: the engine
+//!    and the autograd tape produce identical score bits.
+//! 3. **Attribution** (one lane, spans on). The batch-32 profile: the
+//!    `lm.qkv` + `lm.pack` share of wall against the 55.5 % `lm.qkv` share
+//!    of the per-head projections the fused panel replaced. Gates: the share
+//!    stays below that; spans cover ≥ 90 % of wall; and disabled-mode
+//!    instrumentation costs < 2 % of part 2's pass — (spans per pass ×
+//!    disabled-span cost + counters per pass × counter cost) ÷ pass wall,
+//!    computed rather than A/B'd because no uninstrumented build exists.
 
 use delrec_bench::harness::{best_ns, best_wall_ns, fill, fit_delrec, score_bits, ScoringWorkload};
 use delrec_bench::{banner, write_json, CliArgs, ExperimentContext};
 use delrec_core::{LmPreset, TeacherKind};
 use delrec_data::synthetic::DatasetProfile;
 use delrec_eval::json::Json;
-use delrec_tensor::{gemm_packed, gemm_packed_baseline, matmul_raw, pack_b, simd_lanes, PackedB};
+use delrec_obs::MetricValue;
+use delrec_tensor::{
+    gemm_packed, gemm_packed_baseline, gemm_packed_panels, matmul_raw, matmul_raw_strided, pack_b,
+    pack_b_into, simd_lanes, vmath, PackedB, NR,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -35,6 +44,17 @@ const BATCH: usize = 32;
 /// `lm.qkv` share of batch-32 wall on the per-head projections the fused
 /// panel replaced (measured in PR 4, before the blocked GEMM).
 const PRE_PR_QKV_PCT: f64 = 55.5;
+/// Keys per attention row in the XL serving prompt, and its head width.
+const KEYS: usize = 127;
+const D_HEAD: usize = 16;
+/// `gelu_slice` must beat its scalar libm loop by this factor (≈ 4–10x when
+/// vectorised): a kernel body that stops inlining falls back to one call
+/// per element, which costs about what libm does.
+const GELU_MIN_SPEEDUP: f64 = 2.0;
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 /// One timed kernel shape: gate bitwise equality (baseline body ≡ dispatched
 /// kernel ≡ `matmul_raw`), then time naive, pack-per-call, cached-pack and
@@ -43,7 +63,6 @@ fn kernel_case(label: &str, m: usize, k: usize, n: usize, iters: u32) -> Json {
     let a = fill(1, m * k);
     let b = fill(2, k * n);
     let bp: PackedB = pack_b(&b, k, n);
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut want = vec![0.0f32; m * n];
     matmul_raw(&a, &b, &mut want, m, k, n);
     // The timed kernels themselves, over the same pack they are timed on.
@@ -103,6 +122,115 @@ fn kernel_case(label: &str, m: usize, k: usize, n: usize, iters: u32) -> Json {
     ])
 }
 
+/// The vectorised loops and the blocked attn·V on the XL attention shape,
+/// each beside its reference loop: `(label, kernel, reference)` in ns per
+/// element (per MAC for attn·V). Gate: blocked attn·V ≡ one `m = 1` product
+/// per query row, bitwise.
+fn vector_kernel_rows() -> Vec<(&'static str, f64, f64)> {
+    let src: Vec<f32> = fill(3, KEYS * KEYS).iter().map(|x| x * 8.0).collect();
+    let elems = src.len() as f64;
+    let mut buf = src.clone();
+    let gelu = best_ns(128, || {
+        buf.copy_from_slice(&src);
+        vmath::gelu_slice(black_box(&mut buf));
+    }) / elems;
+    let gelu_libm = best_ns(128, || {
+        buf.copy_from_slice(&src);
+        for x in black_box(&mut buf).iter_mut() {
+            let v = *x;
+            *x = 0.5 * v * (1.0 + (0.797_884_6 * (v + 0.044_715 * v * v * v)).tanh());
+        }
+    }) / elems;
+    let softmax = best_ns(128, || {
+        buf.copy_from_slice(&src);
+        for row in black_box(&mut buf).chunks_exact_mut(KEYS) {
+            vmath::softmax_row(row);
+        }
+    }) / elems;
+    let softmax_libm = best_ns(128, || {
+        buf.copy_from_slice(&src);
+        for row in black_box(&mut buf).chunks_exact_mut(KEYS) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let mut sum = 0.0f32;
+            for x in row.iter_mut() {
+                *x = (*x - max).exp();
+                sum += *x;
+            }
+            let inv = 1.0 / sum;
+            row.iter_mut().for_each(|x| *x *= inv);
+        }
+    }) / elems;
+
+    // attn·V of one (head, example): [KEYS, KEYS]·[KEYS, D_HEAD] as one
+    // packed GEMM (pack included) vs one m = 1 product per query row.
+    let v = fill(4, KEYS * D_HEAD);
+    let blocked = |pack: &mut PackedB, out: &mut [f32]| {
+        pack_b_into(black_box(&v), KEYS, D_HEAD, pack);
+        gemm_packed_panels(
+            black_box(&src),
+            KEYS,
+            pack,
+            0..D_HEAD.div_ceil(NR),
+            out,
+            KEYS,
+        );
+    };
+    let per_row = |out: &mut [f32]| {
+        for (row, o) in black_box(&src)
+            .chunks_exact(KEYS)
+            .zip(out.chunks_exact_mut(D_HEAD))
+        {
+            matmul_raw_strided(row, KEYS, black_box(&v), o, 1, KEYS, D_HEAD, false);
+        }
+    };
+    let mut pack = PackedB::default();
+    let (mut got, mut want) = (vec![f32::NAN; KEYS * D_HEAD], vec![f32::NAN; KEYS * D_HEAD]);
+    blocked(&mut pack, &mut got);
+    per_row(&mut want);
+    assert_eq!(
+        bits(&got),
+        bits(&want),
+        "correctness gate: blocked attn·V diverged from the per-row products"
+    );
+    let macs = (KEYS * KEYS * D_HEAD) as f64;
+    let attn_blocked = best_ns(16, || blocked(&mut pack, &mut got)) / macs;
+    let attn_per_row = best_ns(16, || per_row(&mut want)) / macs;
+
+    vec![
+        ("gelu_slice vs libm tanh loop", gelu, gelu_libm),
+        ("softmax_row@127 vs libm exp loop", softmax, softmax_libm),
+        (
+            "attn_v blocked vs per-row (ns/MAC)",
+            attn_blocked,
+            attn_per_row,
+        ),
+    ]
+}
+
+/// Sum of every counter in the global registry (counters are always on).
+fn counter_total() -> u64 {
+    delrec_obs::global()
+        .snapshot()
+        .into_iter()
+        .map(|(_, v)| match v {
+            MetricValue::Counter(c) => c,
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Nanoseconds per call of a disabled `span!` and of a counter increment.
+fn instrumentation_ns() -> (f64, f64) {
+    delrec_obs::set_enabled(false);
+    let span_ns = best_ns(1_000_000, || {
+        black_box(delrec_obs::span!("gemm_bench.probe"));
+    });
+    let counter_ns = best_ns(1_000_000, || {
+        delrec_obs::counter!("gemm_bench.probe").incr();
+    });
+    (span_ns, counter_ns)
+}
+
 fn main() {
     let args = CliArgs::from_env();
     banner(&format!(
@@ -110,9 +238,9 @@ fn main() {
         args.scale
     ));
 
-    // ---- Part 1: kernel microbench on the LM's shapes --------------------
-    // d = 16, dh = 8, ffn = 32, vocab ≈ 60 (the Large preset the serving
-    // benches use); 96 rows ≈ batch-32 × 3 suffix positions.
+    // ---- Part 1: the kernel table on the LM's shapes ---------------------
+    // d = 16, dh = 8, ffn = 32, vocab ≈ 60 (the Large preset the scoring
+    // pass uses); 96 rows ≈ batch-32 × 3 suffix positions.
     // The last shape is one XL engine tile: 8 prompts × 127 tokens through
     // the fused [32, 96] projection.
     let instantiation = match simd_lanes() {
@@ -122,15 +250,28 @@ fn main() {
     println!(
         "kernel (gate: baseline body == dispatched [{instantiation}] == matmul_raw, bitwise):"
     );
-    let kernels = delrec_par::with_pool(&delrec_par::ThreadPool::new(1), || {
-        Json::arr(vec![
+    let (kernels, vector) = delrec_par::with_pool(&delrec_par::ThreadPool::new(1), || {
+        let kernels = Json::arr(vec![
             kernel_case("per-head projection", 96, 16, 8, 20_000),
             kernel_case("fused qkv panel", 96, 16, 48, 8_000),
             kernel_case("ffn w1", 96, 16, 32, 10_000),
             kernel_case("tied-embedding head", 32, 16, 60, 10_000),
             kernel_case("xl tile fused qkv", 1016, 32, 96, 400),
-        ])
+        ]);
+        (kernels, vector_kernel_rows())
     });
+    for &(label, kernel, reference) in &vector {
+        println!(
+            "  {label:<36} {kernel:6.3} vs {reference:6.3} ns/elem ({:.2}x)",
+            reference / kernel
+        );
+    }
+    let (_, gelu, gelu_libm) = vector[0];
+    assert!(
+        gelu_libm / gelu >= GELU_MIN_SPEEDUP,
+        "gelu_slice is {:.2}x its libm reference (< {GELU_MIN_SPEEDUP}x): the loop no longer vectorises",
+        gelu_libm / gelu
+    );
 
     // ---- Part 2: end-to-end batch-32 scoring on the fused forward --------
     let ctx = ExperimentContext::new(DatasetProfile::MovieLens100K, args.scale, args.seed);
@@ -151,6 +292,11 @@ fn main() {
     model.set_inference_engine(true);
     println!("e2e gate: fused == tape over {n} requests (bitwise)");
 
+    // One disabled-mode pass's registry delta: its counter events.
+    let c0 = counter_total();
+    black_box(score_pass(&model));
+    let counters_per_pass = counter_total() - c0;
+
     // Timed pass: one warm-up (prefix cache, engine pool, weight pack, title
     // cache), then best-of-3 wall.
     let fused_ns = best_wall_ns(|| {
@@ -161,7 +307,7 @@ fn main() {
         fused_ns / 1e6
     );
 
-    // ---- Part 3: attribution re-run on the fused path --------------------
+    // ---- Part 3: attribution on the fused path ---------------------------
     const PASSES: usize = 5;
     delrec_obs::set_enabled(true);
     delrec_obs::reset();
@@ -201,6 +347,27 @@ fn main() {
         qkv_pct + pack_pct < PRE_PR_QKV_PCT,
         "correctness of the attribution claim: projection share must drop"
     );
+    assert!(
+        coverage_pct >= 90.0,
+        "span coverage {coverage_pct:.1}% below the 90% attribution bar"
+    );
+
+    // Disabled-mode overhead: this profile's events at the disabled
+    // per-call prices, over part 2's pass (which may run on more lanes, so
+    // the quotient errs high).
+    let spans_per_pass = report.total_count() as f64 / PASSES as f64;
+    let (span_ns, counter_ns) = instrumentation_ns();
+    let overhead_ns = spans_per_pass * span_ns + counters_per_pass as f64 * counter_ns;
+    let overhead_pct = 100.0 * overhead_ns / fused_ns;
+    println!(
+        "disabled overhead: {spans_per_pass:.0} spans × {span_ns:.2} ns + {counters_per_pass} \
+         counters × {counter_ns:.2} ns over a {:.2} ms pass → {overhead_pct:.4}%",
+        fused_ns / 1e6
+    );
+    assert!(
+        overhead_pct < 2.0,
+        "disabled-mode overhead {overhead_pct:.4}% breaches the 2% budget"
+    );
 
     let blob = Json::obj([
         ("experiment", Json::from("gemm")),
@@ -209,6 +376,17 @@ fn main() {
         ("instantiation", Json::from(instantiation)),
         ("simd_lanes", Json::from(simd_lanes())),
         ("kernels", kernels),
+        (
+            "vector_kernels",
+            Json::arr(vector.iter().map(|&(label, kernel, reference)| {
+                Json::obj([
+                    ("label", Json::from(label)),
+                    ("ns_per_elem", Json::from(kernel)),
+                    ("reference_ns_per_elem", Json::from(reference)),
+                    ("speedup", Json::from(reference / kernel)),
+                ])
+            })),
+        ),
         (
             "e2e",
             Json::obj([
@@ -236,6 +414,17 @@ fn main() {
                         ),
                     ]),
                 ),
+            ]),
+        ),
+        (
+            "disabled_overhead",
+            Json::obj([
+                ("span_ns_per_call", Json::from(span_ns)),
+                ("counter_ns_per_call", Json::from(counter_ns)),
+                ("spans_per_pass", Json::from(spans_per_pass)),
+                ("counters_per_pass", Json::from(counters_per_pass as f64)),
+                ("pass_wall_ns", Json::from(fused_ns)),
+                ("overhead_pct", Json::from(overhead_pct)),
             ]),
         ),
     ]);

@@ -3,15 +3,14 @@
 //! Every perf binary follows the same skeleton — deterministic operand
 //! streams, a correctness gate asserting bitwise agreement *before* a single
 //! timing is reported, best-of-N timing loops, and a JSON blob written to
-//! `results/BENCH_*.json`. This module holds the pieces that used to be
-//! copy-pasted across `bin/{infer,serve,obs,gemm,par}.rs` so a new benchmark
-//! starts from the shared, already-trusted building blocks.
+//! `results/BENCH_*.json`. This module holds the pieces they share
+//! (`bin/{gemm,par,retrieval,soak}.rs`) so a new benchmark starts from the
+//! shared, already-trusted building blocks.
 
 use crate::ExperimentContext;
-use delrec_core::{DelRec, LmPreset, PromptBuilder, SoftMode, TeacherKind};
+use delrec_core::{DelRec, LmPreset, TeacherKind};
 use delrec_data::{CandidateSampler, ItemId, Split};
 use delrec_eval::{Ranker, ScoreRequest};
-use delrec_lm::LmToken;
 use std::time::Instant;
 
 /// Deterministic operand fill (same LCG stream as the gemm property tests),
@@ -230,76 +229,6 @@ impl CatalogWorkload {
         points
             .iter()
             .map(|&(n, d)| Self::build(n, d, n_queries, seed))
-            .collect()
-    }
-}
-
-/// A pre-tokenized recommendation prompt stream for benchmarks that drive
-/// the MiniLm directly (bypassing `DelRec`): token sequences, mask
-/// positions, candidate title sets, and the shared template prefix length.
-pub struct PromptStream {
-    /// Tokenized prompts, one per example.
-    pub seqs: Vec<Vec<LmToken>>,
-    /// Mask-token position within each prompt.
-    pub mask_pos: Vec<usize>,
-    /// Tokenized candidate titles per example, for the verbalizer.
-    pub title_sets: Vec<Vec<Vec<u32>>>,
-    /// Length of the template prefix shared by every prompt.
-    pub prefix_len: usize,
-}
-
-impl PromptStream {
-    /// Build prompts for at most `cap` test examples with seeded 15-way
-    /// candidate sets (no soft prompts — these benches use the raw backbone).
-    pub fn build(ctx: &ExperimentContext, teacher: TeacherKind, seed: u64, cap: usize) -> Self {
-        let examples = ctx.dataset.examples(Split::Test);
-        assert!(!examples.is_empty(), "no test examples");
-        let n = examples.len().min(cap);
-        let pb = PromptBuilder::new(&ctx.pipeline.vocab, &ctx.pipeline.items, teacher.name());
-        let sampler = CandidateSampler::new(ctx.dataset.num_items(), 15);
-        let mut seqs = Vec::with_capacity(n);
-        let mut mask_pos = Vec::with_capacity(n);
-        let mut title_sets = Vec::with_capacity(n);
-        let mut prefix_len = 0;
-        for (i, ex) in examples[..n].iter().enumerate() {
-            let cands = sampler.candidates(ex.target, seed, i);
-            let take = ex.prefix.len().min(9);
-            let prompt =
-                pb.recommendation(&ex.prefix[ex.prefix.len() - take..], &cands, SoftMode::None);
-            prefix_len = prompt.prefix_len;
-            seqs.push(prompt.tokens);
-            mask_pos.push(prompt.mask_pos);
-            title_sets.push(ctx.pipeline.items.titles_of(&cands));
-        }
-        PromptStream {
-            seqs,
-            mask_pos,
-            title_sets,
-            prefix_len,
-        }
-    }
-
-    /// Number of prompts.
-    pub fn len(&self) -> usize {
-        self.seqs.len()
-    }
-
-    /// Whether the stream is empty (it never is; `build` panics instead).
-    pub fn is_empty(&self) -> bool {
-        self.seqs.is_empty()
-    }
-
-    /// The template prefix shared by every prompt.
-    pub fn shared_prefix(&self) -> &[LmToken] {
-        &self.seqs[0][..self.prefix_len]
-    }
-
-    /// Borrowed title-set slices for `range`, in the shape the verbalizer's
-    /// batch API takes.
-    pub fn title_refs(&self, range: std::ops::Range<usize>) -> Vec<&[Vec<u32>]> {
-        self.title_sets[range]
-            .iter()
-            .map(|t| t.as_slice())
             .collect()
     }
 }

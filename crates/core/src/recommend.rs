@@ -33,8 +33,9 @@ pub struct RecommendConfig {
     /// distribution).
     pub rerank_chunk: usize,
     /// Storage format of the item index, fixed at construction: f32 panels
-    /// by default, or int8 codes — a 3.6x smaller index at f32-parity scan
-    /// speed, with scores that differ in low bits.
+    /// by default, or int8 codes — a 3.6x smaller index whose scan kernel
+    /// `perfbench` records at 0.4–0.55x the f32 kernel's GFLOP/s
+    /// (`tensor.gemm_q8_scan_gflops`), with scores that differ in low bits.
     pub index_format: IndexFormat,
 }
 
@@ -156,9 +157,7 @@ impl Recommender {
     ///
     /// The one-row call of the batched pipeline below.
     pub fn recommend(&self, history: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-        self.recommend_batch_impl(&[(history, k)])
-            .pop()
-            .expect("one answer row per request")
+        self.recommend_top_k(history, k)
     }
 
     /// Serve a whole batch of histories through one pipeline pass: one
@@ -172,8 +171,8 @@ impl Recommender {
     }
 
     /// The batched pipeline behind [`recommend_batch`](Self::recommend_batch)
-    /// and the [`TopKRecommender::recommend_top_k_batch`] override, with a
-    /// per-request `k`.
+    /// and [`TopKRecommender::recommend_top_k_batch`], with a per-request
+    /// `k`.
     ///
     /// Row `i` never depends on which other requests share the batch, stage
     /// by stage: the batched scan's row `i` is the m=1 scan of history `i`
@@ -232,10 +231,6 @@ impl Recommender {
 }
 
 impl TopKRecommender for Recommender {
-    fn recommend_top_k(&self, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-        self.recommend(prefix, k)
-    }
-
     fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
         self.recommend_batch_impl(requests)
     }

@@ -238,6 +238,7 @@ pub fn evaluate_top_k<R: TopKRecommender + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::TopKQuery;
     use delrec_data::synthetic::{DatasetProfile, SyntheticConfig};
 
     fn tiny() -> Dataset {
@@ -286,11 +287,16 @@ mod tests {
     }
 
     impl TopKRecommender for Oracle {
-        fn recommend_top_k(&self, _prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-            let t = self.targets[self.i.get()];
-            self.i.set(self.i.get() + 1);
-            (0..k as u32)
-                .map(|j| if j == 0 { (t, 1.0) } else { (ItemId(j), 0.0) })
+        fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
+            requests
+                .iter()
+                .map(|&(_, k)| {
+                    let t = self.targets[self.i.get()];
+                    self.i.set(self.i.get() + 1);
+                    (0..k as u32)
+                        .map(|j| if j == 0 { (t, 1.0) } else { (ItemId(j), 0.0) })
+                        .collect()
+                })
                 .collect()
         }
     }
@@ -311,10 +317,15 @@ mod tests {
     struct Misser;
 
     impl TopKRecommender for Misser {
-        fn recommend_top_k(&self, _prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
+        fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
             // Never returns any real target: ids far outside the catalog.
-            (0..k as u32)
-                .map(|j| (ItemId(1_000_000 + j), 0.0))
+            requests
+                .iter()
+                .map(|&(_, k)| {
+                    (0..k as u32)
+                        .map(|j| (ItemId(1_000_000 + j), 0.0))
+                        .collect()
+                })
                 .collect()
         }
     }

@@ -54,20 +54,18 @@ pub trait Ranker {
 /// scores order by ascending [`ItemId`], and the list is bitwise identical
 /// at every thread count.
 pub trait TopKRecommender {
-    /// The `k` best items for this history, best first, with their scores.
-    fn recommend_top_k(&self, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)>;
-
     /// Serve several `(history, k)` requests at once; row `i` answers
-    /// `requests[i]`. The default loops [`Self::recommend_top_k`], so every
-    /// recommender keeps identical semantics; pipeline-backed recommenders
-    /// override it to share one catalog scan and one re-rank batch across
-    /// the whole request set. Overrides must return each row bitwise
-    /// identical to the sequential call.
-    fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
-        requests
-            .iter()
-            .map(|&(prefix, k)| self.recommend_top_k(prefix, k))
-            .collect()
+    /// `requests[i]` and must not depend on which other requests share the
+    /// call, so a pipeline can share one catalog scan and one re-rank batch
+    /// across the whole request set.
+    fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>>;
+
+    /// The `k` best items for this history, best first, with their scores:
+    /// the batch of one.
+    fn recommend_top_k(&self, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
+        self.recommend_top_k_batch(&[(prefix, k)])
+            .pop()
+            .expect("one answer row per request")
     }
 }
 

@@ -20,8 +20,8 @@
 //!   end-to-end recall measures the *embeddings*, not an index structure.
 //! * **One build per parameter version.** [`ItemIndex`] carries the
 //!   parameter-store version it was exported from; callers cache it and
-//!   rebuild when the version (or math mode) moves — same contract as the LM
-//!   weight-pack cache.
+//!   rebuild when the version moves — same contract as the LM weight-pack
+//!   cache.
 
 #![warn(missing_docs)]
 

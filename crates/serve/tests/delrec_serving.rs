@@ -1,14 +1,18 @@
 //! End-to-end: a real (smoke-scale) fitted DelRec behind the serving
 //! runtime. Pins the tentpole correctness bar — served scores are bitwise
 //! identical to direct `score_candidates` calls even though the scheduler
-//! coalesces concurrent requests into shared batched forwards — and that the
-//! model is shared across threads without copies.
+//! coalesces concurrent requests into shared batched forwards, and served
+//! top-k lists are bitwise the direct `recommend_top_k` although coalesced
+//! requests share one retrieve-and-re-rank call — and that the model is
+//! shared across threads without copies.
 
-use delrec_core::{build_teacher, pretrained_lm, DelRec, DelRecConfig, LmPreset, TeacherKind};
+use delrec_core::{
+    build_teacher, pretrained_lm, DelRec, DelRecConfig, LmPreset, Recommender, TeacherKind,
+};
 use delrec_data::synthetic::{DatasetProfile, SyntheticConfig};
 use delrec_data::ItemId;
-use delrec_eval::Ranker;
-use delrec_serve::{RecRequest, ServeConfig, Server};
+use delrec_eval::{Ranker, TopKRecommender};
+use delrec_serve::{RecRequest, ServeConfig, Server, TopKRequest};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,6 +112,65 @@ fn served_delrec_scores_are_bitwise_identical_to_direct_calls() {
     let snap = server.shutdown();
     assert_eq!(snap.completed, 24);
     assert!(snap.mean_batch_size > 1.0);
+}
+
+#[test]
+fn served_top_k_is_bitwise_the_direct_recommend_top_k_under_coalescing() {
+    let (model, n_items) = smoke_model();
+    let rec = Arc::new(Recommender::new(model));
+    // A window longer than the whole flood: batches flush at max_batch, so
+    // the 24 requests arrive as three coalesced handler calls.
+    let server = Server::start_recommender(
+        Arc::clone(&rec),
+        ServeConfig {
+            max_batch: 8,
+            batch_window: Duration::from_millis(200),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+
+    // One fresh user per request, so the session is exactly the history
+    // sent; every history differs, so a row delivered to the wrong request
+    // shows.
+    let item = |x: usize| ItemId((x % n_items) as u32);
+    let histories: Vec<Vec<ItemId>> = (0..24usize)
+        .map(|i| (0..2 + i % 5).map(|j| item(i * 7 + j * 3 + 1)).collect())
+        .collect();
+    let handles: Vec<_> = histories
+        .iter()
+        .enumerate()
+        .map(|(i, history)| {
+            client
+                .submit_topk(TopKRequest {
+                    user_id: i as u64,
+                    recent_items: history.clone(),
+                    k: 10,
+                    deadline: None,
+                })
+                .expect("admitted")
+        })
+        .collect();
+
+    let bits = |items: &[(ItemId, f32)]| -> Vec<(u32, u32)> {
+        items.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+    };
+    for (i, (history, handle)) in histories.iter().zip(handles).enumerate() {
+        let resp = handle.wait().expect("deadline-free requests complete");
+        assert_eq!(resp.items.len(), 10);
+        assert_eq!(
+            bits(&resp.items),
+            bits(&rec.recommend_top_k(history, 10)),
+            "request {i}: served top-k must be bitwise the direct call"
+        );
+    }
+
+    let snap = server.shutdown();
+    assert_eq!(snap.completed, 24);
+    assert!(
+        snap.mean_topk_batch_size > 1.0,
+        "top-k traffic never coalesced; test proves nothing: {snap:?}"
+    );
 }
 
 #[test]

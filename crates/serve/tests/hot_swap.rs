@@ -14,7 +14,7 @@
 //!   rebuilt per generation, not captured at startup).
 
 use delrec_data::ItemId;
-use delrec_eval::{Ranker, ScoreRequest, TopKRecommender};
+use delrec_eval::{Ranker, ScoreRequest, TopKQuery, TopKRecommender};
 use delrec_serve::{RecRequest, ServeConfig, Server, TopKRequest};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -81,8 +81,11 @@ fn expected_topk(version: u64, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)
 }
 
 impl TopKRecommender for VersionedRanker {
-    fn recommend_top_k(&self, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-        expected_topk(self.version, prefix, k)
+    fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
+        requests
+            .iter()
+            .map(|&(prefix, k)| expected_topk(self.version, prefix, k))
+            .collect()
     }
 }
 

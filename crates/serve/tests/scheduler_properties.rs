@@ -257,10 +257,18 @@ fn panicking_batch_fails_alone_and_the_server_keeps_serving() {
         }
     }
     impl delrec_eval::TopKRecommender for Fragile {
-        fn recommend_top_k(&self, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-            let ids: Vec<ItemId> = (0..k as u32).map(ItemId).collect();
-            let scores = self.score_candidates(prefix, &ids);
-            ids.into_iter().zip(scores).collect()
+        fn recommend_top_k_batch(
+            &self,
+            requests: &[delrec_eval::TopKQuery<'_>],
+        ) -> Vec<Vec<(ItemId, f32)>> {
+            requests
+                .iter()
+                .map(|&(prefix, k)| {
+                    let ids: Vec<ItemId> = (0..k as u32).map(ItemId).collect();
+                    let scores = self.score_candidates(prefix, &ids);
+                    ids.into_iter().zip(scores).collect()
+                })
+                .collect()
         }
     }
 

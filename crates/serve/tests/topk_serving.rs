@@ -47,13 +47,18 @@ impl Ranker for HashRecommender {
 }
 
 impl TopKRecommender for HashRecommender {
-    fn recommend_top_k(&self, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-        let mut all: Vec<(ItemId, f32)> = (0..self.n_items)
-            .map(|j| (ItemId(j), Self::score(prefix, ItemId(j))))
-            .collect();
-        all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
-        all.truncate(k);
-        all
+    fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
+        requests
+            .iter()
+            .map(|&(prefix, k)| {
+                let mut all: Vec<(ItemId, f32)> = (0..self.n_items)
+                    .map(|j| (ItemId(j), Self::score(prefix, ItemId(j))))
+                    .collect();
+                all.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0 .0.cmp(&b.0 .0)));
+                all.truncate(k);
+                all
+            })
+            .collect()
     }
 }
 
@@ -77,17 +82,10 @@ impl Ranker for BatchTrackingRecommender {
 }
 
 impl TopKRecommender for BatchTrackingRecommender {
-    fn recommend_top_k(&self, prefix: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
-        self.inner.recommend_top_k(prefix, k)
-    }
-
     fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
         self.max_handler_batch
             .fetch_max(requests.len() as u64, Ordering::Relaxed);
-        requests
-            .iter()
-            .map(|&(p, k)| self.inner.recommend_top_k(p, k))
-            .collect()
+        self.inner.recommend_top_k_batch(requests)
     }
 }
 

@@ -49,33 +49,19 @@ cargo test --release -q -p delrec-tensor -p delrec-lm -p delrec-seqrec
 # LMs) and the golden metrics must hold where the 256-bit kernels engage too.
 cargo test --release -q --test golden_metrics
 
-# Smoke-run the inference-engine benchmark: asserts the grad-free engine's
-# scores are bitwise identical to the tape before timing anything, then that
-# the blocked attn·V equals the per-row products bitwise and that the vmath
-# GELU loop is >= 2x its scalar libm reference (i.e. still vectorised).
-cargo run --release -q -p delrec-bench --bin infer -- --scale smoke --out "$(mktemp -d)"
-
-# Smoke-run the serving-runtime benchmark: its correctness gates assert a
-# non-zero number of completed requests and zero bitwise mismatches between
-# served responses and direct scoring — for both the candidate-scoring and
-# the coalesced full-catalog top-k protocols — before any throughput is
-# reported.
-cargo run --release -q -p delrec-bench --bin serve -- --scale smoke --out "$(mktemp -d)"
-
 # Smoke-run the durability soak: sustained open-loop traffic across a live
 # model hot-swap and a simulated kill/recover, gating zero lost sessions,
 # bitwise WAL recovery, bitwise swap transparency for untouched sessions,
 # a consistent request ledger, and bounded p99.
 cargo run --release -q -p delrec-bench --bin soak -- --scale smoke --out "$(mktemp -d)"
 
-# Smoke-run the observability benchmark: asserts disabled-mode span/counter
-# overhead stays under 2% of the hot scoring path and that the batch-32
-# attribution profile's spans cover at least 90% of measured wall time.
-cargo run --release -q -p delrec-bench --bin obs -- --scale smoke --out "$(mktemp -d)"
-
-# Smoke-run the GEMM benchmark: asserts the blocked kernel is bitwise
-# identical to matmul_raw on every timed shape and that engine and tape
-# scoring agree to the bit before reporting any timing.
+# Smoke-run the kernel table: asserts the blocked kernel (dispatched and
+# baseline body) is bitwise identical to matmul_raw on every timed shape, the
+# blocked attn·V bitwise the per-row products, and the vmath GELU loop >= 2x
+# its scalar libm reference (i.e. still vectorised); that engine and tape
+# scoring agree to the bit; and that the batch-32 profile's spans cover
+# >= 90% of wall while disabled-mode span/counter overhead stays under 2% of
+# a scoring pass.
 cargo run --release -q -p delrec-bench --bin gemm -- --scale smoke --out "$(mktemp -d)"
 
 # Smoke-run the thread-pool scaling benchmark: asserts parallel GEMM and
