@@ -417,7 +417,7 @@ fn main() {
         black_box(rec.recommend_top_k(&history, K));
     });
     // The batched fitted pipeline: B requests through one retrieve_batch +
-    // one flattened re-rank vs B solo recommend calls.
+    // one re-rank forward over B prompts vs B solo recommend calls.
     let fitted_histories: Vec<&[ItemId]> =
         batch_requests.iter().map(|(h, _)| h.as_slice()).collect();
     let fitted_b = fitted_histories.len();

@@ -33,8 +33,20 @@ impl ExperimentContext {
     /// Generate the dataset for a profile at this scale and prepare the
     /// pipeline.
     pub fn new(profile: DatasetProfile, scale: Scale, seed: u64) -> Self {
+        Self::with_dataset_factor(profile, scale, seed, scale.dataset_factor())
+    }
+
+    /// [`new`](Self::new) with the profile's user/item counts scaled by
+    /// `factor` instead of the scale's own dataset factor (training budgets
+    /// still follow `scale`).
+    pub fn with_dataset_factor(
+        profile: DatasetProfile,
+        scale: Scale,
+        seed: u64,
+        factor: f64,
+    ) -> Self {
         let dataset = SyntheticConfig::profile(profile)
-            .scaled(scale.dataset_factor())
+            .scaled(factor)
             .generate(seed);
         let pipeline = Pipeline::build(&dataset);
         ExperimentContext {

@@ -8,14 +8,18 @@ use crate::stage1::{build_rps_items, build_ta_items, distill, Stage1Options, Sta
 use crate::stage2::{build_lsr_items, finetune, Stage2Options};
 use delrec_data::{Dataset, ItemId, Vocab};
 use delrec_eval::Ranker;
-use delrec_lm::{verbalizer, LmToken, MiniLm, PrefixCache, SoftPrompt, TitleCache};
+use delrec_lm::{verbalizer, LmToken, MiniLm, PrefixCache, SoftPrompt};
 use delrec_seqrec::SequentialRecommender;
 use delrec_tensor::{Ctx, InferCtx, Tape, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::Hasher;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// One scoring request of [`DelRec::score_items_batch`]: `(history, shown,
+/// scored)`. The Stage-2 prompt shows the `shown` items as its candidate
+/// list; the verbalizer scores every `scored` item from that prompt's one
+/// `[mask]` row.
+pub type ItemScoreRequest<'a> = (&'a [ItemId], &'a [ItemId], &'a [ItemId]);
 
 /// Lazily-maintained state of the grad-free scoring engine: the tape-free
 /// forward context (a buffer pool) and the current prefix K/V cache, rebuilt
@@ -73,12 +77,11 @@ pub struct DelRec {
     /// (default) or the reference autograd tape.
     infer_enabled: bool,
     engine: EnginePool,
-    titles: TitleCache,
 }
 
 /// Compile-time guarantee that a fitted model can be shared across serving
 /// threads without `unsafe`: every interior-mutable piece on the scoring path
-/// (engine pool, title cache, buffer pools inside [`InferCtx`]) synchronizes
+/// (engine pool, buffer pools inside [`InferCtx`]) synchronizes
 /// properly. The autograd [`Tape`] is deliberately *not* `Sync` — scoring
 /// builds it per call on the stack, so it never crosses threads.
 #[allow(dead_code)]
@@ -87,7 +90,6 @@ fn _assert_delrec_send_sync() {
     assert_send_sync::<DelRec>();
     assert_send_sync::<MiniLm>();
     assert_send_sync::<PrefixCache>();
-    assert_send_sync::<TitleCache>();
     assert_send_sync::<InferCtx>();
     assert_send_sync::<delrec_tensor::BufferPool>();
 }
@@ -201,7 +203,6 @@ impl DelRec {
             stage2_losses,
             infer_enabled: true,
             engine: EnginePool::default(),
-            titles: TitleCache::new(),
         }
     }
 
@@ -260,7 +261,6 @@ impl DelRec {
             stage2_losses: Vec::new(),
             infer_enabled: true,
             engine: EnginePool::default(),
-            titles: TitleCache::new(),
         })
     }
 
@@ -288,17 +288,6 @@ impl DelRec {
     ) -> Prompt {
         let take = prefix.len().min(9);
         pb.recommendation(&prefix[prefix.len() - take..], candidates, self.soft_mode())
-    }
-
-    /// Memoized candidate-title lookup, keyed on the full candidate id list.
-    fn candidate_titles(&self, candidates: &[ItemId]) -> Arc<Vec<Vec<u32>>> {
-        let mut h = DefaultHasher::new();
-        h.write_usize(candidates.len());
-        for &id in candidates {
-            h.write_usize(id.index());
-        }
-        self.titles
-            .get_or_build(h.finish(), candidates, || self.items.titles_of(candidates))
     }
 
     /// Mask logits `[B, vocab]` from the grad-free engine: refresh the
@@ -353,6 +342,50 @@ impl DelRec {
             .lm
             .mask_logits_batch(&ctx, seqs, soft_table, mask_pos, &mut rng);
         tape.get(logits)
+    }
+
+    /// Score items against Stage-2 prompts: for each `(history, shown,
+    /// scored)` request, build the prompt that shows `shown` as its
+    /// candidates, run one batched forward over all prompts — the engine's,
+    /// or the tape's with the engine off — and verbalize every `scored` title
+    /// from the request's one `[mask]` row. Row `i` holds the scores of
+    /// `requests[i].2` in order, and never depends on which other requests
+    /// share the batch. [`Ranker::score_candidates_batch`] is the
+    /// `shown == scored` case.
+    pub fn score_items_batch(&self, requests: &[ItemScoreRequest<'_>]) -> Vec<Vec<f32>> {
+        if requests.is_empty() {
+            return Vec::new();
+        }
+        let _span = delrec_obs::span!("core.score");
+        let pb = PromptBuilder::new(&self.vocab, &self.items, self.cfg.teacher.name());
+        let mut seqs = Vec::with_capacity(requests.len());
+        let mut mask_pos = Vec::with_capacity(requests.len());
+        let mut prefix_len = 0;
+        let prompts_span = delrec_obs::span!("core.prompts");
+        for &(prefix, shown, _) in requests {
+            let prompt = self.stage2_prompt(&pb, prefix, shown);
+            debug_assert!(seqs.is_empty() || prompt.prefix_len == prefix_len);
+            prefix_len = prompt.prefix_len;
+            seqs.push(prompt.tokens);
+            mask_pos.push(prompt.mask_pos);
+        }
+        drop(prompts_span);
+        let logits = if self.infer_enabled {
+            self.logits_engine(&seqs, &mask_pos, prefix_len)
+        } else {
+            self.logits_tape(&seqs, &mask_pos)
+        };
+        let title_sets: Vec<Vec<&[u32]>> = requests
+            .iter()
+            .map(|&(_, _, scored)| scored.iter().map(|&id| self.items.title(id)).collect())
+            .collect();
+        let set_refs: Vec<&[&[u32]]> = title_sets.iter().map(Vec::as_slice).collect();
+        verbalizer::rank_candidates_batch(&logits, &set_refs)
+    }
+
+    /// The configuration this model was fitted with.
+    pub fn config(&self) -> &DelRecConfig {
+        &self.cfg
     }
 
     /// The underlying language model (for diagnostics: parameter counts,
@@ -431,35 +464,11 @@ impl Ranker for DelRec {
             .expect("one score row per request")
     }
 
-    /// Build the Stage-2 prompts, run one batched forward — the engine's, or
-    /// the tape's with the engine off — and verbalize.
+    /// [`DelRec::score_items_batch`] with every request scoring exactly the
+    /// candidates its prompt shows.
     fn score_candidates_batch(&self, requests: &[delrec_eval::ScoreRequest<'_>]) -> Vec<Vec<f32>> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let _span = delrec_obs::span!("core.score");
-        let pb = PromptBuilder::new(&self.vocab, &self.items, self.cfg.teacher.name());
-        let mut seqs = Vec::with_capacity(requests.len());
-        let mut mask_pos = Vec::with_capacity(requests.len());
-        let mut title_sets = Vec::with_capacity(requests.len());
-        let mut prefix_len = 0;
-        let prompts_span = delrec_obs::span!("core.prompts");
-        for &(prefix, candidates) in requests {
-            let prompt = self.stage2_prompt(&pb, prefix, candidates);
-            debug_assert!(seqs.is_empty() || prompt.prefix_len == prefix_len);
-            prefix_len = prompt.prefix_len;
-            seqs.push(prompt.tokens);
-            mask_pos.push(prompt.mask_pos);
-            title_sets.push(self.candidate_titles(candidates));
-        }
-        drop(prompts_span);
-        let logits = if self.infer_enabled {
-            self.logits_engine(&seqs, &mask_pos, prefix_len)
-        } else {
-            self.logits_tape(&seqs, &mask_pos)
-        };
-        let set_refs: Vec<&[Vec<u32>]> = title_sets.iter().map(|t| t.as_slice()).collect();
-        verbalizer::rank_candidates_batch(&logits, &set_refs)
+        let items: Vec<ItemScoreRequest<'_>> = requests.iter().map(|&(h, c)| (h, c, c)).collect();
+        self.score_items_batch(&items)
     }
 }
 

@@ -32,7 +32,7 @@ pub mod stage2;
 
 pub use ablation::Variant;
 pub use config::{DelRecConfig, StageConfig, StageOptimizer, TeacherKind};
-pub use delrec::DelRec;
+pub use delrec::{DelRec, ItemScoreRequest};
 pub use pipeline::{build_teacher, pretrained_lm, LmPreset, Pipeline};
 pub use prompt::{ItemTokens, Prompt, PromptBuilder, SoftMode};
 pub use recommend::{RecommendConfig, Recommender};

@@ -3,17 +3,24 @@
 //!
 //! Stage one retrieves `retrieve_n` candidates by scanning every item with a
 //! [`Retriever`] built from the LM's own item embeddings (mean title-token
-//! embeddings, the MiniLM stand-in for "LLM item embeddings"); stage two
-//! re-ranks the survivors with the fitted DELRec prompt scorer in bounded
-//! chunks (prompt context caps how many titles fit per forward). Both stages
-//! are bitwise thread-count deterministic, so the composition is too.
+//! embeddings, the MiniLM stand-in for "LLM item embeddings"). Stage two
+//! re-ranks them with one forward per request: the Stage-2 prompt shows the
+//! history and the top `m_candidates` retrieved titles — the exact prompt
+//! Stage 2 trains on — and the verbalizer scores *every* retrieved title from
+//! that prompt's one `[mask]` row (the paper's "ranking scores for all
+//! items", §IV-B). Both stages are bitwise thread-count deterministic, so the
+//! composition is too.
+//!
+//! Each request records the retrieval position of its #1 item in the
+//! `core.rerank.winner_retrieval_rank` histogram: how far past the top of the
+//! retrieved list the re-ranker reaches.
 //!
 //! The retriever lives in a [`VersionedSlot`] — the LM weight pack's
 //! discipline: rebuilt from re-exported embeddings when the parameter-store
 //! version moves. `retrieval.index.{build,hit}` counters and the
 //! `retrieval.index.bytes` gauge make the slot observable.
 
-use crate::delrec::DelRec;
+use crate::delrec::{DelRec, ItemScoreRequest};
 use delrec_data::ItemId;
 use delrec_eval::{Ranker, ScoreRequest, TopKQuery, TopKRecommender};
 use delrec_lm::MiniLm;
@@ -24,14 +31,11 @@ use std::sync::Arc;
 /// Pipeline knobs for [`Recommender`].
 #[derive(Clone, Debug)]
 pub struct RecommendConfig {
-    /// Candidates the retrieval stage surfaces for re-ranking. The recall
-    /// ceiling of the whole pipeline: a target the scan leaves below this
-    /// cut can never be recommended.
+    /// Candidates the retrieval stage surfaces for re-ranking, all scored
+    /// from one `[mask]` row (the top `m_candidates` of them are shown in the
+    /// prompt). The recall ceiling of the whole pipeline: a target the scan
+    /// leaves below this cut can never be recommended.
     pub retrieve_n: usize,
-    /// Candidates per re-ranking prompt (the paper's protocol uses 15-way
-    /// candidate sets; chunks reuse that shape so the scorer stays in
-    /// distribution).
-    pub rerank_chunk: usize,
     /// Storage format of the item index, fixed at construction: f32 panels
     /// by default, or int8 codes — a 3.6x smaller index whose scan kernel
     /// `perfbench` records at 0.4–0.55x the f32 kernel's GFLOP/s
@@ -43,7 +47,6 @@ impl Default for RecommendConfig {
     fn default() -> Self {
         RecommendConfig {
             retrieve_n: 100,
-            rerank_chunk: 15,
             index_format: IndexFormat::F32,
         }
     }
@@ -74,7 +77,6 @@ impl Recommender {
     /// Wrap a fitted model with explicit knobs.
     pub fn with_config(model: DelRec, cfg: RecommendConfig) -> Self {
         assert!(cfg.retrieve_n > 0, "retrieve_n must be positive");
-        assert!(cfg.rerank_chunk > 0, "rerank_chunk must be positive");
         Recommender {
             model,
             cfg,
@@ -152,8 +154,9 @@ impl Recommender {
     }
 
     /// The full pipeline: retrieve `max(retrieve_n, k)` candidates from the
-    /// whole catalog, re-rank them with the fitted DELRec, return the `k`
-    /// best (score descending, ties toward the smaller [`ItemId`]).
+    /// whole catalog, score them all from one Stage-2 prompt showing the top
+    /// `m_candidates`, return the `k` best (score descending, ties toward the
+    /// smaller [`ItemId`]).
     ///
     /// The one-row call of the batched pipeline below.
     pub fn recommend(&self, history: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
@@ -162,26 +165,26 @@ impl Recommender {
 
     /// Serve a whole batch of histories through one pipeline pass: one
     /// retriever pin, one `[B, d] × [d, n_items]` catalog scan, and one
-    /// re-rank batch covering every request's candidate chunks. Row `i` is
+    /// re-rank forward over the batch's `B` prompts. Row `i` is
     /// bitwise identical to [`recommend`](Self::recommend)`(histories[i],
     /// k)` at every thread count and batch size.
     pub fn recommend_batch(&self, histories: &[&[ItemId]], k: usize) -> Vec<Vec<(ItemId, f32)>> {
         let requests: Vec<TopKQuery<'_>> = histories.iter().map(|&h| (h, k)).collect();
-        self.recommend_batch_impl(&requests)
+        self.recommend_top_k_batch(&requests)
     }
+}
 
-    /// The batched pipeline behind [`recommend_batch`](Self::recommend_batch)
-    /// and [`TopKRecommender::recommend_top_k_batch`], with a per-request
-    /// `k`.
+impl TopKRecommender for Recommender {
+    /// The batched pipeline behind [`Recommender::recommend_batch`], with a
+    /// per-request `k`.
     ///
     /// Row `i` never depends on which other requests share the batch, stage
     /// by stage: the batched scan's row `i` is the m=1 scan of history `i`
     /// (fixed accumulation order per output element), per-row top-k is a pure
-    /// function of that row, and the flattened re-rank scores each
-    /// `(history, chunk)` request as its own one-row call would
-    /// (`score_candidates_batch` batch-row independence). `B` rows ≡ `B`
-    /// one-row calls is pinned by `tests/recommend_batch.rs`.
-    fn recommend_batch_impl(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
+    /// function of that row, and the re-rank scores each request as its own
+    /// one-row call would (`score_items_batch` batch-row independence). `B`
+    /// rows ≡ `B` one-row calls is pinned by `tests/recommend_batch.rs`.
+    fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
         for &(_, k) in requests {
             assert!(k > 0, "k must be positive");
         }
@@ -200,39 +203,33 @@ impl Recommender {
             .iter()
             .map(|rows| rows.iter().map(|&(id, _)| id).collect())
             .collect();
-        // One re-rank batch for the whole request set: every request's
-        // rerank_chunk-sized candidate slices, flattened in request order.
-        let chunk = self.cfg.rerank_chunk;
-        let mut flat: Vec<ScoreRequest<'_>> = Vec::new();
-        for (ids, &h) in id_lists.iter().zip(&histories) {
-            for group in ids.chunks(chunk) {
-                flat.push((h, group));
-            }
-        }
+        // One prompt per request, showing the top `m_candidates` retrieved
+        // titles and scoring all of them.
+        let shown = self.model.config().m_candidates;
+        let items: Vec<ItemScoreRequest<'_>> = id_lists
+            .iter()
+            .zip(&histories)
+            .map(|(ids, &h)| (h, &ids[..shown.min(ids.len())], ids.as_slice()))
+            .collect();
         let rerank = delrec_obs::span!("rerank");
-        let scored = self.model.score_candidates_batch(&flat);
+        let scored = self.model.score_items_batch(&items);
         drop(rerank);
-        let mut out = Vec::with_capacity(requests.len());
-        let mut row = 0;
-        for (ids, &(_, k)) in id_lists.iter().zip(requests) {
-            let n_chunks = ids.len().div_ceil(chunk);
-            let mut scores = Vec::with_capacity(ids.len());
-            for group in &scored[row..row + n_chunks] {
-                scores.extend_from_slice(group);
-            }
-            row += n_chunks;
-            let mut ranked: Vec<(ItemId, f32)> = ids.iter().copied().zip(scores).collect();
-            sort_ranked(&mut ranked);
-            ranked.truncate(k);
-            out.push(ranked);
-        }
-        out
-    }
-}
-
-impl TopKRecommender for Recommender {
-    fn recommend_top_k_batch(&self, requests: &[TopKQuery<'_>]) -> Vec<Vec<(ItemId, f32)>> {
-        self.recommend_batch_impl(requests)
+        let winner_rank = delrec_obs::global().histogram("core.rerank.winner_retrieval_rank");
+        id_lists
+            .iter()
+            .zip(scored)
+            .zip(requests)
+            .map(|((ids, scores), &(_, k))| {
+                let mut ranked: Vec<(ItemId, f32)> = ids.iter().copied().zip(scores).collect();
+                sort_ranked(&mut ranked);
+                if let Some(&(winner, _)) = ranked.first() {
+                    let pos = ids.iter().position(|&id| id == winner);
+                    winner_rank.record(pos.expect("the winner was retrieved") as u64);
+                }
+                ranked.truncate(k);
+                ranked
+            })
+            .collect()
     }
 }
 

@@ -1,5 +1,8 @@
-//! The batched-pipeline pin: `Recommender::recommend_batch` (one retriever
-//! pin, one batched catalog scan, one flattened re-rank batch) is bitwise
+//! The pipeline pins. `recommend(h, k)` is, bit for bit, one Stage-2 prompt
+//! showing the top 15 retrieved items with every retrieved item scored from
+//! its `[mask]` row, and the 15 shown items score exactly as
+//! `score_candidates` scores them. `Recommender::recommend_batch` (one
+//! retriever pin, one batched catalog scan, one re-rank forward) is bitwise
 //! identical to looping the sequential `recommend` — over ragged request
 //! sets including empty histories, per-request `k`s larger than
 //! `retrieve_n`, both index formats, and at `DELREC_THREADS` ∈ {1, 2, 4, 8}.
@@ -14,14 +17,41 @@ use delrec_core::{
 };
 use delrec_data::synthetic::{DatasetProfile, SyntheticConfig};
 use delrec_data::{Dataset, ItemId, Split};
-use delrec_eval::{TopKQuery, TopKRecommender};
+use delrec_eval::{Ranker, TopKQuery, TopKRecommender};
 use delrec_par::{with_pool, ThreadPool};
-use delrec_retrieval::IndexFormat;
+use delrec_retrieval::{sort_ranked, IndexFormat};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Retrieved items the re-rank prompt shows (the paper's 15-way candidate
+/// set, the prompt Stage 2 trains on).
+const SHOWN: usize = 15;
+/// Depths on both sides of `retrieve_n = 8` and of `SHOWN`: the 20s and 30s
+/// score retrieved items the prompt does not show.
+const PIN_KS: [usize; 4] = [1, 5, 20, 30];
 
 fn bits(ranked: &[(ItemId, f32)]) -> Vec<(u32, u32)> {
     ranked.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
+}
+
+fn ids(ranked: &[(ItemId, f32)]) -> Vec<ItemId> {
+    ranked.iter().map(|&(id, _)| id).collect()
+}
+
+/// The re-rank stage rebuilt from public parts: retrieve `max(retrieve_n,
+/// k)`, score every retrieved item from the one prompt that shows the top
+/// `SHOWN`, sort, keep `k`.
+fn one_row_reference(rec: &Recommender, history: &[ItemId], k: usize) -> Vec<(ItemId, f32)> {
+    let retrieved = ids(&rec.retrieve(history, rec.config().retrieve_n.max(k)));
+    let shown = &retrieved[..SHOWN.min(retrieved.len())];
+    let scores = rec
+        .model()
+        .score_items_batch(&[(history, shown, &retrieved)])
+        .pop()
+        .expect("one score row");
+    let mut ranked: Vec<(ItemId, f32)> = retrieved.into_iter().zip(scores).collect();
+    sort_ranked(&mut ranked);
+    ranked.truncate(k);
+    ranked
 }
 
 fn smoke_dataset() -> (Dataset, Pipeline) {
@@ -137,6 +167,47 @@ fn recommend_batch_is_bitwise_sequential_across_threads_and_modes() {
     let solo = rec.recommend_top_k_batch(&[(refs[0], 4)]);
     assert_eq!(solo.len(), 1);
     assert_eq!(bits(&solo[0]), bits(&rec.recommend(refs[0], 4)));
+}
+
+#[test]
+fn recommend_is_one_prompt_scoring_every_retrieved_item() {
+    let (rec, histories) = smoke_recommender();
+    assert_eq!(rec.model().config().m_candidates, SHOWN);
+    for h in &histories {
+        for k in PIN_KS {
+            assert_eq!(
+                bits(&rec.recommend(h, k)),
+                bits(&one_row_reference(&rec, h, k)),
+                "history {h:?}, k {k}"
+            );
+        }
+    }
+}
+
+#[test]
+fn shown_items_score_as_their_candidate_set_engine_on_and_off() {
+    let (mut rec, histories) = smoke_recommender();
+    let depth = *PIN_KS.iter().max().unwrap();
+    for engine in [true, false] {
+        rec.model_mut().set_inference_engine(engine);
+        for h in &histories {
+            let retrieved = ids(&rec.retrieve(h, depth));
+            assert!(retrieved.len() > SHOWN, "the pin needs unshown items");
+            let shown = &retrieved[..SHOWN];
+            let one_row = rec
+                .model()
+                .score_items_batch(&[(h, shown, &retrieved)])
+                .pop()
+                .expect("one score row");
+            let candidates = rec.score_candidates(h, shown);
+            let as_bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                as_bits(&one_row[..SHOWN]),
+                as_bits(&candidates),
+                "engine {engine}, history {h:?}"
+            );
+        }
+    }
 }
 
 #[test]

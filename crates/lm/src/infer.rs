@@ -421,7 +421,7 @@ impl MiniLm {
         let longest = seqs.iter().map(|s| s.len().saturating_sub(p)).max();
         let pool = delrec_par::current();
         // L2-sized, but never so large that a lane is left without a tile: a
-        // solo 7-prompt re-rank fits one L2 tile and must still spread.
+        // batch of a few prompts fits one L2 tile and must still spread.
         let tile = (ENGINE_TILE_ROWS / longest.unwrap_or(1).max(1))
             .min(bsz.div_ceil(pool.lanes()))
             .max(1);

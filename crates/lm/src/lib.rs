@@ -37,4 +37,3 @@ pub use infer::PrefixCache;
 pub use pretrain::{pretrain_mlm, PretrainConfig};
 pub use soft_prompt::SoftPrompt;
 pub use transformer::{LmToken, MiniLm};
-pub use verbalizer::TitleCache;

@@ -6,107 +6,8 @@
 //! A candidate item's score is the mean log-probability its title tokens get
 //! at the mask. This keeps multi-word titles comparable regardless of length.
 
-use delrec_data::ItemId;
 use delrec_tensor::vmath::log_sum_exp;
 use delrec_tensor::{Tape, Tensor, Var};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Memoized candidate-title token lookups, keyed by a caller-computed hash
-/// of the candidate item ids and checked against the ids themselves.
-///
-/// Evaluation resolves every candidate's title tokens per example, but
-/// candidate sets recur heavily within a run (the leave-one-out sampler
-/// draws from a fixed catalog with a fixed seed), so the resolved
-/// `Vec<Vec<u32>>` is built once per distinct set and shared via [`Arc`].
-/// The map sits behind a [`Mutex`] so `&self` scoring paths — including
-/// concurrent serving workers sharing one model — can all consult it; a
-/// build race costs one redundant title resolution, never a wrong entry.
-///
-/// Each entry keeps its id list and a hit requires it to match, so two sets
-/// whose 64-bit keys collide rebuild over each other instead of one being
-/// scored with the other's titles. The cache holds at most
-/// [`CAPACITY`](Self::CAPACITY) sets and drops them all when a new one does
-/// not fit (counted in `lm.title_cache.evict`): serving traffic whose
-/// candidate sets never repeat stays bounded, and traffic whose sets do
-/// repeat refills the working set within a few requests. Dropping in bulk
-/// is deliberate: on traffic with no repeats (every request a miss and,
-/// once full, an eviction) one clear per `CAPACITY` misses sustained 12 %
-/// more requests per second than evicting the oldest entry on every insert,
-/// for a 3 % higher p90 at half load.
-#[derive(Default)]
-pub struct TitleCache {
-    map: Mutex<HashMap<u64, TitleEntry>>,
-}
-
-struct TitleEntry {
-    ids: Box<[ItemId]>,
-    titles: Arc<Vec<Vec<u32>>>,
-}
-
-impl TitleCache {
-    /// Most candidate sets held at once (≈ 1 KB each at the paper's 15-way
-    /// sets, so a few MB).
-    pub const CAPACITY: usize = 4096;
-
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn map(&self) -> MutexGuard<'_, HashMap<u64, TitleEntry>> {
-        // Every update is a single insert or clear, so the map is valid even
-        // if a holder panicked.
-        self.map.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The titles of candidate set `ids`, stored under `key` (a hash of every
-    /// id in `ids`), building them on first sight — or when `key` currently
-    /// holds a different set. The lock is not held while `build` runs, so
-    /// concurrent first sights of one set may both build; whichever inserts
-    /// last wins (the values are equal).
-    pub fn get_or_build(
-        &self,
-        key: u64,
-        ids: &[ItemId],
-        build: impl FnOnce() -> Vec<Vec<u32>>,
-    ) -> Arc<Vec<Vec<u32>>> {
-        if let Some(entry) = self.map().get(&key) {
-            if *entry.ids == *ids {
-                delrec_obs::counter!("lm.title_cache.hit").incr();
-                return Arc::clone(&entry.titles);
-            }
-        }
-        delrec_obs::counter!("lm.title_cache.miss").incr();
-        let titles = Arc::new(build());
-        let entry = TitleEntry {
-            ids: ids.into(),
-            titles: Arc::clone(&titles),
-        };
-        let mut map = self.map();
-        if map.len() >= Self::CAPACITY && !map.contains_key(&key) {
-            delrec_obs::counter!("lm.title_cache.evict").add(map.len() as u64);
-            map.clear();
-        }
-        map.insert(key, entry);
-        titles
-    }
-
-    /// Number of distinct candidate sets cached.
-    pub fn len(&self) -> usize {
-        self.map().len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.map().is_empty()
-    }
-
-    /// Drop all cached sets (e.g. when the item catalog changes).
-    pub fn clear(&self) {
-        self.map().clear();
-    }
-}
 
 /// Differentiable candidate scores `[m]` from mask logits `[vocab]`.
 ///
@@ -192,7 +93,10 @@ pub fn rank_candidates(logits: &Tensor, candidates: &[Vec<u32>]) -> Vec<f32> {
 /// example, e.g. from a batched mask-logits pass) and `candidate_sets[b]`
 /// holds example `b`'s candidate titles. Row `b` of the result is exactly
 /// [`rank_candidates`] of row `b` — candidate sets may differ in size.
-pub fn rank_candidates_batch(logits: &Tensor, candidate_sets: &[&[Vec<u32>]]) -> Vec<Vec<f32>> {
+pub fn rank_candidates_batch<T: AsRef<[u32]>>(
+    logits: &Tensor,
+    candidate_sets: &[&[T]],
+) -> Vec<Vec<f32>> {
     let _span = delrec_obs::span!("lm.verbalize");
     assert_eq!(logits.shape().rank(), 2, "expected [B, vocab] logits");
     assert_eq!(
@@ -209,7 +113,7 @@ pub fn rank_candidates_batch(logits: &Tensor, candidate_sets: &[&[Vec<u32>]]) ->
 
 /// [`rank_candidates_batch`] under the signature the frozen `perfbench/`
 /// package calls — its one caller. The mode argument is ignored; the shim
-/// goes with that package's `[benchmark]` PR (ROADMAP 6(3)).
+/// goes when that package stops calling it (ROADMAP item 1(d)).
 pub fn rank_candidates_batch_mode(
     logits: &Tensor,
     candidate_sets: &[&[Vec<u32>]],
@@ -218,11 +122,18 @@ pub fn rank_candidates_batch_mode(
     rank_candidates_batch(logits, candidate_sets)
 }
 
-fn rank_row(data: &[f32], candidates: &[Vec<u32>]) -> Vec<f32> {
+/// Each title's mean token log-probability under one mask row's logits. A
+/// title is read in place — a `&[u32]` slice of the tokenized catalog or an
+/// owned `Vec<u32>` — and its score does not depend on which other titles
+/// are scored alongside it.
+fn rank_row<T: AsRef<[u32]>>(data: &[f32], titles: &[T]) -> Vec<f32> {
     let lse = log_sum_exp(data);
-    candidates
+    titles
         .iter()
-        .map(|cand| cand.iter().map(|&t| data[t as usize] - lse).sum::<f32>() / cand.len() as f32)
+        .map(|title| {
+            let title = title.as_ref();
+            title.iter().map(|&t| data[t as usize] - lse).sum::<f32>() / title.len() as f32
+        })
         .collect()
 }
 
@@ -334,65 +245,6 @@ mod tests {
         assert!((mean - score).abs() < 1e-6);
         // Scores are log-probabilities: all negative for a multi-token vocab.
         assert!(parts.iter().all(|&(_, s)| s < 0.0));
-    }
-
-    #[test]
-    fn title_cache_builds_once_per_set() {
-        let cache = TitleCache::new();
-        let (a, b) = ([ItemId(1), ItemId(2)], [ItemId(9)]);
-        let mut builds = 0;
-        for _ in 0..3 {
-            let titles = cache.get_or_build(42, &a, || {
-                builds += 1;
-                vec![vec![1, 2], vec![3]]
-            });
-            assert_eq!(titles.len(), 2);
-        }
-        let other = cache.get_or_build(7, &b, || {
-            builds += 1;
-            vec![vec![9]]
-        });
-        assert_eq!(other.len(), 1);
-        assert_eq!(builds, 2, "one build per distinct set");
-        assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn title_cache_rebuilds_on_a_key_collision() {
-        let cache = TitleCache::new();
-        let (a, b) = ([ItemId(1), ItemId(2)], [ItemId(2), ItemId(1)]);
-        let titles_a = cache.get_or_build(5, &a, || vec![vec![1], vec![2]]);
-        // Same key, different set: must not be handed `a`'s titles.
-        let titles_b = cache.get_or_build(5, &b, || vec![vec![2], vec![1]]);
-        assert_eq!(*titles_a, vec![vec![1], vec![2]]);
-        assert_eq!(*titles_b, vec![vec![2], vec![1]]);
-        assert_eq!(cache.len(), 1, "colliding sets share one slot");
-        // The slot now holds `b`: a hit for `b`, a rebuild for `a`.
-        let again = cache.get_or_build(5, &b, || panic!("b is cached"));
-        assert_eq!(*again, *titles_b);
-        let mut rebuilt = false;
-        cache.get_or_build(5, &a, || {
-            rebuilt = true;
-            vec![vec![1], vec![2]]
-        });
-        assert!(rebuilt);
-    }
-
-    #[test]
-    fn title_cache_stays_within_capacity() {
-        let cache = TitleCache::new();
-        let evicted = delrec_obs::global().counter("lm.title_cache.evict");
-        let before = evicted.get();
-        for i in 0..100_000u32 {
-            cache.get_or_build(u64::from(i), &[ItemId(i)], || vec![vec![i]]);
-            assert!(cache.len() <= TitleCache::CAPACITY);
-        }
-        assert!(evicted.get() - before >= 100_000 - TitleCache::CAPACITY as u64);
-        // The newest set survives the drop that made room for it.
-        let last = cache.get_or_build(99_999, &[ItemId(99_999)], || panic!("cached"));
-        assert_eq!(*last, vec![vec![99_999]]);
     }
 
     #[test]

@@ -72,10 +72,17 @@ cargo run --release -q -p delrec-bench --bin par -- --scale smoke --out "$(mktem
 # Smoke-run the retrieval benchmark: asserts the full-catalog stage's
 # recall floors at depth min(100, n_items/4) and half of it (1.4x the random
 # baseline — a gate that can fail on the 40-item smoke catalog, where
-# retrieving 100 could not), the end-to-end HR/NDCG budget vs the
-# oracle-candidate protocol, bitwise thread-count determinism of both
-# retrieval and recommend, and the batched-≡-sequential gate (retrieve_batch
-# and recommend_batch vs the m=1 loop at B {1,5,32}, both formats) before
-# timing the scan sweep and the coalesced-vs-sequential comparison (GEMM
-# only and at the retrieve level).
+# retrieving 100 could not), the end-to-end HR/NDCG budget of the one-row
+# re-rank vs the oracle-candidate protocol, bitwise thread-count determinism
+# of both retrieval and recommend, and the batched-≡-sequential gate
+# (retrieve_batch and recommend_batch vs the m=1 loop at B {1,5,32}, both
+# formats) before timing the scan sweep and the coalesced-vs-sequential
+# comparison (GEMM only and at the retrieve level).
 cargo run --release -q -p delrec-bench --bin retrieval -- --scale smoke --out "$(mktemp -d)"
+
+# Smoke-run the re-rank quality experiment on one profile and one seed. At
+# this scale it asserts only that the served one-row re-rank scores its 15
+# shown items bitwise as score_candidates does, that the served lists are the
+# one-row scores sorted, and that every compared list is well formed; its
+# quality numbers come from `--scale small` (EXPERIMENTS.md).
+cargo run --release -q -p delrec-bench --bin repro_rerank -- --scale smoke --datasets movielens --out "$(mktemp -d)"
