@@ -233,7 +233,6 @@ fn main() {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let cfg = || ServeConfig {
         max_batch: 16,
-        batch_window: Duration::from_millis(1),
         max_queue: 4096,
         session_shards: 8,
         persistence: Some(PersistConfig {

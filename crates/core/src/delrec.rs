@@ -458,6 +458,11 @@ impl Ranker for DelRec {
         self.lm.store().version()
     }
 
+    /// The catalog the title table was tokenized from.
+    fn num_items(&self) -> Option<usize> {
+        Some(self.items.len())
+    }
+
     fn score_candidates(&self, prefix: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
         self.score_candidates_batch(&[(prefix, candidates)])
             .pop()

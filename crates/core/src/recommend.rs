@@ -252,4 +252,8 @@ impl Ranker for Recommender {
     fn model_version(&self) -> u64 {
         self.model.model_version()
     }
+
+    fn num_items(&self) -> Option<usize> {
+        self.model.num_items()
+    }
 }

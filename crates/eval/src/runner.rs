@@ -43,6 +43,15 @@ pub trait Ranker {
     fn model_version(&self) -> u64 {
         0
     }
+
+    /// Size of the item catalog this model scores over: every [`ItemId`] it
+    /// accepts indexes below it. The serving runtime validates requests
+    /// against it at admission, so an out-of-catalog id fails its own
+    /// request instead of panicking inside a batch. `None` (the default):
+    /// the ranker does not say, and requests go unchecked.
+    fn num_items(&self) -> Option<usize> {
+        None
+    }
 }
 
 /// Anything that can produce a best-first top-k over the *whole catalog*

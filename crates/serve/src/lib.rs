@@ -1,8 +1,9 @@
 //! Online recommendation serving runtime.
 //!
 //! Turns a fitted [`delrec_eval::Ranker`] into a service: clients submit
-//! [`RecRequest`]s from any thread, one scheduler thread coalesces the queue
-//! into micro-batches (size- and age-triggered) and scores each with one
+//! [`RecRequest`]s from any thread, one scheduler thread flushes whatever is
+//! queued (up to `max_batch`) the moment it is free — so micro-batches grow
+//! with load, not by waiting — and scores each with one
 //! `score_candidates_batch` call — which fans out over the `delrec-par` pool
 //! from inside the model — and ranked results come back through per-request
 //! response channels. Around that core:
@@ -14,8 +15,10 @@
 //! - [`ModelRegistry`] — atomic model hot-swap: [`Server::publish`] installs a
 //!   newly fitted model for subsequent batches while in-flight batches drain
 //!   on the generation they loaded at flush;
-//! - deadline-aware admission control — requests whose deadline cannot be met
-//!   are rejected at submit or shed at flush, never silently answered late;
+//! - admission control — requests naming an item outside the model's catalog
+//!   fail alone at submit ([`ServeError::OutOfCatalog`]); requests whose
+//!   deadline cannot be met are rejected at submit or shed at flush, never
+//!   silently answered late;
 //! - [`Metrics`] — lock-free counters plus log-bucketed latency histograms
 //!   (p50/p95/p99).
 //!

@@ -82,6 +82,10 @@ pub struct TopKResponse {
     /// smaller [`ItemId`]) — bitwise identical to calling the recommender's
     /// `recommend_top_k` directly on the session history.
     pub items: Vec<(ItemId, f32)>,
+    /// How many top-k requests shared this response's handler call — one
+    /// catalog scan and one re-rank batch (diagnostics: a slow answer with
+    /// `batch_size == 1` rode alone).
+    pub batch_size: usize,
     /// Publish sequence of the model generation that answered (0 = the model
     /// the server started with). The server *acknowledges* the version here;
     /// hot-swap tests verify the items against exactly this generation.
@@ -126,13 +130,25 @@ pub enum ServeError {
         depth: usize,
     },
     /// Admission control: the deadline would expire before the batch the
-    /// request would join could possibly flush.
+    /// request would join could possibly flush. Under the default zero
+    /// batch window that means only a deadline already past.
     DeadlineUnmeetable,
     /// The deadline passed while the request was queued or being scored; the
     /// request was shed rather than silently answered late.
     DeadlineExpired,
     /// The request had no candidates to score (or asked for zero items).
     EmptyCandidates,
+    /// Admission validation: the request names an item outside the serving
+    /// model's catalog — an id in `recent_items` or `candidates` at or past
+    /// `n_items`, or a top-k `k` above it. Refused at submit, before the
+    /// session append, so the bad id reaches neither a session, its WAL,
+    /// nor a batch.
+    OutOfCatalog {
+        /// The offending id's index, or the requested `k`.
+        value: usize,
+        /// Items in the serving model's catalog.
+        n_items: usize,
+    },
     /// A [`TopKRequest`](crate::TopKRequest) reached a server whose model has
     /// no full-catalog recommendation path (started with [`Server::start`]
     /// rather than `start_recommender`).
@@ -155,6 +171,9 @@ impl std::fmt::Display for ServeError {
             }
             ServeError::DeadlineExpired => write!(f, "deadline expired before a result was ready"),
             ServeError::EmptyCandidates => write!(f, "request has no candidates"),
+            ServeError::OutOfCatalog { value, n_items } => {
+                write!(f, "{value} is outside the {n_items}-item catalog")
+            }
             ServeError::TopKUnsupported => {
                 write!(f, "server has no full-catalog top-k path")
             }

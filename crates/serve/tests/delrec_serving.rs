@@ -12,7 +12,7 @@ use delrec_core::{
 use delrec_data::synthetic::{DatasetProfile, SyntheticConfig};
 use delrec_data::ItemId;
 use delrec_eval::{Ranker, TopKRecommender};
-use delrec_serve::{RecRequest, ServeConfig, Server, TopKRequest};
+use delrec_serve::{RecRequest, ServeConfig, ServeError, Server, TopKRequest};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -164,6 +164,27 @@ fn served_top_k_is_bitwise_the_direct_recommend_top_k_under_coalescing() {
             "request {i}: served top-k must be bitwise the direct call"
         );
     }
+
+    // Admission reads the fitted catalog through `Recommender` and
+    // `DelRec`: an id past it, or a `k` above it, fails at submit.
+    assert_eq!(rec.num_items(), Some(n_items));
+    let submit = |recent_items: Vec<ItemId>, k| {
+        client.submit_topk(TopKRequest {
+            user_id: 99,
+            recent_items,
+            k,
+            deadline: None,
+        })
+    };
+    let rejected = |value| Some(ServeError::OutOfCatalog { value, n_items });
+    assert_eq!(
+        submit(vec![item(0), ItemId(n_items as u32)], 10).err(),
+        rejected(n_items)
+    );
+    assert_eq!(
+        submit(vec![item(0)], n_items + 1).err(),
+        rejected(n_items + 1)
+    );
 
     let snap = server.shutdown();
     assert_eq!(snap.completed, 24);

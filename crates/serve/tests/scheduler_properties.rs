@@ -5,10 +5,10 @@
 
 use delrec_data::ItemId;
 use delrec_eval::Ranker;
-use delrec_serve::{ranking_of, RecRequest, ServeConfig, ServeError, Server};
+use delrec_serve::{ranking_of, RecRequest, ServeConfig, ServeError, Server, TopKRequest};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Deterministic stand-in model: each candidate's score is a hash of the
@@ -303,7 +303,7 @@ fn panicking_batch_fails_alone_and_the_server_keeps_serving() {
     };
     let topk_wave = |user0: u64, poisoned: bool| -> Vec<_> {
         let submit = |i| {
-            client.submit_topk(delrec_serve::TopKRequest {
+            client.submit_topk(TopKRequest {
                 user_id: user0 + i,
                 recent_items: recent(poisoned, i),
                 k: 2,
@@ -430,4 +430,239 @@ fn shutdown_drains_queue_and_refuses_new_requests() {
         }),
         Err(ServeError::Shutdown)
     ));
+}
+
+/// The shipped policy admits what it can serve: with no default linger, a
+/// 1 ms budget is meetable (the old 2 ms window refused it at submit with
+/// `DeadlineUnmeetable`), and only a deadline already past is refused.
+#[test]
+fn default_config_admits_and_answers_a_one_millisecond_budget() {
+    let model = Arc::new(HashRanker::new());
+    let server = Server::start(Arc::clone(&model), ServeConfig::default());
+    let client = server.client();
+    let budget = Duration::from_millis(1);
+    let mut answered = 0;
+    for user in 0..10u64 {
+        let handle = client
+            .submit(RecRequest::with_budget(
+                user,
+                vec![ItemId(3)],
+                vec![ItemId(1), ItemId(2)],
+                budget,
+            ))
+            .expect("a 1 ms budget is meetable when nothing lingers");
+        match handle.wait() {
+            Ok(resp) => {
+                assert!(resp.latency <= budget, "answered late: {:?}", resp.latency);
+                answered += 1;
+            }
+            // A host stall longer than the budget sheds the request; it is
+            // never answered late.
+            Err(ServeError::DeadlineExpired) => {}
+            Err(e) => panic!("unexpected error: {e}"),
+        }
+    }
+    assert!(answered > 0, "no 1 ms request of ten was answered in time");
+    let past = client.submit(RecRequest {
+        user_id: 99,
+        recent_items: vec![],
+        candidates: vec![ItemId(1)],
+        deadline: Some(Instant::now()),
+    });
+    assert_eq!(past.err(), Some(ServeError::DeadlineUnmeetable));
+    let snap = server.shutdown();
+    assert_eq!(snap.rejected_deadline, 1);
+}
+
+/// A [`HashRanker`] whose first batched call blocks until the test opens the
+/// gate: the test sees the scheduler busy and builds a backlog behind it
+/// without sleeping.
+struct Gated {
+    /// (first call entered, gate open)
+    state: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl Gated {
+    fn new() -> Self {
+        Gated {
+            state: Mutex::new((false, false)),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Block until the first model call has started.
+    fn wait_entered(&self) {
+        let mut st = self.state.lock().unwrap();
+        while !st.0 {
+            st = self.changed.wait(st).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl Ranker for Gated {
+    fn name(&self) -> &str {
+        "gated"
+    }
+
+    fn score_candidates(&self, prefix: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
+        HashRanker::new().score_candidates(prefix, candidates)
+    }
+
+    fn score_candidates_batch(&self, requests: &[delrec_eval::ScoreRequest<'_>]) -> Vec<Vec<f32>> {
+        let mut st = self.state.lock().unwrap();
+        if !st.0 {
+            st.0 = true;
+            self.changed.notify_all();
+            while !st.1 {
+                st = self.changed.wait(st).unwrap();
+            }
+        }
+        drop(st);
+        requests
+            .iter()
+            .map(|&(p, c)| self.score_candidates(p, c))
+            .collect()
+    }
+}
+
+/// Work conservation under the default config: a lone request on an idle
+/// server is flushed alone at once, and what queues while that call runs is
+/// the next batch — `max_batch` of it in one call, and the remainder in the
+/// call right after, without lingering.
+#[test]
+fn a_backlog_built_during_one_call_is_the_next_batch() {
+    let model = Arc::new(Gated::new());
+    let cfg = ServeConfig::default();
+    let max_batch = cfg.max_batch;
+    let server = Server::start(Arc::clone(&model), cfg);
+    let client = server.client();
+    let submit = |user: u64| {
+        client
+            .submit(RecRequest {
+                user_id: user,
+                recent_items: vec![ItemId(user as u32)],
+                candidates: vec![ItemId(1), ItemId(2)],
+                deadline: None,
+            })
+            .expect("admitted")
+    };
+
+    let first = submit(0);
+    model.wait_entered();
+    let backlog = max_batch + 3;
+    let rest: Vec<_> = (1..=backlog as u64).map(submit).collect();
+    assert_eq!(client.queue_depth(), backlog, "the scheduler is held");
+    model.open();
+    assert_eq!(first.wait().expect("served").batch_size, 1);
+    for (i, h) in rest.into_iter().enumerate() {
+        let want = if i < max_batch { max_batch } else { 3 };
+        assert_eq!(h.wait().expect("served").batch_size, want, "request {i}");
+    }
+    let snap = server.shutdown();
+    assert_eq!((snap.batches, snap.completed), (3, 1 + backlog as u64));
+}
+
+/// Admission validation: a request naming an id outside the model's catalog
+/// (history or candidate), or asking for more top-k items than the catalog
+/// holds, fails alone at submit — before its session is touched — and its
+/// would-be batchmates are scored as if it had never been sent. Without the
+/// check the bad id reaches the model call and fails the whole batch with
+/// `Internal`.
+#[test]
+fn an_out_of_catalog_request_fails_alone_at_submit() {
+    const N: usize = 50;
+    struct Catalog;
+    impl Ranker for Catalog {
+        fn name(&self) -> &str {
+            "catalog"
+        }
+        fn score_candidates(&self, prefix: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
+            let all = prefix.iter().chain(candidates);
+            assert!(all.clone().all(|id| id.index() < N), "item out of catalog");
+            HashRanker::new().score_candidates(prefix, candidates)
+        }
+        fn num_items(&self) -> Option<usize> {
+            Some(N)
+        }
+    }
+    impl delrec_eval::TopKRecommender for Catalog {
+        fn recommend_top_k_batch(
+            &self,
+            requests: &[delrec_eval::TopKQuery<'_>],
+        ) -> Vec<Vec<(ItemId, f32)>> {
+            requests
+                .iter()
+                .map(|&(prefix, k)| {
+                    assert!(k <= N, "k beyond the catalog");
+                    let ids: Vec<ItemId> = (0..k as u32).map(ItemId).collect();
+                    let scores = self.score_candidates(prefix, &ids);
+                    ids.into_iter().zip(scores).collect()
+                })
+                .collect()
+        }
+    }
+
+    // A window that never elapses: each wave of three flushes on size.
+    let server = Server::start_recommender(
+        Arc::new(Catalog),
+        ServeConfig {
+            max_batch: 3,
+            batch_window: Duration::from_secs(3600),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+    let outside = |extra: u32| ItemId(N as u32 + extra);
+    let rejected = |value| Some(ServeError::OutOfCatalog { value, n_items: N });
+    let score = |user: u64, recent: ItemId, candidate: ItemId| {
+        client.submit(RecRequest {
+            user_id: user,
+            recent_items: vec![recent],
+            candidates: vec![ItemId(1), candidate],
+            deadline: None,
+        })
+    };
+    let topk = |user: u64, recent: ItemId, k: usize| {
+        client.submit_topk(TopKRequest {
+            user_id: user,
+            recent_items: vec![recent],
+            k,
+            deadline: None,
+        })
+    };
+
+    let mut scored = vec![score(0, ItemId(7), ItemId(2)).expect("admitted")];
+    assert_eq!(score(1, outside(0), ItemId(2)).err(), rejected(N));
+    scored.push(score(2, ItemId(7), ItemId(2)).expect("admitted"));
+    assert_eq!(score(3, ItemId(7), outside(4)).err(), rejected(N + 4));
+    scored.push(score(4, ItemId(7), ItemId(2)).expect("admitted"));
+    let want = Catalog.score_candidates(&[ItemId(7)], &[ItemId(1), ItemId(2)]);
+    for h in scored {
+        let resp = h.wait().expect("the bad request's batchmates score");
+        assert_eq!((resp.scores, resp.batch_size), (want.clone(), 3));
+    }
+
+    let mut listed = vec![topk(10, ItemId(7), N).expect("k = catalog size is fine")];
+    assert_eq!(topk(11, outside(1), 2).err(), rejected(N + 1));
+    listed.push(topk(12, ItemId(7), 2).expect("admitted"));
+    assert_eq!(topk(13, ItemId(7), N + 1).err(), rejected(N + 1));
+    listed.push(topk(14, ItemId(7), 1).expect("admitted"));
+    for h in listed {
+        assert_eq!(h.wait().expect("served").batch_size, 3);
+    }
+
+    // The refused ids never entered a session (nor, on a persistent
+    // server, its WAL).
+    for user in [1, 3, 11, 13] {
+        assert_eq!(server.sessions().history(user), None, "user {user}");
+    }
+    let snap = server.shutdown();
+    assert_eq!((snap.submitted, snap.completed), (6, 6));
+    assert_eq!((snap.batches, snap.topk_batches), (2, 1));
 }

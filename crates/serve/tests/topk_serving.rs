@@ -228,6 +228,7 @@ fn flooded_topk_requests_coalesce_into_one_handler_call() {
             .expect("admitted");
         pending.push((u, history, handle));
     }
+    let mut sizes = Vec::new();
     for (u, history, handle) in pending {
         let resp = handle.wait().expect("served");
         assert_eq!(
@@ -235,6 +236,7 @@ fn flooded_topk_requests_coalesce_into_one_handler_call() {
             bits(&model.inner.recommend_top_k(&history, 6)),
             "user {u}: coalesced answer must be bitwise identical to direct"
         );
+        sizes.push(resp.batch_size);
     }
 
     let coalesced = model.max_handler_batch.load(Ordering::Relaxed);
@@ -243,6 +245,12 @@ fn flooded_topk_requests_coalesce_into_one_handler_call() {
         "the handler must see whole batches, got max {coalesced}"
     );
     let snap = server.shutdown();
+    // Every answer says how many requests shared its handler call, and the
+    // stamps agree with what the handler saw and with the batch ledger: a
+    // batch of s contributes s answers stamped s.
+    assert_eq!(sizes.iter().max().map(|&s| s as u64), Some(coalesced));
+    let batches: f64 = sizes.iter().map(|&s| 1.0 / s as f64).sum();
+    assert_eq!(batches.round() as u64, snap.topk_batches, "sizes {sizes:?}");
     assert!(
         snap.topk_batches >= 1 && snap.topk_batches < 24,
         "24 requests must flush in fewer than 24 top-k batches, got {}",
@@ -260,8 +268,8 @@ fn flooded_topk_requests_coalesce_into_one_handler_call() {
 fn expired_topk_deadline_is_shed_not_answered_late() {
     let model = Arc::new(HashRecommender { n_items: 50 });
     let server = Server::start_recommender(model, ServeConfig::default());
-    // A deadline inside the batch window is unmeetable in the worst case:
-    // admission sheds it immediately.
+    // A deadline that passes before admission is refused there; one that
+    // passes in the queue is shed at flush. Neither is answered late.
     let err = server
         .client()
         .recommend_topk(TopKRequest::with_budget(

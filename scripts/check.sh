@@ -23,6 +23,9 @@ cargo clippy -p delrec-retrieval --all-targets -- -D warnings
 # The seqrec crate holds two of the three models built on the tape's attention
 # node and the suite that pins their training bits; same bar.
 cargo clippy -p delrec-seqrec --all-targets -- -D warnings
+# The serve crate's suites pin the scheduler's flush policy, admission and
+# served ≡ direct; lint them (tests included) at the same bar.
+cargo clippy -p delrec-serve --all-targets -- -D warnings
 # The benchmark package (perfbench/, a workspace of its own) builds the
 # product crates through path dependencies and uses only their public API:
 # build it here so an API break against it is caught before the pipeline
