@@ -15,7 +15,12 @@
 //!    Gates: baseline body ≡ dispatched kernel ≡ `matmul_raw` on every timed
 //!    shape and blocked attn·V ≡ the per-row products, bit for bit;
 //!    `gelu_slice` ≥ 2x its libm loop (the softmax and attn·V ratios are
-//!    recorded, not gated).
+//!    recorded, not gated). Last, the item-index scan shape (`k = 16`,
+//!    `m ∈ {1, 32}`, the 262 144-item catalog at `full`, 16 384 items at
+//!    `smoke`), walked in the index's 1024-item score tiles: the `NR`-wide
+//!    kernel vs the `SCAN_NR`-wide entry the index runs (512-bit where
+//!    AVX-512F is detected) vs that entry's baseline body, all three gated ≡
+//!    `matmul_raw` bit for bit, with GFLOP/s.
 //! 2. **End-to-end batch-32 scoring.** A fitted DELRec scored through the
 //!    engine's fused forward, best-of-3 wall with spans off. Gate: the engine
 //!    and the autograd tape produce identical score bits.
@@ -28,14 +33,15 @@
 //!    computed rather than A/B'd because no uninstrumented build exists.
 
 use delrec_bench::harness::{best_ns, best_wall_ns, fill, fit_delrec, score_bits, ScoringWorkload};
-use delrec_bench::{banner, write_json, CliArgs, ExperimentContext};
+use delrec_bench::{banner, write_json, CliArgs, ExperimentContext, Scale};
 use delrec_core::{LmPreset, TeacherKind};
 use delrec_data::synthetic::DatasetProfile;
 use delrec_eval::json::Json;
 use delrec_obs::MetricValue;
 use delrec_tensor::{
     gemm_packed, gemm_packed_baseline, gemm_packed_panels, matmul_raw, matmul_raw_strided, pack_b,
-    pack_b_into, simd_lanes, vmath, PackedB, NR,
+    pack_b_into, pack_b_transposed, pack_b_transposed_into, scan_simd_lanes, simd_lanes,
+    transpose_into, vmath, PackedB, NR, SCAN_NR,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -74,7 +80,8 @@ fn kernel_case(label: &str, m: usize, k: usize, n: usize, iters: u32) -> Json {
         "correctness gate: dispatched kernel diverged from matmul_raw at {label}"
     );
     let mut body = vec![f32::NAN; m * n];
-    gemm_packed_baseline(&a, k, &bp, &mut body, m);
+    let all = 0..n.div_ceil(NR);
+    gemm_packed_baseline(&a, k, &bp, all.clone(), &mut body, m);
     assert_eq!(
         bits(&want),
         bits(&body),
@@ -94,7 +101,7 @@ fn kernel_case(label: &str, m: usize, k: usize, n: usize, iters: u32) -> Json {
         gemm_packed(&a, k, &bp, black_box(&mut out), m, false);
     });
     let body_ns = best_ns(iters, || {
-        gemm_packed_baseline(&a, k, &bp, black_box(&mut out), m);
+        gemm_packed_baseline(&a, k, &bp, all.clone(), black_box(&mut out), m);
     });
     let gflops = (2 * m * k * n) as f64 / cached_ns;
     println!(
@@ -119,6 +126,108 @@ fn kernel_case(label: &str, m: usize, k: usize, n: usize, iters: u32) -> Json {
             "speedup_dispatched_vs_body",
             Json::from(body_ns / cached_ns),
         ),
+    ])
+}
+
+/// Items per score block of the timed scan: `ItemIndex::scan_top_k`'s tile,
+/// so the `[m, SCAN_TILE]` block stays cache-resident as it does there and
+/// the timing is the kernel's, not the write-back of an `[m, n]` matrix.
+const SCAN_TILE: usize = 1024;
+
+/// `a · B` one `SCAN_TILE`-item block at a time over a packed `B`, through
+/// the serial panel-range entry the index's request path runs (or, with
+/// `baseline`, its baseline body) into one reused `block`; each block is
+/// also copied into `out` unless `out` is empty (the gate, not the timing).
+fn scan_tiles<const W: usize>(
+    a: &[f32],
+    bp: &PackedB<W>,
+    m: usize,
+    block: &mut [f32],
+    out: &mut [f32],
+    baseline: bool,
+) {
+    let (k, n) = (bp.k(), bp.n());
+    let panels = n.div_ceil(W);
+    let per_tile = SCAN_TILE / W;
+    for p0 in (0..panels).step_by(per_tile) {
+        let range = p0..(p0 + per_tile).min(panels);
+        let (j0, j1) = (range.start * W, (range.end * W).min(n));
+        let block = &mut block[..m * (j1 - j0)];
+        if baseline {
+            gemm_packed_baseline(a, k, bp, range, block, m);
+        } else {
+            gemm_packed_panels(a, k, bp, range, block, m);
+        }
+        if !out.is_empty() {
+            for (i, row) in block.chunks_exact(j1 - j0).enumerate() {
+                out[i * n + j0..i * n + j1].copy_from_slice(row);
+            }
+        }
+    }
+}
+
+/// The item-index scan shape `[m, k] · [k, n]` over a `[n, k]` embedding
+/// matrix packed as the index packs it: gate the `NR`-wide kernel, the
+/// `SCAN_NR`-wide entry and its baseline body ≡ `matmul_raw` bit for bit,
+/// then time the three over the same tiles.
+fn scan_case(m: usize, k: usize, n: usize) -> Json {
+    let a = fill(5, m * k);
+    let emb = fill(6, n * k);
+    let mut bt = vec![0.0f32; k * n];
+    transpose_into(&emb, n, k, &mut bt);
+    let narrow: PackedB = pack_b_transposed(&emb, k, n);
+    let mut wide = PackedB::<SCAN_NR>::default();
+    pack_b_transposed_into(&emb, k, n, &mut wide);
+    let mut want = vec![0.0f32; m * n];
+    matmul_raw(&a, &bt, &mut want, m, k, n);
+    let mut block = vec![0.0f32; m * SCAN_TILE];
+    let mut got = vec![f32::NAN; m * n];
+    let gate = |what: &str, got: &mut [f32]| {
+        assert_eq!(
+            bits(&want),
+            bits(got),
+            "correctness gate: {what} diverged from matmul_raw at the scan shape m={m} n={n}"
+        );
+        got.fill(f32::NAN);
+    };
+    scan_tiles(&a, &narrow, m, &mut block, &mut got, false);
+    gate("NR-wide kernel", &mut got);
+    scan_tiles(&a, &wide, m, &mut block, &mut got, false);
+    gate("wide entry", &mut got);
+    scan_tiles(&a, &wide, m, &mut block, &mut got, true);
+    gate("wide baseline body", &mut got);
+
+    // About 2^26 outputs per timed batch: a few hundred ms at either m.
+    let iters = ((1usize << 26) / (m * n)).clamp(2, 4096) as u32;
+    let narrow_ns = best_ns(iters, || {
+        scan_tiles(&a, &narrow, m, black_box(&mut block), &mut [], false);
+    });
+    let wide_ns = best_ns(iters, || {
+        scan_tiles(&a, &wide, m, black_box(&mut block), &mut [], false);
+    });
+    let body_ns = best_ns(iters, || {
+        scan_tiles(&a, &wide, m, black_box(&mut block), &mut [], true);
+    });
+    let gflops = |ns: f64| (2 * m * k * n) as f64 / ns;
+    println!(
+        "  scan [{m:>2}x{k}x{n}]  NR-{NR} kernel {:6.1} GFLOP/s   {SCAN_NR}-wide entry \
+         {:6.1} GFLOP/s ({:.2}x)   {SCAN_NR}-wide baseline body {:6.1} GFLOP/s",
+        gflops(narrow_ns),
+        gflops(wide_ns),
+        narrow_ns / wide_ns,
+        gflops(body_ns)
+    );
+    Json::obj([
+        ("m", Json::from(m)),
+        ("k", Json::from(k)),
+        ("n", Json::from(n)),
+        ("nr_kernel_ns", Json::from(narrow_ns)),
+        ("wide_entry_ns", Json::from(wide_ns)),
+        ("wide_baseline_body_ns", Json::from(body_ns)),
+        ("nr_kernel_gflops", Json::from(gflops(narrow_ns))),
+        ("wide_entry_gflops", Json::from(gflops(wide_ns))),
+        ("wide_baseline_body_gflops", Json::from(gflops(body_ns))),
+        ("speedup_wide_vs_nr", Json::from(narrow_ns / wide_ns)),
     ])
 }
 
@@ -247,10 +356,20 @@ fn main() {
         8 => "avx2-256",
         _ => "baseline-128",
     };
+    let scan_instantiation = match scan_simd_lanes() {
+        16 => "avx512f-512",
+        8 => "avx2-256",
+        _ => "baseline-128",
+    };
     println!(
         "kernel (gate: baseline body == dispatched [{instantiation}] == matmul_raw, bitwise):"
     );
-    let (kernels, vector) = delrec_par::with_pool(&delrec_par::ThreadPool::new(1), || {
+    let scan_items = match args.scale {
+        Scale::Smoke => 16_384,
+        Scale::Small => 65_536,
+        Scale::Full => 262_144,
+    };
+    let (kernels, vector, scan) = delrec_par::with_pool(&delrec_par::ThreadPool::new(1), || {
         let kernels = Json::arr(vec![
             kernel_case("per-head projection", 96, 16, 8, 20_000),
             kernel_case("fused qkv panel", 96, 16, 48, 8_000),
@@ -258,7 +377,16 @@ fn main() {
             kernel_case("tied-embedding head", 32, 16, 60, 10_000),
             kernel_case("xl tile fused qkv", 1016, 32, 96, 400),
         ]);
-        (kernels, vector_kernel_rows())
+        let vector = vector_kernel_rows();
+        println!(
+            "item-index scan (gate: NR-{NR} kernel == {SCAN_NR}-wide entry [{scan_instantiation}] \
+             == its baseline body == matmul_raw, bitwise):"
+        );
+        let scan = Json::arr(vec![
+            scan_case(1, 16, scan_items),
+            scan_case(32, 16, scan_items),
+        ]);
+        (kernels, vector, scan)
     });
     for &(label, kernel, reference) in &vector {
         println!(
@@ -376,6 +504,9 @@ fn main() {
         ("instantiation", Json::from(instantiation)),
         ("simd_lanes", Json::from(simd_lanes())),
         ("kernels", kernels),
+        ("scan_instantiation", Json::from(scan_instantiation)),
+        ("scan_simd_lanes", Json::from(scan_simd_lanes())),
+        ("scan_kernels", scan),
         (
             "vector_kernels",
             Json::arr(vector.iter().map(|&(label, kernel, reference)| {

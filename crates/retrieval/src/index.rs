@@ -1,17 +1,19 @@
 //! The brute-force item index: every item embedding, L2-normalized and
 //! repacked into the GEMM panel layout, so a full-catalog scan is the packed
-//! GEMM kernel walked over the panels.
+//! GEMM kernel walked over the panels. The f32 format packs 64-wide panels
+//! ([`SCAN_NR`]), which the kernel scans through its one entry with a
+//! 512-bit (AVX-512F) twin; the q8 format keeps the 8-wide `NR` layout.
 //!
 //! No approximate-nearest-neighbor structure: at the catalog scales this
 //! repo targets (10⁴–10⁶ items × 16–128 dims) a blocked GEMM scan is
 //! bandwidth-bound — one query against 262 144 × 16 f32 streams the 16 MB
-//! index in 1.03 ms on the 2-vCPU benchmark host (≈17 GB/s), so a query row
-//! is cheap only when it shares the stream with others — is *exact* (recall
-//! of the scan itself is 1.0 by construction), and — the property every
-//! kernel here pins — bitwise deterministic across thread counts, which no
-//! graph- or tree-based ANN traversal can promise once its visit order
-//! floats. DESIGN.md's "Retrieval" section carries the full trade-off
-//! discussion.
+//! index in 0.80–0.87 ms on the 2-vCPU AVX-512 benchmark host (20–22 GB/s),
+//! so a query row is cheap only when it shares the stream with others — is
+//! *exact* (recall of the scan itself is 1.0 by construction), and — the
+//! property every kernel here pins — bitwise deterministic across thread
+//! counts, which no graph- or tree-based ANN traversal can promise once its
+//! visit order floats. DESIGN.md's "Retrieval" section carries the full
+//! trade-off discussion.
 //!
 //! Request paths go through [`ItemIndex::scan_top_k`], which never holds
 //! more than a `[rows, tile]` block of scores; the materialising
@@ -22,16 +24,16 @@ use crate::topk::TopKSelector;
 use delrec_data::ItemId;
 use delrec_tensor::{
     gemm_packed, gemm_packed_panels, gemm_packed_q8, gemm_packed_q8_panels, pack_b_transposed,
-    quantize_pack, PackedB, QuantizedPanel, NR,
+    pack_b_transposed_into, quantize_pack, PackedB, QuantizedPanel, NR, SCAN_NR,
 };
 use std::ops::Range;
 
 /// Items per streamed score tile of [`ItemIndex::scan_top_k`] (a whole
-/// number of `NR`-wide panels). Sized so a lane's `[rows, TILE_ITEMS]` f32
+/// number of panels of either format: 16 of the f32 pack's [`SCAN_NR`], 128
+/// of the q8 pack's `NR`). Sized so a lane's `[rows, TILE_ITEMS]` f32
 /// block — 4 KB for a solo query, 512 KB at the retriever's 128-row block —
 /// is still in L2 when the selectors read back what the kernel just wrote.
 const TILE_ITEMS: usize = 1024;
-const TILE_PANELS: usize = TILE_ITEMS / NR;
 
 /// Minimum multiply-accumulates per lane before [`ItemIndex::scan_top_k`]
 /// forks: the same break-even the GEMM's own parallel driver uses.
@@ -47,13 +49,23 @@ pub enum IndexFormat {
     Q8,
 }
 
-/// Packed panels in one of the two formats, with a shared scoring entry.
+/// Packed panels in one of the two formats, with a shared scoring entry:
+/// f32 in [`SCAN_NR`]-wide panels (the kernel's 512-bit-capable entry), q8 in
+/// `NR`-wide ones.
 enum Panel {
-    F32(PackedB),
+    F32(PackedB<SCAN_NR>),
     Q8(QuantizedPanel),
 }
 
 impl Panel {
+    /// Items per packed panel.
+    fn width(&self) -> usize {
+        match self {
+            Panel::F32(_) => SCAN_NR,
+            Panel::Q8(_) => NR,
+        }
+    }
+
     fn scan(&self, queries: &[f32], lda: usize, out: &mut [f32], m: usize) {
         match self {
             Panel::F32(p) => gemm_packed(queries, lda, p, out, m, false),
@@ -136,11 +148,16 @@ impl ItemIndex {
         let _span = delrec_obs::span!("retrieval.index.build");
         l2_normalize_rows(&mut embeddings, dim);
         // `[n_items, dim]` row-major is exactly the transposed-source layout
-        // `pack_b_transposed` packs into `[dim, n_items]` panels.
-        let packed = pack_b_transposed(&embeddings, dim, n_items);
+        // the `pack_b_transposed*` functions pack into `[dim, n_items]` panels.
         let panel = match format {
-            IndexFormat::F32 => Panel::F32(packed),
-            IndexFormat::Q8 => Panel::Q8(quantize_pack(&packed)),
+            IndexFormat::F32 => {
+                let mut packed = PackedB::default();
+                pack_b_transposed_into(&embeddings, dim, n_items, &mut packed);
+                Panel::F32(packed)
+            }
+            IndexFormat::Q8 => {
+                Panel::Q8(quantize_pack(&pack_b_transposed(&embeddings, dim, n_items)))
+            }
         };
         delrec_obs::counter!("retrieval.index.build").incr();
         delrec_obs::gauge!("retrieval.index.bytes").set(panel.bytes() as f64);
@@ -236,8 +253,10 @@ impl ItemIndex {
             return Vec::new();
         }
         let _span = delrec_obs::span!("retrieval.scan");
-        let panels = n_items.div_ceil(NR);
-        let tiles = panels.div_ceil(TILE_PANELS);
+        let panel_width = self.panel.width();
+        let tile_panels = TILE_ITEMS / panel_width;
+        let panels = n_items.div_ceil(panel_width);
+        let tiles = panels.div_ceil(tile_panels);
         let pool = delrec_par::current();
         let lanes = (m * dim * n_items / PAR_MIN_MACS_PER_LANE).clamp(1, pool.lanes());
         let tile_ranges = delrec_par::partition(tiles, lanes);
@@ -253,11 +272,11 @@ impl ItemIndex {
         pool.for_each_chunk(&mut selectors, 1, |lane, rows| {
             let mut block = vec![0.0f32; m * TILE_ITEMS.min(n_items)];
             for tile in tile_ranges[lane].clone() {
-                let tile_panels = tile * TILE_PANELS..((tile + 1) * TILE_PANELS).min(panels);
+                let range = tile * tile_panels..((tile + 1) * tile_panels).min(panels);
                 let first = tile * TILE_ITEMS;
-                let width = (tile_panels.end * NR).min(n_items) - first;
+                let width = (range.end * panel_width).min(n_items) - first;
                 let block = &mut block[..m * width];
-                self.panel.scan_panels(queries, dim, tile_panels, block, m);
+                self.panel.scan_panels(queries, dim, range, block, m);
                 for (selector, scores) in rows[0].iter_mut().zip(block.chunks_exact(width)) {
                     selector.push_tile(first as u32, scores);
                 }

@@ -34,14 +34,28 @@
 //! once more at 256 bits, chosen at run time. The per-element expression
 //! above has no `mul_add` and a fixed order, so the width cannot change a
 //! bit; this module's tests pin body ≡ entry.
+//!
+//! **Panel width.** [`PackedB`] carries its panel width `W` as a const
+//! generic that defaults to [`NR`] = 8, the LM's width. The item-index scan
+//! packs [`SCAN_NR`] = 64-wide panels instead: at its `k = 16` an `MR`×64
+//! tile is sixteen 512-bit accumulators, so the kernel streams the index at
+//! the host's full vector width. Packs wider than `NR` run through
+//! `wide_panel_range`, the one entry that also has an AVX-512F twin; both
+//! entries instantiate the same body, micro-kernel included. The width only
+//! decides which registers compute an output, so a 64-wide pack gives every
+//! output the bits an `NR`-wide one does.
 
 use super::dispatch::simd_dispatch;
 use super::matmul::matmul_raw;
 
 /// Rows of the register-blocked output tile.
 pub const MR: usize = 4;
-/// Columns of the register-blocked output tile (panel width of [`PackedB`]).
+/// Columns of the register-blocked output tile: the default panel width of
+/// [`PackedB`], the one every LM and tape pack uses.
 pub const NR: usize = 8;
+/// Panel width of the item-index scan's packs (`PackedB<SCAN_NR>`): sixteen
+/// 512-bit accumulators per `MR`-row tile at the index's `k = 16`.
+pub const SCAN_NR: usize = 64;
 
 /// Minimum multiply-accumulates per parallel task: below this the fork/join
 /// handshake (queue lock + wake + latch) costs more than the arithmetic it
@@ -63,21 +77,22 @@ const PAR_MIN_MACS_PER_TASK: usize = 64 * 1024;
 /// unconditionally because the cost amortizes over every later call).
 pub const AUTO_PACK_MIN_MACS: usize = 8 * 1024;
 
-/// A right-hand GEMM operand repacked into `NR`-wide column panels.
+/// A right-hand GEMM operand repacked into `W`-wide column panels (`W`
+/// defaults to [`NR`]; the item index packs [`SCAN_NR`]).
 ///
-/// Panel `p` covers columns `p·NR .. min((p+1)·NR, n)` and stores `k`
-/// contiguous rows of `NR` floats each (k-major); columns past `n` in the
+/// Panel `p` covers columns `p·W .. min((p+1)·W, n)` and stores `k`
+/// contiguous rows of `W` floats each (k-major); columns past `n` in the
 /// last panel are zero-padded so the micro-kernel never branches on width.
-/// Total size `⌈n/NR⌉·k·NR` floats. The `Default` value is an empty `[0, 0]`
+/// Total size `⌈n/W⌉·k·W` floats. The `Default` value is an empty `[0, 0]`
 /// pack — the scratch panel [`pack_b_into`] grows.
 #[derive(Clone, Debug, Default)]
-pub struct PackedB {
+pub struct PackedB<const W: usize = NR> {
     data: Vec<f32>,
     k: usize,
     n: usize,
 }
 
-impl PackedB {
+impl<const W: usize> PackedB<W> {
     /// Inner (shared) dimension `k` this pack was built for.
     pub fn k(&self) -> usize {
         self.k
@@ -108,18 +123,18 @@ pub fn pack_b(b: &[f32], k: usize, n: usize) -> PackedB {
 
 /// [`pack_b`] into an existing pack, reusing its allocation: for operands
 /// rebuilt per call (attention's per-example `V`), where one scratch panel
-/// serves every product of a forward pass.
-pub fn pack_b_into(b: &[f32], k: usize, n: usize, bp: &mut PackedB) {
+/// serves every product of a forward pass. The panel width is the pack's.
+pub fn pack_b_into<const W: usize>(b: &[f32], k: usize, n: usize, bp: &mut PackedB<W>) {
     debug_assert_eq!(b.len(), k * n);
-    let panels = n.div_ceil(NR);
+    let panels = n.div_ceil(W);
     bp.data.clear();
-    bp.data.resize(panels * k * NR, 0.0);
+    bp.data.resize(panels * k * W, 0.0);
     for p in 0..panels {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        let dst = &mut bp.data[p * k * NR..(p + 1) * k * NR];
+        let j0 = p * W;
+        let w = W.min(n - j0);
+        let dst = &mut bp.data[p * k * W..(p + 1) * k * W];
         for kk in 0..k {
-            dst[kk * NR..kk * NR + w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
+            dst[kk * W..kk * W + w].copy_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
         }
     }
     bp.k = k;
@@ -137,21 +152,28 @@ pub fn pack_b_transposed(src: &[f32], k: usize, n: usize) -> PackedB {
     bp
 }
 
-/// [`pack_b_transposed`] into an existing pack, reusing its allocation (see
-/// [`pack_b_into`]): the tape's `X · Yᵀ` products — attention scores over
-/// `Kᵀ`, every matmul backward's `g · Bᵀ` — pack `Y` as it lies.
-pub(crate) fn pack_b_transposed_into(src: &[f32], k: usize, n: usize, bp: &mut PackedB) {
+/// [`pack_b_transposed`] into an existing pack of any panel width, reusing
+/// its allocation (see [`pack_b_into`]): the tape's `X · Yᵀ` products —
+/// attention scores over `Kᵀ`, every matmul backward's `g · Bᵀ` — pack `Y`
+/// as it lies, and the item index packs its `[n_items, dim]` embeddings into
+/// [`SCAN_NR`]-wide panels.
+pub fn pack_b_transposed_into<const W: usize>(
+    src: &[f32],
+    k: usize,
+    n: usize,
+    bp: &mut PackedB<W>,
+) {
     debug_assert_eq!(src.len(), n * k);
-    let panels = n.div_ceil(NR);
+    let panels = n.div_ceil(W);
     bp.data.clear();
-    bp.data.resize(panels * k * NR, 0.0);
+    bp.data.resize(panels * k * W, 0.0);
     for p in 0..panels {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        let dst = &mut bp.data[p * k * NR..(p + 1) * k * NR];
+        let j0 = p * W;
+        let w = W.min(n - j0);
+        let dst = &mut bp.data[p * k * W..(p + 1) * k * W];
         for (j, col) in src[j0 * k..(j0 + w) * k].chunks_exact(k.max(1)).enumerate() {
             for (kk, &v) in col.iter().enumerate() {
-                dst[kk * NR + j] = v;
+                dst[kk * W + j] = v;
             }
         }
     }
@@ -256,10 +278,10 @@ pub fn pack_b_q8(b: &[f32], k: usize, n: usize) -> QuantizedPanel {
 /// over a zero-filled `out`, since the register accumulators start at the
 /// same `0.0` the fill would have stored.
 #[inline]
-pub fn gemm_packed(
+pub fn gemm_packed<const W: usize>(
     a: &[f32],
     lda: usize,
-    bp: &PackedB,
+    bp: &PackedB<W>,
     out: &mut [f32],
     m: usize,
     accumulate: bool,
@@ -274,16 +296,16 @@ pub fn gemm_packed(
     // not — and without provable no-aliasing against `out`, the whole micro-
     // kernel compiles to scalar stack code (measured ~2.6x slower).
     if accumulate {
-        gemm_dispatch::<true, false>(a, lda, bp, out, m);
+        gemm_dispatch::<W, true, false>(a, lda, bp, out, m);
     } else {
-        gemm_dispatch::<false, false>(a, lda, bp, out, m);
+        gemm_dispatch::<W, false, false>(a, lda, bp, out, m);
     }
 }
 
-/// Serial `out[m, w] = a[m, k] · B[:, panels]` over the `NR`-wide panels
+/// Serial `out[m, w] = a[m, k] · B[:, panels]` over the `W`-wide panels
 /// `panels` of a packed `B` only: `out` is a dense `[m, w]` block whose
-/// column 0 is global column `panels.start · NR` and whose width `w` stops at
-/// `min(panels.end · NR, n)`; it is overwritten, never read.
+/// column 0 is global column `panels.start · W` and whose width `w` stops at
+/// `min(panels.end · W, n)`; it is overwritten, never read.
 ///
 /// This is the panel-range driver [`gemm_packed`]'s parallel stripes run,
 /// exposed so a caller that consumes scores block by block (the retrieval
@@ -291,16 +313,16 @@ pub fn gemm_packed(
 /// product. It never forks — the caller owns the split — and each element is
 /// bitwise the one [`gemm_packed`] writes at the same `(row, column)`: a
 /// block boundary chooses which call computes an output, never its k-order.
-pub fn gemm_packed_panels(
+pub fn gemm_packed_panels<const W: usize>(
     a: &[f32],
     lda: usize,
-    bp: &PackedB,
+    bp: &PackedB<W>,
     panels: std::ops::Range<usize>,
     out: &mut [f32],
     m: usize,
 ) {
-    let w = panel_block_width(bp.k, bp.n, lda, a.len(), m, &panels, out.len());
-    gemm_panel_range::<false, false>(a, lda, &bp.data, bp.k, bp.n, out, m, panels, w);
+    let w = panel_block_width::<W>(bp.k, bp.n, lda, a.len(), m, &panels, out.len());
+    panel_range::<W, false, false>(a, lda, &bp.data, bp.k, bp.n, out, m, panels, w);
 }
 
 /// Serial `out[m, n] = A · B` over every panel of a packed `B`, `A`
@@ -320,30 +342,48 @@ pub(crate) fn gemm_packed_serial<const TA: bool>(
     assert_eq!(a.len(), m * k, "A is [m, k] (or its transpose)");
     assert_eq!(out.len(), m * n, "out is [m, n]");
     let lda = if TA { m } else { k };
-    gemm_panel_range::<false, TA>(a, lda, &bp.data, k, n, out, m, 0..n.div_ceil(NR), n);
+    gemm_panel_range::<NR, false, TA>(a, lda, &bp.data, k, n, out, m, 0..n.div_ceil(NR), n);
 }
 
-/// [`gemm_packed`]'s kernel body as the build's baseline compiles it (128-bit
-/// vectors on x86-64), serial, overwrite mode, whatever the host supports:
-/// the reference the dispatched kernel is gated bitwise against and timed
-/// beside (`bench/bin/gemm`). Not a second code path — nothing outside
+/// [`gemm_packed_panels`]'s kernel body as the build's baseline compiles it
+/// (128-bit vectors on x86-64), at the pack's panel width, whatever the host
+/// supports: the same dense `[m, w]` block over panels `panels`, overwritten.
+/// It is the reference the dispatched kernel is gated bitwise against and
+/// timed beside (`bench/bin/gemm`). Not a second code path — nothing outside
 /// benches and tests calls it.
 #[doc(hidden)]
-pub fn gemm_packed_baseline(a: &[f32], lda: usize, bp: &PackedB, out: &mut [f32], m: usize) {
+pub fn gemm_packed_baseline<const W: usize>(
+    a: &[f32],
+    lda: usize,
+    bp: &PackedB<W>,
+    panels: std::ops::Range<usize>,
+    out: &mut [f32],
+    m: usize,
+) {
     // Its own function with the pack as a slice *parameter*, like the
     // dispatched instantiations: see `gemm_packed` on why that matters.
     #[inline(never)]
-    fn run(a: &[f32], lda: usize, data: &[f32], k: usize, n: usize, out: &mut [f32], m: usize) {
-        gemm_panel_range_body::<false, false>(a, lda, data, k, n, out, m, 0..n.div_ceil(NR), n);
+    #[allow(clippy::too_many_arguments)]
+    fn run<const W: usize>(
+        a: &[f32],
+        lda: usize,
+        data: &[f32],
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+        m: usize,
+        panels: std::ops::Range<usize>,
+        ldo: usize,
+    ) {
+        gemm_panel_range_body::<W, false, false>(a, lda, data, k, n, out, m, panels, ldo);
     }
-    let all = 0..bp.n.div_ceil(NR);
-    panel_block_width(bp.k, bp.n, lda, a.len(), m, &all, out.len());
-    run(a, lda, &bp.data, bp.k, bp.n, out, m);
+    let w = panel_block_width::<W>(bp.k, bp.n, lda, a.len(), m, &panels, out.len());
+    run::<W>(a, lda, &bp.data, bp.k, bp.n, out, m, panels, w);
 }
 
-/// Width of the `[m, w]` block a panel-range entry writes, after checking the
-/// operand shapes against it.
-fn panel_block_width(
+/// Width of the `[m, w]` block a panel-range entry over `W`-wide panels
+/// writes, after checking the operand shapes against it.
+fn panel_block_width<const W: usize>(
     k: usize,
     n: usize,
     lda: usize,
@@ -353,16 +393,16 @@ fn panel_block_width(
     out_len: usize,
 ) -> usize {
     assert!(
-        panels.start <= panels.end && panels.end <= n.div_ceil(NR),
+        panels.start <= panels.end && panels.end <= n.div_ceil(W),
         "panel range {panels:?} outside 0..{}",
-        n.div_ceil(NR)
+        n.div_ceil(W)
     );
     assert!(lda >= k, "row stride {lda} shorter than k {k}");
     assert!(
         m == 0 || a_len >= (m - 1) * lda + k,
         "A shorter than [m, k]"
     );
-    let w = (panels.end * NR).min(n) - (panels.start * NR).min(n);
+    let w = (panels.end * W).min(n) - (panels.start * W).min(n);
     assert_eq!(out_len, m * w, "block is [m, {w}]");
     w
 }
@@ -373,17 +413,18 @@ fn panel_block_width(
 /// the module docs' bitwise-identity argument — tile heights and panel
 /// boundaries don't enter the per-element expression).
 #[inline]
-fn gemm_dispatch<const ACC: bool, const TA: bool>(
+fn gemm_dispatch<const W: usize, const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
-    bp: &PackedB,
+    bp: &PackedB<W>,
     out: &mut [f32],
     m: usize,
 ) {
-    if gemm_try_parallel::<ACC, TA>(a, lda, bp, out, m) {
+    if gemm_try_parallel::<W, ACC, TA>(a, lda, bp, out, m) {
         return;
     }
-    gemm_panels::<ACC, TA>(a, lda, &bp.data, bp.k, bp.n, out, m);
+    let all = 0..bp.n.div_ceil(W);
+    panel_range::<W, ACC, TA>(a, lda, &bp.data, bp.k, bp.n, out, m, all, bp.n);
 }
 
 /// Parallel driver: returns `false` (caller runs serial) when the current
@@ -394,14 +435,14 @@ fn gemm_dispatch<const ACC: bool, const TA: bool>(
 ///   own `A`-rows × `out`-rows sub-problem — a pure sub-slicing of the
 ///   serial call.
 /// * **Panel blocks** (short, wide shapes — e.g. the `[bsz, vocab]` head):
-///   each task computes a stripe of `NR`-wide column panels into a private
+///   each task computes a stripe of `W`-wide column panels into a private
 ///   stripe buffer (reading the prior `out` values first when accumulating),
 ///   and the caller copies the stripes back serially. Copies preserve bits,
 ///   so this too is exactly the serial arithmetic.
-fn gemm_try_parallel<const ACC: bool, const TA: bool>(
+fn gemm_try_parallel<const W: usize, const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
-    bp: &PackedB,
+    bp: &PackedB<W>,
     out: &mut [f32],
     m: usize,
 ) -> bool {
@@ -429,11 +470,12 @@ fn gemm_try_parallel<const ACC: bool, const TA: bool>(
             let rows = out_chunk.len() / n;
             // Output rows are columns of a transposed `A`.
             let a_block = &a[if TA { i0 } else { i0 * lda }..];
-            gemm_panels::<ACC, TA>(a_block, lda, data, k, n, out_chunk, rows);
+            let all = 0..n.div_ceil(W);
+            panel_range::<W, ACC, TA>(a_block, lda, data, k, n, out_chunk, rows, all, n);
         });
         return true;
     }
-    let panels = n.div_ceil(NR);
+    let panels = n.div_ceil(W);
     let tasks = task_cap.min(panels);
     if tasks >= 2 {
         let panel_ranges = delrec_par::partition(panels, tasks);
@@ -442,20 +484,20 @@ fn gemm_try_parallel<const ACC: bool, const TA: bool>(
         let mut stripes: Vec<Vec<f32>> = vec![Vec::new(); tasks];
         pool.for_each_chunk(&mut stripes, 1, |ti, slot| {
             let pr = &panel_ranges[ti];
-            let j0 = pr.start * NR;
-            let w = (pr.end * NR).min(n) - j0;
+            let j0 = pr.start * W;
+            let w = (pr.end * W).min(n) - j0;
             let mut tmp = vec![0.0f32; m * w];
             if ACC {
                 for i in 0..m {
                     tmp[i * w..(i + 1) * w].copy_from_slice(&prior[i * n + j0..i * n + j0 + w]);
                 }
             }
-            gemm_panel_range::<ACC, TA>(a, lda, data, k, n, &mut tmp, m, pr.clone(), w);
+            panel_range::<W, ACC, TA>(a, lda, data, k, n, &mut tmp, m, pr.clone(), w);
             slot[0] = tmp;
         });
         for (ti, pr) in panel_ranges.iter().enumerate() {
-            let j0 = pr.start * NR;
-            let w = (pr.end * NR).min(n) - j0;
+            let j0 = pr.start * W;
+            let w = (pr.end * W).min(n) - j0;
             let tmp = &stripes[ti];
             for i in 0..m {
                 out[i * n + j0..i * n + j0 + w].copy_from_slice(&tmp[i * w..(i + 1) * w]);
@@ -466,10 +508,15 @@ fn gemm_try_parallel<const ACC: bool, const TA: bool>(
     false
 }
 
-/// Panel/tile driver for [`gemm_packed`], monomorphized on `ACC`.
-#[inline]
+/// The `W`-wide panels `p_range` of a packed `B` (`data`, `[k, n]`) into an
+/// `out` whose rows are `ldo` floats apart and whose column 0 is global
+/// column `p_range.start * W`; the whole product is the full range with
+/// `ldo = n`. With `TA`, `a` holds the left operand transposed (`[k, m]`,
+/// rows `lda` apart). `NR`-wide packs run [`gemm_panel_range`], wider ones
+/// [`wide_panel_range`]: two dispatched entries, one body.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_panels<const ACC: bool, const TA: bool>(
+fn panel_range<const W: usize, const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
     data: &[f32],
@@ -477,18 +524,22 @@ fn gemm_panels<const ACC: bool, const TA: bool>(
     n: usize,
     out: &mut [f32],
     m: usize,
+    p_range: std::ops::Range<usize>,
+    ldo: usize,
 ) {
-    gemm_panel_range::<ACC, TA>(a, lda, data, k, n, out, m, 0..n.div_ceil(NR), n);
+    if W > NR {
+        wide_panel_range::<W, ACC, TA>(a, lda, data, k, n, out, m, p_range, ldo);
+    } else {
+        gemm_panel_range::<W, ACC, TA>(a, lda, data, k, n, out, m, p_range, ldo);
+    }
 }
 
 simd_dispatch! {
-    /// [`gemm_panels`] restricted to panels `p_range`, writing into an `out`
-    /// whose rows are `ldo` floats apart and whose column 0 is global column
-    /// `p_range.start * NR`. The serial path is the full range with `ldo = n`.
-    /// With `TA`, `a` holds the left operand transposed (`[k, m]`, rows `lda`
-    /// apart). Runs [`gemm_panel_range_body`] at the host's vector width.
+    /// [`panel_range`] for the LM's and the tape's `NR`-wide packs: runs
+    /// [`gemm_panel_range_body`] at 128 or 256 bits. No 512-bit twin — it
+    /// measured slower on these narrow panels (DESIGN.md, negative result c).
     #[allow(clippy::too_many_arguments)]
-    fn gemm_panel_range<const ACC: bool, const TA: bool>(
+    fn gemm_panel_range<const W: usize, const ACC: bool, const TA: bool>(
         a: &[f32],
         lda: usize,
         data: &[f32],
@@ -501,11 +552,32 @@ simd_dispatch! {
     ) => gemm_panel_range_body
 }
 
-/// The one source body of [`gemm_panel_range`]; `#[inline(always)]` so each
-/// instantiation compiles it, micro-kernel included, at its own vector width.
+simd_dispatch! {
+    avx512f;
+    /// [`panel_range`] for wide packs (the item index's [`SCAN_NR`]): runs
+    /// [`gemm_panel_range_body`] at 512 bits where AVX-512F is detected, and
+    /// at 256 or 128 bits otherwise. The first call publishes which as the
+    /// `tensor.scan_simd_lanes` gauge.
+    #[allow(clippy::too_many_arguments)]
+    fn wide_panel_range<const W: usize, const ACC: bool, const TA: bool>(
+        a: &[f32],
+        lda: usize,
+        data: &[f32],
+        k: usize,
+        n: usize,
+        out: &mut [f32],
+        m: usize,
+        p_range: std::ops::Range<usize>,
+        ldo: usize,
+    ) => gemm_panel_range_body
+}
+
+/// The one source body of [`gemm_panel_range`] and [`wide_panel_range`];
+/// `#[inline(always)]` so each instantiation compiles it, micro-kernel
+/// included, at its own vector width and panel width `W`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn gemm_panel_range_body<const ACC: bool, const TA: bool>(
+fn gemm_panel_range_body<const W: usize, const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
     data: &[f32],
@@ -518,27 +590,27 @@ fn gemm_panel_range_body<const ACC: bool, const TA: bool>(
 ) {
     let p0 = p_range.start;
     for p in p_range {
-        let j0 = p * NR;
-        let w = NR.min(n - j0);
-        let jo = j0 - p0 * NR; // column offset within `out`
-        let panel = &data[p * k * NR..(p + 1) * k * NR];
+        let j0 = p * W;
+        let w = W.min(n - j0);
+        let jo = j0 - p0 * W; // column offset within `out`
+        let panel = &data[p * k * W..(p + 1) * k * W];
         let mut i0 = 0;
         while i0 + MR <= m {
-            micro_tile::<MR, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo);
+            micro_tile::<W, MR, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo);
             i0 += MR;
         }
         // Remainder rows dispatch to compile-time heights so the tile still
         // lives in registers (MR is 4; 1..=3 are the only partial heights).
         match m - i0 {
             0 => {}
-            1 => micro_tile::<1, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
-            2 => micro_tile::<2, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
-            _ => micro_tile::<3, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
+            1 => micro_tile::<W, 1, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
+            2 => micro_tile::<W, 2, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
+            _ => micro_tile::<W, 3, ACC, TA>(a, lda, panel, out, i0, jo, w, k, ldo),
         }
     }
 }
 
-/// One `MRT`×`NR` output tile against one packed panel. `MRT` and `ACC` are
+/// One `MRT`×`W` output tile against one packed panel. `MRT` and `ACC` are
 /// compile-time so the accumulator array promotes to registers: with a
 /// runtime row count — or a runtime `accumulate` flag, whose dynamic-length
 /// tile load forces the array to be addressable — the tile spills to the
@@ -550,7 +622,7 @@ fn gemm_panel_range_body<const ACC: bool, const TA: bool>(
 /// same bits — and a tile's `MRT` values at one `kk` lie contiguous.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn micro_tile<const MRT: usize, const ACC: bool, const TA: bool>(
+fn micro_tile<const W: usize, const MRT: usize, const ACC: bool, const TA: bool>(
     a: &[f32],
     lda: usize,
     panel: &[f32],
@@ -566,7 +638,7 @@ fn micro_tile<const MRT: usize, const ACC: bool, const TA: bool>(
         false => a[(i0 + im) * lda + kk],
     };
     // The output tile lives in registers across the whole k loop.
-    let mut acc = [[0.0f32; NR]; MRT];
+    let mut acc = [[0.0f32; W]; MRT];
     if ACC {
         for (im, tile) in acc.iter_mut().enumerate() {
             let row = &out[(i0 + im) * ldo + j0..(i0 + im) * ldo + j0 + w];
@@ -575,10 +647,10 @@ fn micro_tile<const MRT: usize, const ACC: bool, const TA: bool>(
     }
     let mut kk = 0;
     while kk + 4 <= k {
-        let strip = &panel[kk * NR..(kk + 4) * NR];
-        let (b0, rest) = strip.split_at(NR);
-        let (b1, rest) = rest.split_at(NR);
-        let (b2, b3) = rest.split_at(NR);
+        let strip = &panel[kk * W..(kk + 4) * W];
+        let (b0, rest) = strip.split_at(W);
+        let (b1, rest) = rest.split_at(W);
+        let (b2, b3) = rest.split_at(W);
         for (im, tile) in acc.iter_mut().enumerate() {
             let (a0, a1, a2, a3) = if TA {
                 (at(im, kk), at(im, kk + 1), at(im, kk + 2), at(im, kk + 3))
@@ -586,7 +658,7 @@ fn micro_tile<const MRT: usize, const ACC: bool, const TA: bool>(
                 let ar = &a[(i0 + im) * lda + kk..(i0 + im) * lda + kk + 4];
                 (ar[0], ar[1], ar[2], ar[3])
             };
-            for jn in 0..NR {
+            for jn in 0..W {
                 // Same left-associated group expression as matmul_raw.
                 tile[jn] += a0 * b0[jn] + a1 * b1[jn] + a2 * b2[jn] + a3 * b3[jn];
             }
@@ -594,10 +666,10 @@ fn micro_tile<const MRT: usize, const ACC: bool, const TA: bool>(
         kk += 4;
     }
     while kk < k {
-        let strip = &panel[kk * NR..(kk + 1) * NR];
+        let strip = &panel[kk * W..(kk + 1) * W];
         for (im, tile) in acc.iter_mut().enumerate() {
             let av = at(im, kk);
-            for jn in 0..NR {
+            for jn in 0..W {
                 tile[jn] += av * strip[jn];
             }
         }
@@ -652,7 +724,7 @@ pub fn gemm_packed_q8_panels(
     out: &mut [f32],
     m: usize,
 ) {
-    let w = panel_block_width(bq.k, bq.n, lda, a.len(), m, &panels, out.len());
+    let w = panel_block_width::<NR>(bq.k, bq.n, lda, a.len(), m, &panels, out.len());
     q8_panel_range::<false>(a, lda, &bq.data, &bq.scales, bq.k, bq.n, out, m, panels, w);
 }
 
@@ -929,16 +1001,16 @@ pub(crate) fn gemm_backward(
     n: usize,
 ) {
     debug_assert!(a.len() == m * k && b.len() == k * n && g.len() == m * n);
-    let mut bp = PackedB::default();
+    let mut bp = PackedB::<NR>::default();
     if let Some(ga) = ga {
         debug_assert_eq!(ga.len(), m * k);
         pack_b_transposed_into(b, n, k, &mut bp);
-        gemm_dispatch::<false, false>(g, n, &bp, ga, m);
+        gemm_dispatch::<NR, false, false>(g, n, &bp, ga, m);
     }
     if let Some(gb) = gb {
         debug_assert_eq!(gb.len(), k * n);
         pack_b_into(g, m, n, &mut bp);
-        gemm_dispatch::<false, true>(a, k, &bp, gb, k);
+        gemm_dispatch::<NR, false, true>(a, k, &bp, gb, k);
     }
 }
 
@@ -1039,24 +1111,27 @@ mod tests {
     const DEPTHS: [usize; 5] = [1, 3, 4, 16, 127];
 
     /// Each packed kernel's baseline body (inlined here, so compiled at the
-    /// build's width) against its dispatched entry, f32 and q8, both `ACC`
-    /// modes, every tile-height remainder.
+    /// build's width) against its dispatched entry — f32 at the LM's `NR`
+    /// and at the index's [`SCAN_NR`] (the entry with the 512-bit twin), and
+    /// q8 — both `ACC` modes, every tile-height remainder, widths below, at
+    /// and past a wide panel.
     #[test]
     fn dispatched_panel_kernels_are_bitwise_their_baseline_body() {
-        use crate::ops::dispatch::report_instantiation;
-        report_instantiation("gemm_panel_range / q8_panel_range");
-        fn case<const ACC: bool>(m: usize, k: usize, n: usize) {
+        use crate::ops::dispatch::{report_instantiation, scan_simd_lanes, simd_lanes};
+        report_instantiation("gemm_panel_range / q8_panel_range", simd_lanes());
+        report_instantiation("wide_panel_range", scan_simd_lanes());
+        fn f32_case<const W: usize, const ACC: bool>(m: usize, k: usize, n: usize) {
             let a = fill(m as u64 * 31 + k as u64, m * k);
             let b = fill(n as u64 * 17 + 7, k * n);
-            let (bp, bq) = (pack_b(&b, k, n), pack_b_q8(&b, k, n));
-            let panels = 0..n.div_ceil(NR);
-            let prior = fill(99, m * n);
-
-            let (mut want, mut got) = (prior.clone(), prior.clone());
-            gemm_panel_range_body::<ACC, false>(
+            let mut bp = PackedB::<W>::default();
+            pack_b_into(&b, k, n, &mut bp);
+            let panels = 0..n.div_ceil(W);
+            let (mut want, mut got) = (fill(99, m * n), fill(99, m * n));
+            let data = &bp.data;
+            gemm_panel_range_body::<W, ACC, false>(
                 &a,
                 k,
-                &bp.data,
+                data,
                 k,
                 n,
                 &mut want,
@@ -1064,10 +1139,21 @@ mod tests {
                 panels.clone(),
                 n,
             );
-            gemm_panel_range::<ACC, false>(&a, k, &bp.data, k, n, &mut got, m, panels.clone(), n);
-            assert_eq!(bits(&want), bits(&got), "f32 acc={ACC} m={m} k={k} n={n}");
-
-            let (mut want, mut got) = (prior.clone(), prior);
+            panel_range::<W, ACC, false>(&a, k, data, k, n, &mut got, m, panels, n);
+            assert_eq!(
+                bits(&want),
+                bits(&got),
+                "f32 W={W} acc={ACC} m={m} k={k} n={n}"
+            );
+        }
+        fn case<const ACC: bool>(m: usize, k: usize, n: usize) {
+            f32_case::<NR, ACC>(m, k, n);
+            f32_case::<SCAN_NR, ACC>(m, k, n);
+            let a = fill(m as u64 * 31 + k as u64, m * k);
+            let b = fill(n as u64 * 17 + 7, k * n);
+            let bq = pack_b_q8(&b, k, n);
+            let panels = 0..n.div_ceil(NR);
+            let (mut want, mut got) = (fill(99, m * n), fill(99, m * n));
             let (q, sc) = (&bq.data, &bq.scales);
             q8_panel_range_body::<ACC>(&a, k, q, sc, k, n, &mut want, m, panels.clone(), n);
             q8_panel_range::<ACC>(&a, k, q, sc, k, n, &mut got, m, panels, n);
@@ -1075,7 +1161,7 @@ mod tests {
         }
         for m in [1usize, 3, 4, 9] {
             for k in DEPTHS {
-                for n in WIDTHS {
+                for n in WIDTHS.into_iter().chain([63, 64, 65, 200]) {
                     case::<false>(m, k, n);
                     case::<true>(m, k, n);
                 }
@@ -1085,7 +1171,7 @@ mod tests {
 
     #[test]
     fn dispatched_strided_matmul_is_bitwise_its_baseline_body() {
-        crate::ops::dispatch::report_instantiation("matmul_raw_strided");
+        crate::ops::dispatch::report_instantiation("matmul_raw_strided", crate::simd_lanes());
         for m in [1usize, 5] {
             for k in DEPTHS {
                 for n in WIDTHS {

@@ -263,7 +263,7 @@ mod tests {
     /// remainders differ between 4 and 8 lanes and on the special values.
     #[test]
     fn dispatched_slice_kernels_are_bitwise_their_baseline_body() {
-        crate::ops::dispatch::report_instantiation("softmax_row / gelu_slice");
+        crate::ops::dispatch::report_instantiation("softmax_row / gelu_slice", crate::simd_lanes());
         for len in [1usize, 7, 8, 9, 15, 16, 17, 127] {
             let raw: Vec<f32> = (0..len).map(|i| (i as f32 * 0.61).sin() * 6.0).collect();
             let (mut want, mut got) = (raw.clone(), raw.clone());

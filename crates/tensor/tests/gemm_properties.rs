@@ -7,11 +7,13 @@
 //! Every property here compares `f32::to_bits`, never an epsilon, across
 //! randomized shapes that independently hit the three remainder classes:
 //! `k % 4` (the unroll tail), `n % NR` (a partial B panel), and `m % MR`
-//! (a partial row tile).
+//! (a partial row tile) — and, for the item index's `SCAN_NR`-wide packs,
+//! `n % SCAN_NR`.
 
 use delrec_tensor::{
-    gemm, gemm_auto, gemm_packed, gemm_packed_q8, matmul_raw, matmul_raw_strided, pack_b,
-    pack_b_q8, pack_b_transposed, transpose_into, MR, NR,
+    gemm, gemm_auto, gemm_packed, gemm_packed_baseline, gemm_packed_panels, gemm_packed_q8,
+    matmul_raw, matmul_raw_strided, pack_b, pack_b_into, pack_b_q8, pack_b_transposed,
+    scan_simd_lanes, transpose_into, PackedB, MR, NR, SCAN_NR,
 };
 use proptest::prelude::*;
 
@@ -30,6 +32,50 @@ fn fill(seed: u64, len: usize) -> Vec<f32> {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `b` (`[k, n]` row-major) packed into the item index's `SCAN_NR`-wide panels.
+fn pack_wide(b: &[f32], k: usize, n: usize) -> PackedB<SCAN_NR> {
+    let mut bp = PackedB::default();
+    pack_b_into(b, k, n, &mut bp);
+    bp
+}
+
+/// Columns `cols` of every row of a row-major `[m, n]` matrix, as a dense
+/// `[m, cols.len()]` block.
+fn column_block(full: &[f32], n: usize, cols: std::ops::Range<usize>) -> Vec<f32> {
+    full.chunks_exact(n.max(1))
+        .flat_map(|row| row[cols.clone()].iter().copied())
+        .collect()
+}
+
+/// Over a `SCAN_NR`-wide pack of `b`, the dispatched full-product entry, the
+/// dispatched panel-range entry and the baseline body over panels `panels`
+/// must each equal `matmul_raw` bit for bit (the first on the whole product,
+/// the other two on the block the range covers).
+fn check_wide(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, panels: std::ops::Range<usize>) {
+    let mut want = vec![0.0f32; m * n];
+    matmul_raw(a, b, &mut want, m, k, n);
+    let bp = pack_wide(b, k, n);
+    let mut got = vec![f32::NAN; m * n];
+    gemm_packed(a, k, &bp, &mut got, m, false);
+    assert_eq!(bits(&want), bits(&got), "entry m={m} k={k} n={n}");
+    let cols = (panels.start * SCAN_NR).min(n)..(panels.end * SCAN_NR).min(n);
+    let want_block = column_block(&want, n, cols.clone());
+    let mut block = vec![f32::NAN; m * cols.len()];
+    gemm_packed_panels(a, k, &bp, panels.clone(), &mut block, m);
+    assert_eq!(
+        bits(&want_block),
+        bits(&block),
+        "panel entry m={m} k={k} n={n} {panels:?}"
+    );
+    block.fill(f32::NAN);
+    gemm_packed_baseline(a, k, &bp, panels.clone(), &mut block, m);
+    assert_eq!(
+        bits(&want_block),
+        bits(&block),
+        "baseline body m={m} k={k} n={n} {panels:?}"
+    );
 }
 
 proptest! {
@@ -251,6 +297,30 @@ proptest! {
         }
     }
 
+    /// The item index's `SCAN_NR`-wide scan (the entry with the 512-bit twin
+    /// where AVX-512F is detected) ≡ its baseline body ≡ `matmul_raw`, bit
+    /// for bit: every `k % 4` class up to k = 33, every row-tile remainder,
+    /// widths below, at and off the 64 grid up to ~3 panels, and random
+    /// panel sub-ranges (empty ones included).
+    #[test]
+    fn wide_scan_is_bitwise_matmul_raw(
+        m in 1usize..=9,
+        k in 1usize..=33,
+        full in 0usize..=2,
+        // Half the cases land on the grid (n = 64, 128, 192), half off it.
+        rem in prop_oneof![Just(SCAN_NR), 1usize..SCAN_NR],
+        lo in 0usize..4,
+        len in 0usize..4,
+        seed in 0u64..1 << 32,
+    ) {
+        let n = full * SCAN_NR + rem;
+        let a = fill(seed, m * k);
+        let b = fill(seed ^ 0x5CA7, k * n);
+        let panels = n.div_ceil(SCAN_NR);
+        let start = lo.min(panels);
+        check_wide(&a, &b, m, k, n, start..(start + len).min(panels));
+    }
+
     /// Tiled transpose places every element exactly like the naive loop,
     /// including shapes straddling the tile boundary.
     #[test]
@@ -269,11 +339,18 @@ proptest! {
 }
 
 /// Directed corner sweep on top of the random shapes: every combination of
-/// {below, at, just above} the MR / 4-group / NR edges.
+/// {below, at, just above} the MR / 4-group / NR edges, and the same at the
+/// `SCAN_NR` edge for the item index's wide packs.
 #[test]
 fn remainder_class_grid_is_bitwise() {
+    match scan_simd_lanes() {
+        16 => println!("wide scan: entry ran the 512-bit AVX-512F twin"),
+        8 => println!("wide scan: no AVX-512F here — entry ran the 256-bit AVX2 twin"),
+        _ => println!("wide scan: no AVX2 here — the entry IS the baseline body"),
+    }
+    let wide_edges = [SCAN_NR - 1, SCAN_NR, SCAN_NR + 1, 2 * SCAN_NR + 3];
     for m in [1, MR - 1, MR, MR + 1, 2 * MR] {
-        for k in [1, 3, 4, 5, 8, 9] {
+        for k in [1, 3, 4, 5, 8, 9, 16] {
             for n in [1, NR - 1, NR, NR + 1, 2 * NR, 2 * NR + 3] {
                 let a = fill((m * 1009 + k) as u64, m * k);
                 let b = fill((n * 2003 + 1) as u64, k * n);
@@ -282,6 +359,11 @@ fn remainder_class_grid_is_bitwise() {
                 let mut got = vec![0.0f32; m * n];
                 gemm(&a, &b, &mut got, m, k, n);
                 assert_eq!(bits(&want), bits(&got), "m={m} k={k} n={n}");
+            }
+            for n in [1, NR + 1].into_iter().chain(wide_edges) {
+                let a = fill((m * 1009 + k) as u64, m * k);
+                let b = fill((n * 2003 + 1) as u64, k * n);
+                check_wide(&a, &b, m, k, n, 0..n.div_ceil(SCAN_NR));
             }
         }
     }

@@ -26,6 +26,10 @@ cargo clippy -p delrec-seqrec --all-targets -- -D warnings
 # The serve crate's suites pin the scheduler's flush policy, admission and
 # served ≡ direct; lint them (tests included) at the same bar.
 cargo clippy -p delrec-serve --all-targets -- -D warnings
+# The root package's integration tests (tests/*.rs) pin the cross-crate
+# contracts: golden metrics, streamed ≡ materialised ≡ matmul_raw retrieval,
+# served ≡ direct; lint them at the same bar.
+cargo clippy -p delrec --all-targets -- -D warnings
 # The benchmark package (perfbench/, a workspace of its own) builds the
 # product crates through path dependencies and uses only their public API:
 # build it here so an API break against it is caught before the pipeline

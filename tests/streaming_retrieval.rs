@@ -4,10 +4,15 @@
 //! both index formats, pool lanes {1, 2, 4, 8}, batches spanning two row
 //! blocks, ragged and empty histories, depths past the catalog size, and
 //! catalogs that are a multiple of neither the tile nor the panel width.
+//! Both are also pinned to an outside reference: `matmul_raw` over the
+//! normalised embeddings, so a packing bug the two paths share still fails.
 
 use delrec::data::ItemId;
 use delrec::par::{with_pool, ThreadPool};
-use delrec::retrieval::{sort_ranked, top_k, IndexFormat, Retriever, TopKSelector};
+use delrec::retrieval::{
+    l2_normalize_rows, sort_ranked, top_k, IndexFormat, ItemIndex, Retriever, TopKSelector,
+};
+use delrec::tensor::{matmul_raw, transpose_into};
 use proptest::prelude::*;
 
 const LANES: [usize; 4] = [1, 2, 4, 8];
@@ -100,6 +105,51 @@ fn fused_matches_reference_at_fixed_awkward_shapes() {
             // Solo is the batch path with one row.
             for (h, (&n, want)) in histories.iter().zip(ns.iter().zip(&want)).take(4) {
                 assert_eq!(&bits(&r.retrieve(h, n)), want, "{what}: solo");
+            }
+        }
+    }
+}
+
+/// The f32 index's streamed (`scan_top_k` over every item) and materialised
+/// (`scan_batch`) scores are bitwise `matmul_raw` of the queries against the
+/// L2-normalised embeddings, on a catalog off both the tile and the panel
+/// grid, at an embedding width with and without a `k % 4` tail, at lanes
+/// {1, 4}.
+#[test]
+fn index_scores_are_bitwise_matmul_raw_over_the_normalised_embeddings() {
+    let n_items = 3 * 1024 + 37;
+    let m = 5; // one full row tile and a one-row remainder
+    for dim in [16, 7] {
+        let emb = fill(41 + dim as u64, n_items * dim);
+        let index = ItemIndex::build(emb.clone(), dim, 0, IndexFormat::F32);
+        let mut normalised = emb;
+        l2_normalize_rows(&mut normalised, dim);
+        let mut items_t = vec![0.0f32; dim * n_items];
+        transpose_into(&normalised, n_items, dim, &mut items_t);
+        let queries = fill(43 + dim as u64, m * dim);
+        let mut want = vec![0.0f32; m * n_items];
+        matmul_raw(&queries, &items_t, &mut want, m, dim, n_items);
+        for lanes in [1, 4] {
+            let (streamed, materialised) = with_pool(&ThreadPool::new(lanes), || {
+                let ks = vec![n_items; m];
+                (
+                    index.scan_top_k(&queries, &ks),
+                    index.scan_batch(&queries, m),
+                )
+            });
+            let what = format!("dim {dim}, {lanes} lanes");
+            let want_bits: Vec<u32> = want.iter().map(|x| x.to_bits()).collect();
+            let got_bits: Vec<u32> = materialised.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(want_bits, got_bits, "materialised scan, {what}");
+            for (i, row) in streamed.iter().enumerate() {
+                let scores = &want[i * n_items..(i + 1) * n_items];
+                let mut ranked: Vec<(ItemId, f32)> = scores
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &s)| (ItemId(j as u32), s))
+                    .collect();
+                sort_ranked(&mut ranked);
+                assert_eq!(bits(row), bits(&ranked), "streamed row {i}, {what}");
             }
         }
     }
