@@ -403,21 +403,26 @@ fn main() {
 
     // ---- Part 2: end-to-end batch-32 scoring on the fused forward --------
     let ctx = ExperimentContext::new(DatasetProfile::MovieLens100K, args.scale, args.seed);
-    let mut model = fit_delrec(&ctx, TeacherKind::SASRec, LmPreset::Large);
+    let model = fit_delrec(&ctx, TeacherKind::SASRec, LmPreset::Large);
     let work = ScoringWorkload::build(&ctx, args.seed, 64);
     let n = work.len();
     let score_pass = |model: &_| work.score_pass(model, BATCH);
 
-    // Correctness gate: the engine and the tape agree bitwise.
+    // Correctness gate: the engine and the tape agree bitwise, batch by batch.
     let fused_scores = score_pass(&model);
-    model.set_inference_engine(false);
-    let tape_scores = score_pass(&model);
+    let tape_scores: Vec<Vec<f32>> = work
+        .requests()
+        .chunks(BATCH)
+        .flat_map(|batch| {
+            let items: Vec<_> = batch.iter().map(|&(h, c)| (h, c, c)).collect();
+            model.score_items_batch_tape(&items)
+        })
+        .collect();
     assert_eq!(
         score_bits(&fused_scores),
         score_bits(&tape_scores),
         "correctness gate: engine diverged from the tape"
     );
-    model.set_inference_engine(true);
     println!("e2e gate: fused == tape over {n} requests (bitwise)");
 
     // One disabled-mode pass's registry delta: its counter events.

@@ -13,7 +13,7 @@ use delrec_core::{TeacherKind, Variant};
 use delrec_data::synthetic::DatasetProfile;
 use delrec_data::{ItemId, Split};
 use delrec_eval::json::Json;
-use delrec_eval::Ranker;
+use delrec_eval::{Ranker, ScoreRequest};
 
 fn main() {
     let args = CliArgs::from_env();
@@ -71,8 +71,12 @@ fn main() {
     ];
     println!("### Recommendations (top 3 over the full catalog)\n");
     for (name, model) in entries {
-        // Chunked: a full catalog of titles cannot fit one LM prompt.
-        let scores = delrec_eval::score_candidates_chunked(model, &pick.prefix, &all_items, 14);
+        // One request per 14 titles: a full catalog cannot fit one LM prompt.
+        let requests: Vec<ScoreRequest<'_>> = all_items
+            .chunks(14)
+            .map(|chunk| (pick.prefix.as_slice(), chunk))
+            .collect();
+        let scores = model.score_candidates_batch(&requests).concat();
         let mut idx: Vec<usize> = (0..scores.len()).collect();
         idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
         let top: Vec<String> = idx

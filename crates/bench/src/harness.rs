@@ -4,8 +4,8 @@
 //! streams, a correctness gate asserting bitwise agreement *before* a single
 //! timing is reported, best-of-N timing loops, and a JSON blob written to
 //! `results/BENCH_*.json`. This module holds the pieces they share
-//! (`bin/{gemm,par,retrieval,soak}.rs`) so a new benchmark starts from the
-//! shared, already-trusted building blocks.
+//! (`bin/{gemm,soak}.rs`) so a new benchmark starts from the shared,
+//! already-trusted building blocks.
 
 use crate::ExperimentContext;
 use delrec_core::{DelRec, LmPreset, TeacherKind};
@@ -61,18 +61,6 @@ pub fn score_bits(scores: &[Vec<f32>]) -> Vec<Vec<u32>> {
         .iter()
         .map(|r| r.iter().map(|x| x.to_bits()).collect())
         .collect()
-}
-
-/// Hardware-adaptive speedup gate: with ≥ 4 cores demand a real speedup; on
-/// fewer cores extra lanes cannot buy wall time, so demand "no regression"
-/// (within timing noise) instead and record the mode in the JSON so the
-/// numbers read honestly. Returns `(gate_mode, target_ratio)`.
-pub fn adaptive_speedup_gate(cores: usize, speedup_target: f64) -> (&'static str, f64) {
-    if cores >= 4 {
-        ("speedup", speedup_target)
-    } else {
-        ("no_regression", 0.85)
-    }
 }
 
 /// Fit a DELRec on the context's dataset with the standard progress log line.
@@ -170,65 +158,5 @@ impl ScoringWorkload {
             i = end;
         }
         out
-    }
-}
-
-/// A synthetic full-catalog retrieval workload at an arbitrary catalog
-/// scale: deterministic item embeddings (the shared LCG stream) plus seeded
-/// query histories. The fitted model's catalog tops out at a few hundred
-/// items at smoke scale, so scan-throughput measurements sweep these instead
-/// — item count × embedding dim points far beyond what a fitted LM provides,
-/// with bit-reproducible contents at every point.
-pub struct CatalogWorkload {
-    /// Catalog size this point was built at.
-    pub n_items: usize,
-    /// Embedding dimension this point was built at.
-    pub dim: usize,
-    /// Row-major `[n_items, dim]` embeddings in `[-0.5, 0.5)` (not yet
-    /// normalized — the index build normalizes its own copy).
-    pub embeddings: Vec<f32>,
-    /// Seeded query histories over the catalog, lengths in `5..=12`.
-    pub histories: Vec<Vec<ItemId>>,
-}
-
-impl CatalogWorkload {
-    /// One sweep point: `n_items × dim` embeddings and `n_queries`
-    /// histories, all derived from `seed` (and the point's own shape, so
-    /// different points never share a stream).
-    pub fn build(n_items: usize, dim: usize, n_queries: usize, seed: u64) -> Self {
-        assert!(n_items > 0 && dim > 0 && n_queries > 0);
-        let point_seed = seed
-            .wrapping_add((n_items as u64) << 24)
-            .wrapping_add(dim as u64);
-        let embeddings = fill(point_seed, n_items * dim);
-        let mut state = point_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        let histories = (0..n_queries)
-            .map(|_| {
-                let len = 5 + next() % 8;
-                (0..len)
-                    .map(|_| ItemId((next() % n_items) as u32))
-                    .collect()
-            })
-            .collect();
-        CatalogWorkload {
-            n_items,
-            dim,
-            embeddings,
-            histories,
-        }
-    }
-
-    /// The standard item-count × embedding-dim sweep grid.
-    pub fn sweep(points: &[(usize, usize)], n_queries: usize, seed: u64) -> Vec<Self> {
-        points
-            .iter()
-            .map(|&(n, d)| Self::build(n, d, n_queries, seed))
-            .collect()
     }
 }

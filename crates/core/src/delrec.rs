@@ -73,9 +73,6 @@ pub struct DelRec {
     pub stage1_stats: Stage1Stats,
     /// Stage 2 loss curve (empty if fine-tuning was skipped).
     pub stage2_losses: Vec<f32>,
-    /// Whether scoring routes through the grad-free inference engine
-    /// (default) or the reference autograd tape.
-    infer_enabled: bool,
     engine: EnginePool,
 }
 
@@ -201,7 +198,6 @@ impl DelRec {
             cfg: cfg.clone(),
             stage1_stats,
             stage2_losses,
-            infer_enabled: true,
             engine: EnginePool::default(),
         }
     }
@@ -259,22 +255,8 @@ impl DelRec {
             cfg: cfg.clone(),
             stage1_stats: Stage1Stats::default(),
             stage2_losses: Vec::new(),
-            infer_enabled: true,
             engine: EnginePool::default(),
         })
-    }
-
-    /// Route candidate scoring through the grad-free inference engine
-    /// (`true`, the default) or through the reference autograd-tape forward
-    /// (`false`). The two produce bitwise-identical scores; the tape path
-    /// remains as the always-correct oracle.
-    pub fn set_inference_engine(&mut self, enabled: bool) {
-        self.infer_enabled = enabled;
-    }
-
-    /// Whether scoring currently uses the inference engine.
-    pub fn inference_engine_enabled(&self) -> bool {
-        self.infer_enabled
     }
 
     /// The Stage-2 prompt of one request: the paper's `n − 1 = 9` most recent
@@ -346,13 +328,32 @@ impl DelRec {
 
     /// Score items against Stage-2 prompts: for each `(history, shown,
     /// scored)` request, build the prompt that shows `shown` as its
-    /// candidates, run one batched forward over all prompts — the engine's,
-    /// or the tape's with the engine off — and verbalize every `scored` title
-    /// from the request's one `[mask]` row. Row `i` holds the scores of
-    /// `requests[i].2` in order, and never depends on which other requests
-    /// share the batch. [`Ranker::score_candidates_batch`] is the
-    /// `shown == scored` case.
+    /// candidates, run one batched forward of the grad-free engine over all
+    /// prompts, and verbalize every `scored` title from the request's one
+    /// `[mask]` row. Row `i` holds the scores of `requests[i].2` in order,
+    /// and never depends on which other requests share the batch.
+    /// [`Ranker::score_candidates_batch`] is the `shown == scored` case.
     pub fn score_items_batch(&self, requests: &[ItemScoreRequest<'_>]) -> Vec<Vec<f32>> {
+        self.score_items_with(requests, |seqs, mask_pos, prefix_len| {
+            self.logits_engine(seqs, mask_pos, prefix_len)
+        })
+    }
+
+    /// [`Self::score_items_batch`] through one padded autograd-tape forward:
+    /// the reference the engine is pinned to bitwise.
+    pub fn score_items_batch_tape(&self, requests: &[ItemScoreRequest<'_>]) -> Vec<Vec<f32>> {
+        self.score_items_with(requests, |seqs, mask_pos, _| {
+            self.logits_tape(seqs, mask_pos)
+        })
+    }
+
+    /// Build each request's prompt, get the mask logits `[B, vocab]` from
+    /// `logits(seqs, mask_pos, prefix_len)`, and verbalize the scored titles.
+    fn score_items_with(
+        &self,
+        requests: &[ItemScoreRequest<'_>],
+        logits: impl FnOnce(&[Vec<LmToken>], &[usize], usize) -> Tensor,
+    ) -> Vec<Vec<f32>> {
         if requests.is_empty() {
             return Vec::new();
         }
@@ -370,11 +371,7 @@ impl DelRec {
             mask_pos.push(prompt.mask_pos);
         }
         drop(prompts_span);
-        let logits = if self.infer_enabled {
-            self.logits_engine(&seqs, &mask_pos, prefix_len)
-        } else {
-            self.logits_tape(&seqs, &mask_pos)
-        };
+        let logits = logits(&seqs, &mask_pos, prefix_len);
         let title_sets: Vec<Vec<&[u32]>> = requests
             .iter()
             .map(|&(_, _, scored)| scored.iter().map(|&id| self.items.title(id)).collect())
@@ -506,7 +503,7 @@ mod tests {
         let teacher = build_teacher(&ds, TeacherKind::SASRec, 1, Some(60), 5);
         let mut cfg = DelRecConfig::smoke(TeacherKind::SASRec);
         cfg.lm = LmPreset::Large;
-        let mut model = DelRec::fit(&ds, &pipeline, teacher.as_ref(), lm, &cfg);
+        let model = DelRec::fit(&ds, &pipeline, teacher.as_ref(), lm, &cfg);
         assert!(!model.stage1_stats.lambdas.is_empty());
         assert!(!model.stage2_losses.is_empty());
 
@@ -540,7 +537,7 @@ mod tests {
         }
 
         // And each batched row is exactly the one-row call, whichever forward
-        // scores it: the engine, or the tape with the engine off.
+        // scores it: the engine, or the tape.
         let cands: Vec<Vec<ItemId>> = ds
             .examples(Split::Test)
             .iter()
@@ -554,13 +551,20 @@ mod tests {
             .zip(&cands)
             .map(|(ex, c)| (ex.prefix.as_slice(), c.as_slice()))
             .collect();
-        for engine in [true, false] {
-            model.set_inference_engine(engine);
-            let batched = model.score_candidates_batch(&requests);
-            for (&(prefix, c), row) in requests.iter().zip(&batched) {
-                let single = model.score_candidates(prefix, c);
-                assert_eq!(row, &single, "engine {engine}: batch row vs one-row call");
-            }
+        let batched = model.score_candidates_batch(&requests);
+        for (&(prefix, c), row) in requests.iter().zip(&batched) {
+            let single = model.score_candidates(prefix, c);
+            assert_eq!(row, &single, "engine: batch row vs one-row call");
+        }
+        let items: Vec<ItemScoreRequest<'_>> = requests.iter().map(|&(h, c)| (h, c, c)).collect();
+        let tape = model.score_items_batch_tape(&items);
+        for (i, row) in tape.iter().enumerate() {
+            let single = model.score_items_batch_tape(&items[i..=i]).pop();
+            assert_eq!(
+                Some(row),
+                single.as_ref(),
+                "tape: batch row vs one-row call"
+            );
         }
     }
 

@@ -186,25 +186,26 @@ fn recommend_is_one_prompt_scoring_every_retrieved_item() {
 
 #[test]
 fn shown_items_score_as_their_candidate_set_engine_on_and_off() {
-    let (mut rec, histories) = smoke_recommender();
+    let (rec, histories) = smoke_recommender();
     let depth = *PIN_KS.iter().max().unwrap();
-    for engine in [true, false] {
-        rec.model_mut().set_inference_engine(engine);
-        for h in &histories {
-            let retrieved = ids(&rec.retrieve(h, depth));
-            assert!(retrieved.len() > SHOWN, "the pin needs unshown items");
-            let shown = &retrieved[..SHOWN];
-            let one_row = rec
-                .model()
-                .score_items_batch(&[(h, shown, &retrieved)])
-                .pop()
-                .expect("one score row");
-            let candidates = rec.score_candidates(h, shown);
-            let as_bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let model = rec.model();
+    let as_bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for h in &histories {
+        let retrieved = ids(&rec.retrieve(h, depth));
+        assert!(retrieved.len() > SHOWN, "the pin needs unshown items");
+        let shown = &retrieved[..SHOWN];
+        let request = [(h.as_slice(), shown, retrieved.as_slice())];
+        let candidates = as_bits(&rec.score_candidates(h, shown));
+        // The engine (the product path) and the tape (its reference).
+        for (path, mut row) in [
+            ("engine", model.score_items_batch(&request)),
+            ("tape", model.score_items_batch_tape(&request)),
+        ] {
+            let one_row = row.pop().expect("one score row");
             assert_eq!(
                 as_bits(&one_row[..SHOWN]),
-                as_bits(&candidates),
-                "engine {engine}, history {h:?}"
+                candidates,
+                "{path}, history {h:?}"
             );
         }
     }

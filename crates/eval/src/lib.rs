@@ -17,7 +17,7 @@ pub use retrieval::{
     evaluate_retrieval, evaluate_top_k, RetrievalEvalConfig, RetrievalReport, TopKReport,
 };
 pub use runner::{
-    evaluate, evaluate_examples, evaluate_examples_par, evaluate_par, score_candidates_chunked,
-    EvalConfig, FnRanker, Ranker, ScoreRequest, TopKQuery, TopKRecommender,
+    evaluate, evaluate_examples, EvalConfig, FnRanker, Ranker, ScoreRequest, TopKQuery,
+    TopKRecommender,
 };
 pub use ttest::{paired_t_test, TTestResult};

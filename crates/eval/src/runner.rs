@@ -142,27 +142,6 @@ pub fn evaluate<R: Ranker + ?Sized>(
     evaluate_examples(ranker, dataset.examples(split), dataset.num_items(), cfg)
 }
 
-/// Score an arbitrarily large candidate list by splitting it into chunks of
-/// `chunk` candidates per call — prompt-based rankers have bounded context,
-/// so full-catalog scoring (case studies, top-k over everything) must not
-/// put every title into one prompt. Scores from different chunks are
-/// comparable for rankers whose scores are calibrated per item (all rankers
-/// in this workspace use per-candidate log-probabilities or raw model
-/// scores, both of which qualify approximately).
-pub fn score_candidates_chunked<R: Ranker + ?Sized>(
-    ranker: &R,
-    prefix: &[ItemId],
-    candidates: &[ItemId],
-    chunk: usize,
-) -> Vec<f32> {
-    assert!(chunk > 0, "chunk must be positive");
-    let mut out = Vec::with_capacity(candidates.len());
-    for group in candidates.chunks(chunk) {
-        out.extend(ranker.score_candidates(prefix, group));
-    }
-    out
-}
-
 /// Evaluate on an explicit example list (used by the cold-start study, which
 /// slices the test split by prefix length). Examples are scored through
 /// [`Ranker::score_candidates_batch`] in chunks of `cfg.batch_size`; the
@@ -181,9 +160,6 @@ pub fn evaluate_examples<R: Ranker + ?Sized>(
         .max_examples
         .unwrap_or(examples.len())
         .min(examples.len());
-    // Same partitioner as the parallel path, so the two walk identical
-    // chunks and the reports can only differ if rank_chunk itself could
-    // (it can't: each example's rank is computed independently).
     let mut ranks = vec![0usize; take];
     for range in delrec_par::chunk_ranges(take, cfg.batch_size) {
         let out = &mut ranks[range.clone()];
@@ -196,55 +172,6 @@ pub fn evaluate_examples<R: Ranker + ?Sized>(
             out,
         );
     }
-    RankingReport::new(ranks, cfg.m)
-}
-
-/// Parallel [`evaluate`]: chunks run concurrently on the shared
-/// [`delrec_par`] pool. Requires `Sync` on the ranker — model-backed rankers
-/// qualify; closure-based test doubles holding `Cell`/`Rc` keep using the
-/// serial path.
-pub fn evaluate_par<R: Ranker + Sync + ?Sized>(
-    ranker: &R,
-    dataset: &Dataset,
-    split: Split,
-    cfg: &EvalConfig,
-) -> RankingReport {
-    evaluate_examples_par(ranker, dataset.examples(split), dataset.num_items(), cfg)
-}
-
-/// Parallel [`evaluate_examples`]. The example list is cut into the *same*
-/// `cfg.batch_size` chunks as the serial path ([`delrec_par::chunk_ranges`]);
-/// each worker scores whole chunks and writes ranks into that chunk's
-/// disjoint slot range, so the report is bitwise-identical to serial at any
-/// thread count — candidate sampling is indexed by absolute example position
-/// and each example's rank depends only on its own score row.
-pub fn evaluate_examples_par<R: Ranker + Sync + ?Sized>(
-    ranker: &R,
-    examples: &[delrec_data::Example],
-    num_items: usize,
-    cfg: &EvalConfig,
-) -> RankingReport {
-    let _span = delrec_obs::span!("eval.evaluate");
-    assert!(cfg.batch_size > 0, "batch_size must be positive");
-    let sampler = CandidateSampler::new(num_items, cfg.m);
-    let take = cfg
-        .max_examples
-        .unwrap_or(examples.len())
-        .min(examples.len());
-    let ranges = delrec_par::chunk_ranges(take, cfg.batch_size);
-    let mut ranks = vec![0usize; take];
-    let pool = delrec_par::current();
-    pool.for_each_range(&mut ranks, &ranges, |ci, out| {
-        let range = ranges[ci].clone();
-        rank_chunk(
-            ranker,
-            &examples[range.clone()],
-            &sampler,
-            cfg,
-            range.start,
-            out,
-        );
-    });
     RankingReport::new(ranks, cfg.m)
 }
 
@@ -372,16 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_scoring_matches_per_chunk_calls() {
-        let r = FnRanker::new("id", |_p, c: &[ItemId]| {
-            c.iter().map(|i| i.0 as f32).collect()
-        });
-        let cands: Vec<ItemId> = (0..10).map(ItemId).collect();
-        let scores = score_candidates_chunked(&r, &[], &cands, 3);
-        assert_eq!(scores, (0..10).map(|i| i as f32).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn batched_eval_metrics_match_per_example_eval() {
         let ds = tiny();
         // Deterministic, history-sensitive scorer shared by both rankers.
@@ -427,37 +344,6 @@ mod tests {
             assert_eq!(a.ndcg(k), b.ndcg(k), "NDCG@{k} differs across batch sizes");
         }
         assert_eq!(a.mrr(), b.mrr());
-    }
-
-    #[test]
-    fn parallel_eval_matches_serial_at_every_thread_count() {
-        let ds = tiny();
-        // Plain-fn ranker: deterministic, history-sensitive, and `Sync`.
-        fn score(p: &[ItemId], c: &[ItemId]) -> Vec<f32> {
-            let h: u32 = p
-                .iter()
-                .fold(17, |acc, i| acc.wrapping_mul(31).wrapping_add(i.0));
-            c.iter()
-                .map(|&i| (i.0.wrapping_mul(2_654_435_761).wrapping_add(h) % 1000) as f32)
-                .collect()
-        }
-        let ranker = FnRanker::new("sync", score as fn(&[ItemId], &[ItemId]) -> Vec<f32>);
-        let cfg = EvalConfig {
-            batch_size: 7,
-            ..Default::default()
-        };
-        let serial = evaluate(&ranker, &ds, Split::Test, &cfg);
-        for lanes in [1usize, 2, 3, 7, 8] {
-            let pool = delrec_par::ThreadPool::new(lanes);
-            let par =
-                delrec_par::with_pool(&pool, || evaluate_par(&ranker, &ds, Split::Test, &cfg));
-            assert_eq!(serial.len(), par.len(), "lanes={lanes}");
-            assert_eq!(serial.mrr(), par.mrr(), "lanes={lanes}");
-            for k in [1, 5, 10, 15] {
-                assert_eq!(serial.hr(k), par.hr(k), "HR@{k} lanes={lanes}");
-                assert_eq!(serial.ndcg(k), par.ndcg(k), "NDCG@{k} lanes={lanes}");
-            }
-        }
     }
 
     #[test]

@@ -17,12 +17,6 @@ pub struct MiniLmConfig {
     pub max_len: usize,
     /// Dropout rate during training.
     pub dropout: f32,
-    /// Decoder-only (causal) attention instead of bidirectional. The paper
-    /// notes DELRec "can also use open-source Decoder-Only structured LLMs"
-    /// (§V-A2); with causal attention the mask slot at the end of the prompt
-    /// becomes next-token prediction and the rest of the pipeline is
-    /// unchanged.
-    pub causal: bool,
 }
 
 impl MiniLmConfig {
@@ -36,7 +30,6 @@ impl MiniLmConfig {
             ffn_dim: 64,
             max_len: 256,
             dropout: 0.1,
-            causal: false,
         }
     }
 
@@ -51,16 +44,6 @@ impl MiniLmConfig {
             ffn_dim: 32,
             max_len: 256,
             dropout: 0.1,
-            causal: false,
-        }
-    }
-
-    /// A decoder-only (Llama-style) variant of the XL preset — same size,
-    /// causal attention.
-    pub fn causal_xl(vocab_size: usize) -> Self {
-        MiniLmConfig {
-            causal: true,
-            ..Self::xl(vocab_size)
         }
     }
 

@@ -29,19 +29,18 @@
 //! The tests below pin this for every preset, with soft prompts and AdaLoRA
 //! adapters attached.
 //!
-//! **attn·V.** A bidirectional example's query rows all attend to the same
-//! `len` keys, so after the row softmaxes the mix is one packed GEMM
+//! **attn·V.** An example's query rows all attend to the same `len` keys,
+//! so after the row softmaxes the mix is one packed GEMM
 //! `[qrows, len] · [len, d_head]` per (head, example) over a scratch panel of
-//! `V` — the blocked path. A causal model's rows each see a different key
-//! count, and the query-pruned last layer has one row per example; both keep
-//! one `m = 1` product per row. The choice is made from `cfg.causal` and the
-//! row count, the two paths are bitwise equal where both apply, and the
+//! `V` — the blocked path. The query-pruned last layer has one row per
+//! example and keeps one `m = 1` product. The choice is made from the row
+//! count, the two paths are bitwise equal where both apply, and the
 //! `lm.attn.blocked` / `lm.attn.per_row` counters (examples × heads per
 //! layer) show which one a deployment is on.
 //!
 //! **Cache validity**: per-layer prefix K/V are suffix-independent only when
-//! the model is causal or has a single layer (a bidirectional layer ≥ 1
-//! reads suffix positions into every prefix hidden state), so
+//! the model has a single layer (a layer ≥ 1 reads suffix positions into
+//! every prefix hidden state, since attention is bidirectional), so
 //! [`MiniLm::build_prefix_cache`] returns `None` otherwise and callers fall
 //! back to the plain tape-free forward. A cache is also keyed on the
 //! parameter-store [`version`](delrec_tensor::ParamStore::version), so any
@@ -335,8 +334,8 @@ impl MiniLm {
 
     /// Build a K/V cache for `prefix`, or `None` when caching cannot be
     /// exact: every sequence scored against the cache must start with
-    /// exactly these tokens, and the model must be causal or single-layer
-    /// (deeper bidirectional prefix states depend on the suffix).
+    /// exactly these tokens, and the model must be single-layer (deeper
+    /// prefix states depend on the suffix).
     pub fn build_prefix_cache(
         &self,
         ic: &InferCtx,
@@ -346,7 +345,7 @@ impl MiniLm {
         if prefix.is_empty() {
             return None;
         }
-        if !self.cfg.causal && self.cfg.num_layers > 1 {
+        if self.cfg.num_layers > 1 {
             return None;
         }
         assert!(
@@ -608,9 +607,9 @@ impl MiniLm {
             let nq = pruned.map_or(rows, <[usize]>::len);
             let qrows = pruned.map_or(s_max, |_| 1); // query rows per example
 
-            // Bidirectional rows of one example share `valid = len`; with
-            // more than one of them the mix is a single GEMM.
-            let blocked = !cfg.causal && qrows > 1;
+            // The rows of one example share `valid = len`; with more than
+            // one of them the mix is a single GEMM.
+            let blocked = qrows > 1;
             attn_paths[usize::from(blocked)] += (bsz * heads) as u64;
 
             let mut xin = ic.alloc(rows * d);
@@ -666,8 +665,8 @@ impl MiniLm {
                 let q_off = hd * dh;
                 let k_off = k_band + hd * dh;
                 let v_off = k_off + d;
-                for b in 0..bsz {
-                    let len = seqs[b].len();
+                for (b, seq) in seqs.iter().enumerate() {
+                    let len = seq.len();
                     let scores_span = delrec_obs::span!("lm.attn_scores");
                     // Assemble Kᵀ [dh, kmax]: cached prefix columns, then
                     // the example's suffix keys; V [kmax, dh] likewise.
@@ -720,23 +719,14 @@ impl MiniLm {
                             &mut out_b,
                         );
                     } else {
-                        for qi in 0..qrows {
-                            let t_global = match mask_pos {
-                                Some(mp) if last => mp[b],
-                                _ => p + qi,
-                            };
-                            let valid = if cfg.causal {
-                                (t_global + 1).min(len)
-                            } else {
-                                len
-                            };
-                            attn_mix_row(
-                                &mut scores[qi * kmax..qi * kmax + valid],
-                                scale,
-                                &v_b[..valid * dh],
-                                &mut out_b[qi * dh..(qi + 1) * dh],
-                            );
-                        }
+                        // One query row: the pruned last layer, or
+                        // one-token sequences.
+                        attn_mix_row(
+                            &mut scores[..len],
+                            scale,
+                            &v_b[..len * dh],
+                            &mut out_b[..dh],
+                        );
                     }
                     drop(mix_span);
                     for qi in 0..qrows {
@@ -864,11 +854,10 @@ mod tests {
         for (name, base) in [
             ("large", MiniLmConfig::large(60)),
             ("xl", MiniLmConfig::xl(60)),
-            ("causal_xl", MiniLmConfig::causal_xl(60)),
         ] {
             let mut cfg = base;
             cfg.dropout = 0.0;
-            let cacheable = cfg.causal || cfg.num_layers == 1;
+            let cacheable = cfg.num_layers == 1;
             let lm = MiniLm::new(cfg, 7);
             // Shared prefix [5, 6, 1]; ragged suffixes; mask at the end.
             let seqs = vec![

@@ -7,18 +7,14 @@
 //! pin the tiled result bitwise to its two references: the autograd tape
 //! over the *whole* batch, and one-example engine calls. They run at lanes
 //! {1, 2, 4} (a tile is also the unit a lane claims, so the cut differs at
-//! each), for `xl` (no prefix cache), `large` (prefix cache) and `causal_xl`
-//! (with and without one).
+//! each), for `xl` (no prefix cache) and `large` (prefix cache).
 //!
 //! **Which batches the tape can referee.** The tape sums attn·V over the
 //! batch's padded key count in 4-groups (exact zeros past a row's own keys),
 //! the engine over the row's own keys; the two associate alike only when a
 //! row's key count is at most one past a 4-group (or shares the longest
-//! row's last group) — see `tests/infer_engine.rs`. So the bidirectional
-//! batches here use lengths ≡ 0 or 1 (mod 4) up to 128 tokens (8 examples to
-//! a tile), and the causal ones, whose rows attend to every count up to
-//! their position, stay within 7 tokens (146 or 341 examples to a tile)
-//! against the tape and go to 128 tokens against one-example calls only.
+//! row's last group) — see `tests/infer_engine.rs`. So the batches here use
+//! lengths ≡ 0 or 1 (mod 4) up to 128 tokens (8 examples to a tile).
 //!
 //! The tile size is private to the engine; `ENGINE_TILE_ROWS` below mirrors
 //! it and `tile_counter_advances_by_ceil_b_over_tile` fails if the two drift
@@ -38,11 +34,6 @@ const PREFIX: [u32; 4] = [5, 6, 1, 9];
 /// Ragged lengths ≡ 0 or 1 (mod 4), example 0 the longest at 128 tokens.
 fn long_len(i: usize) -> usize {
     128 - 4 * ((i * 7) % 10) - 3 * (i % 2)
-}
-
-/// Ragged lengths 5..=7, example 0 the longest.
-fn short_len(i: usize) -> usize {
-    7 - i % 3
 }
 
 /// `lm.engine.tiles` is process-wide: tests of this binary that read it or
@@ -106,15 +97,13 @@ fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     );
 }
 
-/// Batches around the tile boundary ≡ one-example calls and, where the tape
-/// can referee (`vs_tape`), ≡ the tape over the whole batch — at lanes
-/// {1, 2, 4}.
+/// Batches around the tile boundary ≡ one-example calls ≡ the tape over the
+/// whole batch — at lanes {1, 2, 4}.
 fn tiles_match_their_references(
     name: &str,
     lm: &MiniLm,
     cache: Option<&PrefixCache>,
     len_of: fn(usize) -> usize,
-    vs_tape: bool,
 ) {
     let ic = InferCtx::default();
     let rows = len_of(0) - cache.map_or(0, PrefixCache::len);
@@ -129,10 +118,8 @@ fn tiles_match_their_references(
             let solo = lm.mask_logits_infer_batch(&ic, std::slice::from_ref(s), None, &[mp], cache);
             want.extend_from_slice(solo.data());
         }
-        if vs_tape {
-            let tape = tape_logits(lm, &seqs, None, &mask_pos);
-            assert_same_bits(&want, tape.data(), &format!("{name}: B={bsz} solo vs tape"));
-        }
+        let tape = tape_logits(lm, &seqs, None, &mask_pos);
+        assert_same_bits(&want, tape.data(), &format!("{name}: B={bsz} solo vs tape"));
         for lanes in [1usize, 2, 4] {
             let got = with_pool(&ThreadPool::new(lanes), || {
                 lm.mask_logits_infer_batch(&ic, &seqs, None, &mask_pos, cache)
@@ -156,7 +143,7 @@ fn xl_tiles_match_tape_and_solo_calls() {
         lm.build_prefix_cache(&ic, &prefix(), None).is_none(),
         "a 2-layer bidirectional model has no exact prefix cache"
     );
-    tiles_match_their_references("xl", &lm, None, long_len, true);
+    tiles_match_their_references("xl", &lm, None, long_len);
 }
 
 #[test]
@@ -166,26 +153,7 @@ fn large_tiles_match_tape_and_solo_calls_through_the_prefix_cache() {
     let ic = InferCtx::default();
     let cache = lm.build_prefix_cache(&ic, &prefix(), None);
     assert!(cache.is_some(), "a single-layer model caches its prefix");
-    tiles_match_their_references("large+cache", &lm, cache.as_ref(), long_len, true);
-}
-
-#[test]
-fn causal_xl_tiles_match_tape_and_solo_calls() {
-    let _turn = serialised();
-    let lm = lm_of(MiniLmConfig::causal_xl(60));
-    let ic = InferCtx::default();
-    let cache = lm.build_prefix_cache(&ic, &prefix(), None);
-    assert!(cache.is_some(), "a causal model caches its prefix");
-    tiles_match_their_references("causal_xl short", &lm, None, short_len, true);
-    tiles_match_their_references(
-        "causal_xl short+cache",
-        &lm,
-        cache.as_ref(),
-        short_len,
-        true,
-    );
-    tiles_match_their_references("causal_xl long", &lm, None, long_len, false);
-    tiles_match_their_references("causal_xl long+cache", &lm, cache.as_ref(), long_len, false);
+    tiles_match_their_references("large+cache", &lm, cache.as_ref(), long_len);
 }
 
 /// The tape adds the soft scatter's `+0.0` to every hard token of a batch

@@ -3,11 +3,9 @@
 //! (soft prompts + AdaLoRA with non-zero deltas, ragged batches, prefix
 //! cache where exact).
 //!
-//! Covers single-layer (`large`), multi-layer bidirectional (`xl`), and
-//! multi-layer causal (`causal_xl`) presets: multi-layer models exercise the
-//! fused `[d, 3d]` panel on every block plus the split q/kv panels on the
-//! pruned last block; the causal preset exerces per-row `valid` truncation
-//! against the fused strided value rows.
+//! Covers the single-layer (`large`) and multi-layer (`xl`) presets: the
+//! multi-layer model exercises the fused `[d, 3d]` panel on every block plus
+//! the split q/kv panels on the pruned last block.
 
 use delrec_lm::adalora::AdaLoraConfig;
 use delrec_lm::{LmToken, MiniLm, MiniLmConfig};
@@ -54,7 +52,6 @@ fn fused_matches_tape_bitwise() {
     for (name, base) in [
         ("large", MiniLmConfig::large(60)),
         ("xl", MiniLmConfig::xl(60)),
-        ("causal_xl", MiniLmConfig::causal_xl(60)),
     ] {
         let lm = adapted_lm(base, 23);
         let d = lm.cfg.d_model;
@@ -81,7 +78,7 @@ fn fused_matches_tape_bitwise() {
         assert_eq!(fused.data(), want.data(), "{name}: fused vs tape");
 
         // Prefix cache, where exact.
-        let cacheable = lm.cfg.causal || lm.cfg.num_layers == 1;
+        let cacheable = lm.cfg.num_layers == 1;
         let cache = lm.build_prefix_cache(&ic, &prefix, Some(&soft));
         assert_eq!(cache.is_some(), cacheable, "{name}: cache gate");
         if let Some(c) = &cache {

@@ -57,35 +57,40 @@ fn equal_scores_order_by_item_id_unit() {
 
 #[test]
 fn full_retrieval_is_bitwise_identical_across_thread_counts() {
-    // Catalog big enough that the scan's parallel driver engages
-    // (macs = dim · n_items ≥ 128k) and q8 panels get several stripes.
-    let (n_items, dim) = (6144, 32);
-    let emb = fill(0xC0FFEE, n_items * dim);
-    let histories: Vec<Vec<ItemId>> = (0..8)
-        .map(|u| {
-            (0..10)
-                .map(|i| ItemId((u * 613 + i * 97) % n_items as u32))
-                .collect()
-        })
-        .collect();
-    for format in [IndexFormat::F32, IndexFormat::Q8] {
-        let r = Retriever::build(emb.clone(), dim, 7, format);
-        let serial = ThreadPool::new(1);
-        let want: Vec<_> = with_pool(&serial, || {
-            histories
-                .iter()
-                .map(|h| ranked_bits(&r.retrieve(h, 100)))
-                .collect()
-        });
-        for &t in &THREADS[1..] {
-            let pool = ThreadPool::new(t);
-            let got: Vec<_> = with_pool(&pool, || {
+    // Catalogs big enough that the scan's parallel driver engages
+    // (macs = dim · n_items ≥ 128k) and q8 panels get several stripes;
+    // 8192 × 64 is big enough that a solo query forks onto all 8 lanes.
+    for (n_items, dim) in [(6144, 32), (8192, 64)] {
+        let emb = fill(0xC0FFEE, n_items * dim);
+        let histories: Vec<Vec<ItemId>> = (0..8)
+            .map(|u| {
+                (0..10)
+                    .map(|i| ItemId((u * 613 + i * 97) % n_items as u32))
+                    .collect()
+            })
+            .collect();
+        for format in [IndexFormat::F32, IndexFormat::Q8] {
+            let r = Retriever::build(emb.clone(), dim, 7, format);
+            let serial = ThreadPool::new(1);
+            let want: Vec<_> = with_pool(&serial, || {
                 histories
                     .iter()
                     .map(|h| ranked_bits(&r.retrieve(h, 100)))
                     .collect()
             });
-            assert_eq!(want, got, "{format:?} retrieval diverged at {t} threads");
+            for &t in &THREADS[1..] {
+                let pool = ThreadPool::new(t);
+                let got: Vec<_> = with_pool(&pool, || {
+                    histories
+                        .iter()
+                        .map(|h| ranked_bits(&r.retrieve(h, 100)))
+                        .collect()
+                });
+                assert_eq!(
+                    want, got,
+                    "{format:?} {n_items}x{dim} retrieval diverged at {t} threads"
+                );
+            }
         }
     }
 }

@@ -18,6 +18,7 @@ use delrec::core::{
 };
 use delrec::data::synthetic::{DatasetProfile, SyntheticConfig};
 use delrec::data::{ItemId, Split};
+use delrec::eval::{Ranker, ScoreRequest};
 use delrec::lm::PretrainConfig;
 
 fn main() {
@@ -77,6 +78,11 @@ fn main() {
     let delrec = DelRec::fit(&data, &pipeline, teacher.as_ref(), lm, &cfg);
 
     let all: Vec<ItemId> = catalog.ids().collect();
+    // One request per 14 titles: a whole catalog cannot fit one LM prompt.
+    let requests: Vec<ScoreRequest<'_>> = all
+        .chunks(14)
+        .map(|chunk| (story.prefix.as_slice(), chunk))
+        .collect();
     let show = |name: &str, scores: Vec<f32>| {
         let mut idx: Vec<usize> = (0..scores.len()).collect();
         idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
@@ -99,14 +105,11 @@ fn main() {
 
     show(
         "The raw language model",
-        delrec::eval::score_candidates_chunked(&zero_shot, &story.prefix, &all, 14),
+        zero_shot.score_candidates_batch(&requests).concat(),
     );
     show("SASRec", {
         let s = teacher.scores(&story.prefix);
         all.iter().map(|c| s[c.index()]).collect()
     });
-    show(
-        "DELRec",
-        delrec::eval::score_candidates_chunked(&delrec, &story.prefix, &all, 14),
-    );
+    show("DELRec", delrec.score_candidates_batch(&requests).concat());
 }

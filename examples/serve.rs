@@ -18,6 +18,7 @@ use delrec::core::{
 };
 use delrec::data::synthetic::{DatasetProfile, SyntheticConfig};
 use delrec::data::{Dataset, ItemId};
+use delrec::eval::{Ranker, ScoreRequest};
 use delrec::lm::PretrainConfig;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -113,7 +114,12 @@ fn handle(stream: TcpStream, model: &DelRec, data: &Dataset) {
         Some(user) if user < data.sequences.len() => {
             let history: Vec<ItemId> = data.sequences[user].items().collect();
             let candidates: Vec<ItemId> = data.catalog.ids().collect();
-            let scores = delrec::eval::score_candidates_chunked(model, &history, &candidates, 14);
+            // One request per 14 titles: a whole catalog cannot fit one prompt.
+            let requests: Vec<ScoreRequest<'_>> = candidates
+                .chunks(14)
+                .map(|chunk| (history.as_slice(), chunk))
+                .collect();
+            let scores = model.score_candidates_batch(&requests).concat();
             let mut idx: Vec<usize> = (0..scores.len()).collect();
             idx.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap());
             let items: Vec<String> = idx

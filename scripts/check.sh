@@ -30,6 +30,9 @@ cargo clippy -p delrec-serve --all-targets -- -D warnings
 # contracts: golden metrics, streamed ≡ materialised ≡ matmul_raw retrieval,
 # served ≡ direct; lint them at the same bar.
 cargo clippy -p delrec --all-targets -- -D warnings
+# The remaining product crates and the bench crate (its `BENCH_*` / `repro_*`
+# bins and the full-catalog quality gates in crates/bench/tests); same bar.
+cargo clippy -p delrec-core -p delrec-eval -p delrec-data -p delrec-bench --all-targets -- -D warnings
 # The benchmark package (perfbench/, a workspace of its own) builds the
 # product crates through path dependencies and uses only their public API:
 # build it here so an API break against it is caught before the pipeline
@@ -70,22 +73,6 @@ cargo run --release -q -p delrec-bench --bin soak -- --scale smoke --out "$(mkte
 # >= 90% of wall while disabled-mode span/counter overhead stays under 2% of
 # a scoring pass.
 cargo run --release -q -p delrec-bench --bin gemm -- --scale smoke --out "$(mktemp -d)"
-
-# Smoke-run the thread-pool scaling benchmark: asserts parallel GEMM and
-# batch scoring are bitwise identical to the 1-thread path at every timed
-# thread count before reporting any scaling curve.
-cargo run --release -q -p delrec-bench --bin par -- --scale smoke --out "$(mktemp -d)"
-
-# Smoke-run the retrieval benchmark: asserts the full-catalog stage's
-# recall floors at depth min(100, n_items/4) and half of it (1.4x the random
-# baseline — a gate that can fail on the 40-item smoke catalog, where
-# retrieving 100 could not), the end-to-end HR/NDCG budget of the one-row
-# re-rank vs the oracle-candidate protocol, bitwise thread-count determinism
-# of both retrieval and recommend, and the batched-≡-sequential gate
-# (retrieve_batch and recommend_batch vs the m=1 loop at B {1,5,32}, both
-# formats) before timing the scan sweep and the coalesced-vs-sequential
-# comparison (GEMM only and at the retrieve level).
-cargo run --release -q -p delrec-bench --bin retrieval -- --scale smoke --out "$(mktemp -d)"
 
 # Smoke-run the re-rank quality experiment on one profile and one seed. At
 # this scale it asserts only that the served one-row re-rank scores its 15

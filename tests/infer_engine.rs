@@ -7,8 +7,9 @@ use delrec::core::{
     build_teacher, pretrained_lm, DelRec, DelRecConfig, LmPreset, Pipeline, TeacherKind,
 };
 use delrec::data::synthetic::{DatasetProfile, SyntheticConfig};
+use delrec::data::ItemId;
 use delrec::data::{Dataset, Split};
-use delrec::eval::{evaluate, EvalConfig, RankingReport};
+use delrec::eval::{evaluate, EvalConfig, Ranker, RankingReport, ScoreRequest};
 use delrec::lm::{AdaLoraConfig, LmToken, MiniLm, MiniLmConfig};
 use delrec::par::{with_pool, ThreadPool};
 use delrec::tensor::{Ctx, InferCtx, Tape, Tensor};
@@ -38,7 +39,28 @@ fn fitted_model() -> (Dataset, DelRec) {
     (ds, model)
 }
 
-fn eval_with(model: &DelRec, ds: &Dataset, batch_size: usize) -> RankingReport {
+/// The tape forward as a [`Ranker`], so `evaluate` can drive it exactly as
+/// it drives the model's engine.
+struct TapeRanker<'a>(&'a DelRec);
+
+impl Ranker for TapeRanker<'_> {
+    fn name(&self) -> &str {
+        "delrec-tape"
+    }
+
+    fn score_candidates(&self, prefix: &[ItemId], candidates: &[ItemId]) -> Vec<f32> {
+        self.score_candidates_batch(&[(prefix, candidates)])
+            .pop()
+            .expect("one score row per request")
+    }
+
+    fn score_candidates_batch(&self, requests: &[ScoreRequest<'_>]) -> Vec<Vec<f32>> {
+        let items: Vec<_> = requests.iter().map(|&(h, c)| (h, c, c)).collect();
+        self.0.score_items_batch_tape(&items)
+    }
+}
+
+fn eval_with(model: &impl Ranker, ds: &Dataset, batch_size: usize) -> RankingReport {
     evaluate(
         model,
         ds,
@@ -53,14 +75,10 @@ fn eval_with(model: &DelRec, ds: &Dataset, batch_size: usize) -> RankingReport {
 
 #[test]
 fn exact_engine_reproduces_tape_metrics_at_every_batch_size() {
-    let (ds, mut model) = fitted_model();
-    assert!(model.inference_engine_enabled(), "engine is the default");
-
+    let (ds, model) = fitted_model();
     for bs in [1usize, 7, 32] {
-        model.set_inference_engine(true);
         let engine = eval_with(&model, &ds, bs);
-        model.set_inference_engine(false);
-        let tape = eval_with(&model, &ds, bs);
+        let tape = eval_with(&TapeRanker(&model), &ds, bs);
         assert_eq!(
             engine, tape,
             "batch_size={bs}: exact engine must match the tape rank for rank"
@@ -73,22 +91,20 @@ fn bits(t: &Tensor) -> Vec<u32> {
 }
 
 /// Engine ≡ tape, bit for bit, on a ragged batch with soft prompts and
-/// AdaLoRA deltas attached: `xl` (bidirectional, 2 layers — layer 0 takes
-/// the blocked attn·V GEMM), `causal_xl` (every row its own key count — the
-/// per-row path throughout) and `large` (single layer, so the prefix cache
-/// applies), serial and on a 4-lane pool.
+/// AdaLoRA deltas attached: `xl` (2 layers — layer 0 takes the blocked attn·V
+/// GEMM, the pruned last layer the per-row path) and `large` (single layer,
+/// so the prefix cache applies), serial and on a 4-lane pool.
 #[test]
 fn engine_mask_logits_are_bitwise_the_tapes_on_both_attention_paths() {
     let blocked = delrec::obs::global().counter("lm.attn.blocked");
     let per_row = delrec::obs::global().counter("lm.attn.per_row");
     for (name, base) in [
         ("xl", MiniLmConfig::xl(60)),
-        ("causal_xl", MiniLmConfig::causal_xl(60)),
         ("large", MiniLmConfig::large(60)),
     ] {
         let mut cfg = base;
         cfg.dropout = 0.0;
-        let (d, causal, layers) = (cfg.d_model, cfg.causal, cfg.num_layers);
+        let (d, layers) = (cfg.d_model, cfg.num_layers);
         let mut lm = MiniLm::new(cfg, 11);
         lm.attach_adalora(AdaLoraConfig::default(), 5);
         // Nudge singular values so adapter deltas are non-zero.
@@ -110,15 +126,8 @@ fn engine_mask_logits_are_bitwise_the_tapes_on_both_attention_paths() {
         // over the batch's padded 15 keys (exact zeros past an example's
         // end), the engine over the example's own — the same association
         // only when the count has at most one key past a 4-group or shares
-        // the longest example's last group, hence no 6, 7, 10 or 11. A causal
-        // row attends to every count up to its position, so that batch stays
-        // within 7 keys, where the tape has no partial group either.
-        let suffix_lens: &[usize] = if causal {
-            &[1, 3, 2]
-        } else {
-            &[1, 4, 5, 8, 9, 10, 11]
-        };
-        let seqs: Vec<Vec<LmToken>> = suffix_lens
+        // the longest example's last group, hence no 6, 7, 10 or 11.
+        let seqs: Vec<Vec<LmToken>> = [1usize, 4, 5, 8, 9, 10, 11]
             .iter()
             .map(|&n| {
                 let suffix = (0..n).map(|j| LmToken::Vocab(((7 * n + 3 * j) % 50 + 1) as u32));
@@ -135,7 +144,7 @@ fn engine_mask_logits_are_bitwise_the_tapes_on_both_attention_paths() {
 
         let ic = InferCtx::default();
         let cache = lm.build_prefix_cache(&ic, &prefix, Some(&soft));
-        assert_eq!(cache.is_some(), causal || layers == 1, "{name}: cache gate");
+        assert_eq!(cache.is_some(), layers == 1, "{name}: cache gate");
         for lanes in [1usize, 4] {
             let (b0, r0) = (blocked.get(), per_row.get());
             with_pool(&ThreadPool::new(lanes), || {
@@ -147,8 +156,8 @@ fn engine_mask_logits_are_bitwise_the_tapes_on_both_attention_paths() {
                     assert!(bits(&got) == bits(&want), "{name}, {lanes} lanes, cached");
                 }
             });
-            // Only a bidirectional layer that keeps all its query rows can
-            // block; the pruned last layer and causal models go row by row.
+            // Only a layer that keeps all its query rows can block; the
+            // pruned last layer goes row by row.
             // (Counters are process-wide: lower bounds, not equalities.)
             if name == "xl" {
                 assert!(blocked.get() > b0, "xl layer 0 must take the blocked path");

@@ -122,10 +122,8 @@ proptest! {
     #[test]
     fn forward_batch_matches_per_sequence_forward(
         lens in prop::collection::vec(1usize..12, 1..5),
-        causal_bit in 0u8..2,
         seed in 0u64..1000,
     ) {
-        let causal = causal_bit == 1;
         let vocab = 40usize;
         let cfg = MiniLmConfig {
             vocab_size: vocab,
@@ -135,7 +133,6 @@ proptest! {
             ffn_dim: 32,
             max_len: 16,
             dropout: 0.0,
-            causal,
         };
         let lm = MiniLm::new(cfg, seed);
         let mut tok_rng = StdRng::seed_from_u64(seed ^ 0x51ED);

@@ -87,13 +87,15 @@ fn assert_fused_matches(
 #[test]
 fn fused_matches_reference_at_fixed_awkward_shapes() {
     // (n_items, dim, batch): under one panel, under one tile, one item past
-    // a tile, and a solo query over a catalog large enough that it forks.
+    // a tile, a solo query over a catalog large enough that it forks, and a
+    // catalog on which every row of a batch forks onto all 8 lanes.
     for (n_items, dim, b) in [
         (5, 3, 5),
         (37, 8, 32),
         (1025, 16, 130),
         (3001, 7, 5),
         (9001, 16, 1),
+        (8192, 64, 32),
     ] {
         for format in FORMATS {
             let r = Retriever::build(fill(n_items as u64, n_items * dim), dim, 0, format);
