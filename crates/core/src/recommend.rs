@@ -36,19 +36,11 @@ pub struct RecommendConfig {
     /// prompt). The recall ceiling of the whole pipeline: a target the scan
     /// leaves below this cut can never be recommended.
     pub retrieve_n: usize,
-    /// Storage format of the item index, fixed at construction: f32 panels
-    /// by default, or int8 codes — a 3.6x smaller index whose scan kernel
-    /// `perfbench` records at 0.4–0.55x the f32 kernel's GFLOP/s
-    /// (`tensor.gemm_q8_scan_gflops`), with scores that differ in low bits.
-    pub index_format: IndexFormat,
 }
 
 impl Default for RecommendConfig {
     fn default() -> Self {
-        RecommendConfig {
-            retrieve_n: 100,
-            index_format: IndexFormat::F32,
-        }
+        RecommendConfig { retrieve_n: 100 }
     }
 }
 
@@ -139,7 +131,7 @@ impl Recommender {
         let version = self.model.lm().store().version();
         let (retriever, hit) = self.cache.get_or_build(version, || {
             let (emb, dim) = Self::export_embeddings(self.model.lm(), self.model.items());
-            Retriever::build(emb, dim, version, self.cfg.index_format)
+            Retriever::build(emb, dim, version, IndexFormat::F32)
         });
         if hit {
             delrec_obs::counter!("retrieval.index.hit").incr();

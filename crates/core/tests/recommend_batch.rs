@@ -5,11 +5,10 @@
 //! retriever pin, one batched catalog scan, one re-rank forward) is bitwise
 //! identical to looping the sequential `recommend` — over ragged request
 //! sets including empty histories, per-request `k`s larger than
-//! `retrieve_n`, both index formats, and at `DELREC_THREADS` ∈ {1, 2, 4, 8}.
+//! `retrieve_n`, and at `DELREC_THREADS` ∈ {1, 2, 4, 8}.
 //!
 //! One smoke model is fitted and shared across all the checks (fitting
-//! dominates this test's runtime; the checks themselves are cheap): the
-//! second index format gets a save/load copy of it.
+//! dominates this test's runtime; the checks themselves are cheap).
 
 use delrec_core::{
     build_teacher, pretrained_lm, DelRec, DelRecConfig, LmPreset, Pipeline, RecommendConfig,
@@ -19,7 +18,7 @@ use delrec_data::synthetic::{DatasetProfile, SyntheticConfig};
 use delrec_data::{Dataset, ItemId, Split};
 use delrec_eval::{Ranker, TopKQuery, TopKRecommender};
 use delrec_par::{with_pool, ThreadPool};
-use delrec_retrieval::{sort_ranked, IndexFormat};
+use delrec_retrieval::sort_ranked;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Retrieved items the re-rank prompt shows (the paper's 15-way candidate
@@ -95,13 +94,7 @@ fn smoke_recommender() -> (Recommender, Vec<Vec<ItemId>>) {
     let model = DelRec::fit(&ds, &pipeline, teacher.as_ref(), lm, &smoke_config());
     // A small retrieve_n so the k > retrieve_n requests below actually
     // exercise the per-request max(retrieve_n, k) depth widening.
-    let rec = Recommender::with_config(
-        model,
-        RecommendConfig {
-            retrieve_n: 8,
-            ..Default::default()
-        },
-    );
+    let rec = Recommender::with_config(model, RecommendConfig { retrieve_n: 8 });
     // Ragged histories: real test prefixes of varying length, a one-item
     // history, and the empty cold start.
     let mut histories: Vec<Vec<ItemId>> = ds.examples(Split::Test)[..4]
@@ -122,45 +115,35 @@ fn recommend_batch_is_bitwise_sequential_across_threads_and_modes() {
     let ks: [usize; 6] = [5, 20, 8, 3, 20, 1];
     let requests: Vec<TopKQuery<'_>> = refs.iter().zip(ks).map(|(&h, k)| (h, k)).collect();
 
-    let q8 = restored(
-        &rec,
-        RecommendConfig {
-            index_format: IndexFormat::Q8,
-            ..rec.config().clone()
-        },
-    );
-    for rec in [&rec, &q8] {
-        let mode = rec.config().index_format;
-        let serial = ThreadPool::new(1);
-        let want: Vec<_> = with_pool(&serial, || {
-            requests
+    let serial = ThreadPool::new(1);
+    let want: Vec<_> = with_pool(&serial, || {
+        requests
+            .iter()
+            .map(|&(h, k)| bits(&rec.recommend(h, k)))
+            .collect()
+    });
+    for &t in &THREADS {
+        let pool = ThreadPool::new(t);
+        let got: Vec<_> = with_pool(&pool, || {
+            rec.recommend_top_k_batch(&requests)
                 .iter()
-                .map(|&(h, k)| bits(&rec.recommend(h, k)))
+                .map(|row| bits(row))
                 .collect()
         });
-        for &t in &THREADS {
-            let pool = ThreadPool::new(t);
-            let got: Vec<_> = with_pool(&pool, || {
-                rec.recommend_top_k_batch(&requests)
-                    .iter()
-                    .map(|row| bits(row))
-                    .collect()
-            });
-            assert_eq!(want, got, "{mode:?} batch diverged at {t} threads");
-        }
-
-        // Uniform-k wrapper against the same sequential reference.
-        let k = 10;
-        let want_uniform: Vec<_> = with_pool(&serial, || {
-            refs.iter().map(|&h| bits(&rec.recommend(h, k))).collect()
-        });
-        let got_uniform: Vec<_> = rec
-            .recommend_batch(&refs, k)
-            .iter()
-            .map(|row| bits(row))
-            .collect();
-        assert_eq!(want_uniform, got_uniform, "{mode:?} uniform-k diverged");
+        assert_eq!(want, got, "batch diverged at {t} threads");
     }
+
+    // Uniform-k wrapper against the same sequential reference.
+    let k = 10;
+    let want_uniform: Vec<_> = with_pool(&serial, || {
+        refs.iter().map(|&h| bits(&rec.recommend(h, k))).collect()
+    });
+    let got_uniform: Vec<_> = rec
+        .recommend_batch(&refs, k)
+        .iter()
+        .map(|row| bits(row))
+        .collect();
+    assert_eq!(want_uniform, got_uniform, "uniform-k diverged");
 
     // Degenerate shapes.
     assert!(rec.recommend_top_k_batch(&[]).is_empty());

@@ -35,13 +35,7 @@ fn a_batch_records_each_winners_retrieval_rank_once() {
     cfg.lm = LmPreset::Large;
     let model = DelRec::fit(&ds, &pipeline, teacher.as_ref(), lm, &cfg);
     let retrieve_n = 8;
-    let rec = Recommender::with_config(
-        model,
-        RecommendConfig {
-            retrieve_n,
-            ..Default::default()
-        },
-    );
+    let rec = Recommender::with_config(model, RecommendConfig { retrieve_n });
 
     let mut histories: Vec<Vec<ItemId>> = ds.examples(Split::Test)[..4]
         .iter()

@@ -129,10 +129,12 @@ where
             covered[d] += present as f64 / oracle.len() as f64;
         }
     }
+    // No examples reads 0.0, as in `RankingReport` and `TopKReport`.
+    let mean = |total: f64| if take == 0 { 0.0 } else { total / take as f64 };
     RetrievalReport {
         ns: cfg.ns.clone(),
-        recall: hits.iter().map(|&h| h as f64 / take as f64).collect(),
-        coverage: covered.iter().map(|&c| c / take as f64).collect(),
+        recall: hits.iter().map(|&h| mean(h as f64)).collect(),
+        coverage: covered.iter().map(|&c| mean(c)).collect(),
         examples: take,
     }
 }
@@ -279,6 +281,23 @@ mod tests {
         assert!(report.recall_at(1) <= report.recall_at(n));
         assert!(report.coverage_at(1) <= report.coverage_at(n));
         assert_eq!(report.len(), 10);
+    }
+
+    #[test]
+    fn empty_evaluation_reports_zero_not_nan() {
+        let ds = tiny();
+        let n = ds.num_items();
+        let cfg = RetrievalEvalConfig {
+            ns: vec![1, n],
+            max_examples: Some(0),
+            ..Default::default()
+        };
+        let report = evaluate_retrieval(id_order(n), &ds, Split::Test, &cfg);
+        assert!(report.is_empty());
+        for depth in [1, n] {
+            assert_eq!(report.recall_at(depth), 0.0, "recall@{depth}");
+            assert_eq!(report.coverage_at(depth), 0.0, "coverage@{depth}");
+        }
     }
 
     struct Oracle {

@@ -160,33 +160,30 @@ pub fn evaluate_examples<R: Ranker + ?Sized>(
         .max_examples
         .unwrap_or(examples.len())
         .min(examples.len());
-    let mut ranks = vec![0usize; take];
+    let mut ranks = Vec::with_capacity(take);
     for range in delrec_par::chunk_ranges(take, cfg.batch_size) {
-        let out = &mut ranks[range.clone()];
-        rank_chunk(
+        ranks.extend(rank_chunk(
             ranker,
             &examples[range.clone()],
             &sampler,
             cfg,
             range.start,
-            out,
-        );
+        ));
     }
     RankingReport::new(ranks, cfg.m)
 }
 
-/// Score one chunk of examples and write each example's rank into `out`
-/// (`out.len() == chunk.len()`). `base` is the chunk's absolute offset in
-/// the evaluation order — candidate sampling keys on it, so a chunk's
-/// candidate sets are independent of which thread (or call path) runs it.
+/// Score one chunk of examples and return each example's rank, in chunk
+/// order. `base` is the chunk's absolute offset in the evaluation order —
+/// candidate sampling keys on it, so a chunk's candidate sets are
+/// independent of how the chunking falls.
 fn rank_chunk<R: Ranker + ?Sized>(
     ranker: &R,
     chunk: &[delrec_data::Example],
     sampler: &CandidateSampler,
     cfg: &EvalConfig,
     base: usize,
-    out: &mut [usize],
-) {
+) -> Vec<usize> {
     let _chunk_span = delrec_obs::span!("eval.chunk");
     let candidate_sets: Vec<Vec<ItemId>> = chunk
         .iter()
@@ -204,27 +201,29 @@ fn rank_chunk<R: Ranker + ?Sized>(
         chunk.len(),
         "ranker returned wrong batch size"
     );
-    for (slot, ((ex, candidates), scores)) in out
-        .iter_mut()
-        .zip(chunk.iter().zip(&candidate_sets).zip(&score_rows))
-    {
-        assert_eq!(
-            scores.len(),
-            candidates.len(),
-            "ranker returned wrong arity"
-        );
-        let pos = candidates
-            .iter()
-            .position(|&c| c == ex.target)
-            .expect("sampler always includes the positive");
-        // Rank = number of candidates scored strictly higher (ties favour
-        // earlier candidates to stay deterministic).
-        *slot = scores
-            .iter()
-            .enumerate()
-            .filter(|&(j, &s)| s > scores[pos] || (s == scores[pos] && j < pos))
-            .count();
-    }
+    chunk
+        .iter()
+        .zip(&candidate_sets)
+        .zip(&score_rows)
+        .map(|((ex, candidates), scores)| {
+            assert_eq!(
+                scores.len(),
+                candidates.len(),
+                "ranker returned wrong arity"
+            );
+            let pos = candidates
+                .iter()
+                .position(|&c| c == ex.target)
+                .expect("sampler always includes the positive");
+            // Rank = number of candidates scored strictly higher (ties favour
+            // earlier candidates to stay deterministic).
+            scores
+                .iter()
+                .enumerate()
+                .filter(|&(j, &s)| s > scores[pos] || (s == scores[pos] && j < pos))
+                .count()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,8 +1,11 @@
 //! The brute-force item index: every item embedding, L2-normalized and
 //! repacked into the GEMM panel layout, so a full-catalog scan is the packed
-//! GEMM kernel walked over the panels. The f32 format packs 64-wide panels
+//! GEMM kernel walked over the panels. The index packs f32 in 64-wide panels
 //! ([`SCAN_NR`]), which the kernel scans through its one entry with a
-//! 512-bit (AVX-512F) twin; the q8 format keeps the 8-wide `NR` layout.
+//! 512-bit (AVX-512F) twin. An int8 index was measured and dropped: on the
+//! 262 144-item benchmark catalog it cut peak RSS by under 5 % and served
+//! at 0.64x the f32 throughput (DESIGN.md, *int8 panels* under "GEMM
+//! kernel").
 //!
 //! No approximate-nearest-neighbor structure: at the catalog scales this
 //! repo targets (10⁴–10⁶ items × 16–128 dims) a blocked GEMM scan is
@@ -22,78 +25,29 @@
 
 use crate::topk::TopKSelector;
 use delrec_data::ItemId;
-use delrec_tensor::{
-    gemm_packed, gemm_packed_panels, gemm_packed_q8, gemm_packed_q8_panels, pack_b_transposed,
-    pack_b_transposed_into, quantize_pack, PackedB, QuantizedPanel, NR, SCAN_NR,
-};
-use std::ops::Range;
+use delrec_tensor::{gemm_packed, gemm_packed_panels, pack_b_transposed_into, PackedB, SCAN_NR};
 
-/// Items per streamed score tile of [`ItemIndex::scan_top_k`] (a whole
-/// number of panels of either format: 16 of the f32 pack's [`SCAN_NR`], 128
-/// of the q8 pack's `NR`). Sized so a lane's `[rows, TILE_ITEMS]` f32
-/// block — 4 KB for a solo query, 512 KB at the retriever's 128-row block —
-/// is still in L2 when the selectors read back what the kernel just wrote.
+/// Items per streamed score tile of [`ItemIndex::scan_top_k`]: 16 panels of
+/// [`SCAN_NR`]. Sized so a lane's `[rows, TILE_ITEMS]` f32 block — 4 KB for
+/// a solo query, 512 KB at the retriever's 128-row block — is still in L2
+/// when the selectors read back what the kernel just wrote.
 const TILE_ITEMS: usize = 1024;
+
+/// Panels per streamed score tile.
+const TILE_PANELS: usize = TILE_ITEMS / SCAN_NR;
 
 /// Minimum multiply-accumulates per lane before [`ItemIndex::scan_top_k`]
 /// forks: the same break-even the GEMM's own parallel driver uses.
 const PAR_MIN_MACS_PER_LANE: usize = 64 * 1024;
 
-/// How the packed item matrix is stored: f32 panels, or per-item int8 codes
-/// at ~4x smaller footprint with the scan accumulating in f32.
+/// How the packed item matrix is stored: f32 panels, the one format. Nothing
+/// reads it; the type and [`crate::Retriever::build`]'s argument of it exist
+/// only because the frozen `perfbench/` package names them, and go with that
+/// package's `[benchmark]` PR (ROADMAP 5(d)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IndexFormat {
     /// f32 panels ([`PackedB`]).
     F32,
-    /// Per-item-channel symmetric int8 panels ([`QuantizedPanel`]).
-    Q8,
-}
-
-/// Packed panels in one of the two formats, with a shared scoring entry:
-/// f32 in [`SCAN_NR`]-wide panels (the kernel's 512-bit-capable entry), q8 in
-/// `NR`-wide ones.
-enum Panel {
-    F32(PackedB<SCAN_NR>),
-    Q8(QuantizedPanel),
-}
-
-impl Panel {
-    /// Items per packed panel.
-    fn width(&self) -> usize {
-        match self {
-            Panel::F32(_) => SCAN_NR,
-            Panel::Q8(_) => NR,
-        }
-    }
-
-    fn scan(&self, queries: &[f32], lda: usize, out: &mut [f32], m: usize) {
-        match self {
-            Panel::F32(p) => gemm_packed(queries, lda, p, out, m, false),
-            Panel::Q8(q) => gemm_packed_q8(queries, lda, q, out, m, false),
-        }
-    }
-
-    /// Score panels `panels` only, into a dense `[m, width]` block.
-    fn scan_panels(
-        &self,
-        queries: &[f32],
-        lda: usize,
-        panels: Range<usize>,
-        out: &mut [f32],
-        m: usize,
-    ) {
-        match self {
-            Panel::F32(p) => gemm_packed_panels(queries, lda, p, panels, out, m),
-            Panel::Q8(q) => gemm_packed_q8_panels(queries, lda, q, panels, out, m),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            Panel::F32(p) => p.bytes(),
-            Panel::Q8(q) => q.bytes(),
-        }
-    }
 }
 
 /// L2-normalize each `dim`-length row in place; all-zero rows stay zero.
@@ -124,7 +78,7 @@ pub fn l2_normalize_rows(rows: &mut [f32], dim: usize) {
 /// determinism: each output score is one fixed left-associated k-order dot
 /// product no matter how many lanes computed the row.
 pub struct ItemIndex {
-    panel: Panel,
+    panel: PackedB<SCAN_NR>,
     dim: usize,
     n_items: usize,
     version: u64,
@@ -135,7 +89,7 @@ impl ItemIndex {
     /// rows are normalized in place before packing). `version` tags the
     /// parameter-store version the embeddings came from, for cache
     /// invalidation upstream.
-    pub fn build(mut embeddings: Vec<f32>, dim: usize, version: u64, format: IndexFormat) -> Self {
+    pub fn build(mut embeddings: Vec<f32>, dim: usize, version: u64) -> Self {
         assert!(dim > 0, "embedding dim must be positive");
         assert_eq!(
             embeddings.len() % dim,
@@ -148,17 +102,9 @@ impl ItemIndex {
         let _span = delrec_obs::span!("retrieval.index.build");
         l2_normalize_rows(&mut embeddings, dim);
         // `[n_items, dim]` row-major is exactly the transposed-source layout
-        // the `pack_b_transposed*` functions pack into `[dim, n_items]` panels.
-        let panel = match format {
-            IndexFormat::F32 => {
-                let mut packed = PackedB::default();
-                pack_b_transposed_into(&embeddings, dim, n_items, &mut packed);
-                Panel::F32(packed)
-            }
-            IndexFormat::Q8 => {
-                Panel::Q8(quantize_pack(&pack_b_transposed(&embeddings, dim, n_items)))
-            }
-        };
+        // `pack_b_transposed_into` packs into `[dim, n_items]` panels.
+        let mut panel = PackedB::default();
+        pack_b_transposed_into(&embeddings, dim, n_items, &mut panel);
         delrec_obs::counter!("retrieval.index.build").incr();
         delrec_obs::gauge!("retrieval.index.bytes").set(panel.bytes() as f64);
         ItemIndex {
@@ -189,15 +135,7 @@ impl ItemIndex {
         self.version
     }
 
-    /// Storage format of the packed panels.
-    pub fn format(&self) -> IndexFormat {
-        match self.panel {
-            Panel::F32(_) => IndexFormat::F32,
-            Panel::Q8(_) => IndexFormat::Q8,
-        }
-    }
-
-    /// Heap bytes of the packed panels (padding and scales included).
+    /// Heap bytes of the packed panels (padding included).
     pub fn bytes(&self) -> usize {
         self.panel.bytes()
     }
@@ -224,7 +162,7 @@ impl ItemIndex {
             return;
         }
         let _span = delrec_obs::span!("retrieval.scan");
-        self.panel.scan(queries, self.dim, out, m);
+        gemm_packed(queries, self.dim, &self.panel, out, m, false);
         self.count_scan(m);
     }
 
@@ -253,10 +191,8 @@ impl ItemIndex {
             return Vec::new();
         }
         let _span = delrec_obs::span!("retrieval.scan");
-        let panel_width = self.panel.width();
-        let tile_panels = TILE_ITEMS / panel_width;
-        let panels = n_items.div_ceil(panel_width);
-        let tiles = panels.div_ceil(tile_panels);
+        let panels = n_items.div_ceil(SCAN_NR);
+        let tiles = panels.div_ceil(TILE_PANELS);
         let pool = delrec_par::current();
         let lanes = (m * dim * n_items / PAR_MIN_MACS_PER_LANE).clamp(1, pool.lanes());
         let tile_ranges = delrec_par::partition(tiles, lanes);
@@ -272,11 +208,11 @@ impl ItemIndex {
         pool.for_each_chunk(&mut selectors, 1, |lane, rows| {
             let mut block = vec![0.0f32; m * TILE_ITEMS.min(n_items)];
             for tile in tile_ranges[lane].clone() {
-                let range = tile * tile_panels..((tile + 1) * tile_panels).min(panels);
+                let range = tile * TILE_PANELS..((tile + 1) * TILE_PANELS).min(panels);
                 let first = tile * TILE_ITEMS;
-                let width = (range.end * panel_width).min(n_items) - first;
+                let width = (range.end * SCAN_NR).min(n_items) - first;
                 let block = &mut block[..m * width];
-                self.panel.scan_panels(queries, dim, range, block, m);
+                gemm_packed_panels(queries, dim, &self.panel, range, block, m);
                 for (selector, scores) in rows[0].iter_mut().zip(block.chunks_exact(width)) {
                     selector.push_tile(first as u32, scores);
                 }
@@ -339,7 +275,7 @@ mod tests {
     fn scan_matches_explicit_dot_products() {
         let (n, d) = (37, 8);
         let mut emb = fill(11, n * d);
-        let idx = ItemIndex::build(emb.clone(), d, 0, IndexFormat::F32);
+        let idx = ItemIndex::build(emb.clone(), d, 0);
         l2_normalize_rows(&mut emb, d);
         let q = fill(23, d);
         let scores = idx.scan(&q);
@@ -354,7 +290,7 @@ mod tests {
     fn batch_scan_rows_match_single_query_scans() {
         let (n, d, m) = (19, 6, 4);
         let emb = fill(5, n * d);
-        let idx = ItemIndex::build(emb, d, 0, IndexFormat::F32);
+        let idx = ItemIndex::build(emb, d, 0);
         let queries = fill(7, m * d);
         let mut batch = vec![0.0f32; m * n];
         idx.scan_batch_into(&queries, m, &mut batch);
@@ -375,43 +311,19 @@ mod tests {
         let bits = |r: &[(ItemId, f32)]| -> Vec<(u32, u32)> {
             r.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
         };
-        for format in [IndexFormat::F32, IndexFormat::Q8] {
-            let idx = ItemIndex::build(emb.clone(), d, 0, format);
-            let (admitted, passes) = (
-                counter("retrieval.select.admitted"),
-                counter("retrieval.scan.batches"),
-            );
-            let got = idx.scan_top_k(&queries, &ks);
-            // Other tests bump the same process-wide counters: lower bounds only.
-            assert!(counter("retrieval.scan.batches") > passes);
-            assert!(counter("retrieval.select.admitted") >= admitted + (1 + 100 + n) as u64);
-            for (i, (row, &k)) in got.iter().zip(&ks).enumerate() {
-                let want = crate::top_k(&idx.scan(&queries[i * d..(i + 1) * d]), k);
-                assert_eq!(bits(row), bits(&want), "{format:?} row {i}");
-            }
+        let idx = ItemIndex::build(emb, d, 0);
+        let (admitted, passes) = (
+            counter("retrieval.select.admitted"),
+            counter("retrieval.scan.batches"),
+        );
+        let got = idx.scan_top_k(&queries, &ks);
+        // Other tests bump the same process-wide counters: lower bounds only.
+        assert!(counter("retrieval.scan.batches") > passes);
+        assert!(counter("retrieval.select.admitted") >= admitted + (1 + 100 + n) as u64);
+        for (i, (row, &k)) in got.iter().zip(&ks).enumerate() {
+            let want = crate::top_k(&idx.scan(&queries[i * d..(i + 1) * d]), k);
+            assert_eq!(bits(row), bits(&want), "row {i}");
         }
-        assert!(ItemIndex::build(emb, d, 0, IndexFormat::F32)
-            .scan_top_k(&[], &[])
-            .is_empty());
-    }
-
-    #[test]
-    fn q8_index_is_smaller_and_close_to_f32() {
-        let (n, d) = (64, 32);
-        let emb = fill(3, n * d);
-        let f = ItemIndex::build(emb.clone(), d, 0, IndexFormat::F32);
-        let q = ItemIndex::build(emb, d, 0, IndexFormat::Q8);
-        assert!(q.bytes() * 3 < f.bytes(), "{} vs {}", q.bytes(), f.bytes());
-        let query = fill(9, d);
-        let (sf, sq) = (f.scan(&query), q.scan(&query));
-        for j in 0..n {
-            // Unit-norm rows bound per-element quantization error by 1/254.
-            assert!(
-                (sf[j] - sq[j]).abs() < 0.05,
-                "item {j}: {} vs {}",
-                sf[j],
-                sq[j]
-            );
-        }
+        assert!(idx.scan_top_k(&[], &[]).is_empty());
     }
 }

@@ -51,14 +51,16 @@ pub struct Retriever {
 
 impl Retriever {
     /// Build both stages from one row-major `[n_items, dim]` embedding
-    /// matrix exported at parameter-store version `version`.
-    pub fn build(embeddings: Vec<f32>, dim: usize, version: u64, format: IndexFormat) -> Self {
+    /// matrix exported at parameter-store version `version`. `_format` is
+    /// ignored: [`IndexFormat`] has one variant, and the argument goes with
+    /// it (ROADMAP 5(d)).
+    pub fn build(embeddings: Vec<f32>, dim: usize, version: u64, _format: IndexFormat) -> Self {
         let encoder = UserEncoder::new(embeddings.clone(), dim);
-        let index = ItemIndex::build(embeddings, dim, version, format);
+        let index = ItemIndex::build(embeddings, dim, version);
         Retriever { index, encoder }
     }
 
-    /// The packed index (size, version, format, bytes).
+    /// The packed index (size, version, bytes).
     pub fn index(&self) -> &ItemIndex {
         &self.index
     }

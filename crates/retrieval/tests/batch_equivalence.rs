@@ -1,8 +1,8 @@
 //! The batched-retrieval pin: `retrieve_batch` / `retrieve_batch_each` are
 //! bitwise identical to looping the sequential single-query `retrieve` — at
 //! every thread count, batch size, retrieval depth (including deeper than
-//! the catalog), index format, and over ragged batches including empty
-//! histories. Batching is a bandwidth knob, never a numerics knob.
+//! the catalog), and over ragged batches including empty histories.
+//! Batching is a bandwidth knob, never a numerics knob.
 
 use delrec_data::ItemId;
 use delrec_par::{with_pool, ThreadPool};
@@ -42,32 +42,30 @@ fn ragged_histories(seed: u64, b: usize, n_items: usize) -> Vec<Vec<ItemId>> {
 }
 
 #[test]
-fn batched_scan_matches_sequential_bitwise_across_threads_and_formats() {
+fn batched_scan_matches_sequential_bitwise_across_threads() {
     // Catalog big enough that the scan's parallel driver engages.
     let (n_items, dim) = (4096, 32);
     let emb = fill(0xBA7C4, n_items * dim);
-    for format in [IndexFormat::F32, IndexFormat::Q8] {
-        let idx = ItemIndex::build(emb.clone(), dim, 0, format);
-        for b in [1usize, 3, 32] {
-            let queries = fill(b as u64 + 9, b * dim);
-            for &t in &THREADS {
-                let pool = ThreadPool::new(t);
-                with_pool(&pool, || {
-                    let batch = idx.scan_batch(&queries, b);
-                    for i in 0..b {
-                        let single = idx.scan(&queries[i * dim..(i + 1) * dim]);
-                        let batch_bits: Vec<u32> = batch[i * n_items..(i + 1) * n_items]
-                            .iter()
-                            .map(|s| s.to_bits())
-                            .collect();
-                        let single_bits: Vec<u32> = single.iter().map(|s| s.to_bits()).collect();
-                        assert_eq!(
-                            batch_bits, single_bits,
-                            "{format:?} row {i} of {b} diverged at {t} threads"
-                        );
-                    }
-                });
-            }
+    let idx = ItemIndex::build(emb, dim, 0);
+    for b in [1usize, 3, 32] {
+        let queries = fill(b as u64 + 9, b * dim);
+        for &t in &THREADS {
+            let pool = ThreadPool::new(t);
+            with_pool(&pool, || {
+                let batch = idx.scan_batch(&queries, b);
+                for i in 0..b {
+                    let single = idx.scan(&queries[i * dim..(i + 1) * dim]);
+                    let batch_bits: Vec<u32> = batch[i * n_items..(i + 1) * n_items]
+                        .iter()
+                        .map(|s| s.to_bits())
+                        .collect();
+                    let single_bits: Vec<u32> = single.iter().map(|s| s.to_bits()).collect();
+                    assert_eq!(
+                        batch_bits, single_bits,
+                        "row {i} of {b} diverged at {t} threads"
+                    );
+                }
+            });
         }
     }
 }
@@ -96,18 +94,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline pin: ragged batches (empty histories included), per-row
-    /// depths larger than the catalog, both formats, every thread count.
+    /// depths larger than the catalog, every thread count.
     #[test]
     fn retrieve_batch_each_is_bitwise_sequential(
         n_items in 16usize..200,
         dim in 1usize..16,
         b in 0usize..12,
         seed in 0u64..1 << 20,
-        q8 in prop_oneof![Just(false), Just(true)],
     ) {
-        let format = if q8 { IndexFormat::Q8 } else { IndexFormat::F32 };
         let emb = fill(seed, n_items * dim);
-        let r = Retriever::build(emb, dim, 0, format);
+        let r = Retriever::build(emb, dim, 0, IndexFormat::F32);
         let histories = ragged_histories(seed, b, n_items);
         let refs: Vec<&[ItemId]> = histories.iter().map(|h| h.as_slice()).collect();
         // Depths sweep past the catalog size (k > retrieve_n upstream maps
@@ -129,7 +125,7 @@ proptest! {
                     .map(|row| ranked_bits(row))
                     .collect()
             });
-            prop_assert_eq!(&want, &got, "{:?} diverged at {} threads", format, t);
+            prop_assert_eq!(&want, &got, "diverged at {} threads", t);
         }
     }
 

@@ -58,8 +58,8 @@ fn equal_scores_order_by_item_id_unit() {
 #[test]
 fn full_retrieval_is_bitwise_identical_across_thread_counts() {
     // Catalogs big enough that the scan's parallel driver engages
-    // (macs = dim · n_items ≥ 128k) and q8 panels get several stripes;
-    // 8192 × 64 is big enough that a solo query forks onto all 8 lanes.
+    // (macs = dim · n_items ≥ 128k); 8192 × 64 is big enough that a solo
+    // query forks onto all 8 lanes.
     for (n_items, dim) in [(6144, 32), (8192, 64)] {
         let emb = fill(0xC0FFEE, n_items * dim);
         let histories: Vec<Vec<ItemId>> = (0..8)
@@ -69,28 +69,26 @@ fn full_retrieval_is_bitwise_identical_across_thread_counts() {
                     .collect()
             })
             .collect();
-        for format in [IndexFormat::F32, IndexFormat::Q8] {
-            let r = Retriever::build(emb.clone(), dim, 7, format);
-            let serial = ThreadPool::new(1);
-            let want: Vec<_> = with_pool(&serial, || {
+        let r = Retriever::build(emb, dim, 7, IndexFormat::F32);
+        let serial = ThreadPool::new(1);
+        let want: Vec<_> = with_pool(&serial, || {
+            histories
+                .iter()
+                .map(|h| ranked_bits(&r.retrieve(h, 100)))
+                .collect()
+        });
+        for &t in &THREADS[1..] {
+            let pool = ThreadPool::new(t);
+            let got: Vec<_> = with_pool(&pool, || {
                 histories
                     .iter()
                     .map(|h| ranked_bits(&r.retrieve(h, 100)))
                     .collect()
             });
-            for &t in &THREADS[1..] {
-                let pool = ThreadPool::new(t);
-                let got: Vec<_> = with_pool(&pool, || {
-                    histories
-                        .iter()
-                        .map(|h| ranked_bits(&r.retrieve(h, 100)))
-                        .collect()
-                });
-                assert_eq!(
-                    want, got,
-                    "{format:?} {n_items}x{dim} retrieval diverged at {t} threads"
-                );
-            }
+            assert_eq!(
+                want, got,
+                "{n_items}x{dim} retrieval diverged at {t} threads"
+            );
         }
     }
 }
@@ -98,7 +96,7 @@ fn full_retrieval_is_bitwise_identical_across_thread_counts() {
 #[test]
 fn scan_scores_match_serial_bitwise_at_every_thread_count() {
     let (n_items, dim) = (4096, 48);
-    let idx = ItemIndex::build(fill(42, n_items * dim), dim, 0, IndexFormat::F32);
+    let idx = ItemIndex::build(fill(42, n_items * dim), dim, 0);
     let query = {
         let mut q = fill(77, dim);
         delrec_retrieval::l2_normalize_rows(&mut q, dim);

@@ -35,10 +35,10 @@ mod ops;
 pub use infer::{InferCtx, MathMode};
 pub use ops::vmath;
 pub use ops::{
-    gemm, gemm_auto, gemm_packed, gemm_packed_baseline, gemm_packed_panels, gemm_packed_q8,
-    gemm_packed_q8_panels, matmul_raw, matmul_raw_strided, pack_b, pack_b_into, pack_b_q8,
-    pack_b_transposed, pack_b_transposed_into, quantize_pack, scan_simd_lanes, simd_lanes,
-    transpose_into, PackedB, QuantizedPanel, AUTO_PACK_MIN_MACS, MR, NR, SCAN_NR,
+    gemm_auto, gemm_packed, gemm_packed_baseline, gemm_packed_panels, gemm_packed_q8, matmul_raw,
+    matmul_raw_strided, pack_b, pack_b_into, pack_b_transposed, pack_b_transposed_into,
+    quantize_pack, scan_simd_lanes, simd_lanes, transpose_into, PackedB, QuantizedPanel,
+    AUTO_PACK_MIN_MACS, MR, NR, SCAN_NR,
 };
 pub use params::{Ctx, ParamId, ParamStore, VersionedSlot};
 pub use shape::{k_group_rows, Rows, Shape, K_GROUP};

@@ -64,17 +64,15 @@ const PAR_MIN_MACS_PER_TASK: usize = 64 * 1024;
 
 /// Minimum multiply-accumulates for an auto-dispatching GEMM to pay for a
 /// per-call packing pass: packing allocates and writes `⌈n/NR⌉·k·NR` floats
-/// (f32 panels) or codes-plus-scales (q8 panels) before a single MAC runs,
-/// and below a few thousand MACs [`matmul_raw`] finishes in less time than
-/// that data movement. Mirrors [`PAR_MIN_MACS_PER_TASK`] an order of
-/// magnitude down — an allocation plus a copy is far cheaper than a
-/// fork/join handshake, but not free.
+/// before a single MAC runs, and below a few thousand MACs [`matmul_raw`]
+/// finishes in less time than that data movement. Mirrors
+/// [`PAR_MIN_MACS_PER_TASK`] an order of magnitude down — an allocation plus
+/// a copy is far cheaper than a fork/join handshake, but not free.
 ///
-/// This is the *single* named threshold for every pack-or-not decision: the
-/// f32 [`gemm_auto`] dispatch consults it directly, and q8 callers reuse it
-/// when deciding whether a one-shot product is worth quantize-packing
-/// (long-lived panels — LM weight packs, the retrieval item index — pack
-/// unconditionally because the cost amortizes over every later call).
+/// This is the *single* named threshold for every pack-or-not decision:
+/// [`gemm_auto`] consults it (long-lived panels — LM weight packs, the
+/// retrieval item index — pack unconditionally because the cost amortizes
+/// over every later call).
 pub const AUTO_PACK_MIN_MACS: usize = 8 * 1024;
 
 /// A right-hand GEMM operand repacked into `W`-wide column panels (`W`
@@ -191,6 +189,12 @@ pub fn pack_b_transposed_into<const W: usize>(
 /// all-zero codes — no division, no NaN. Scales are indexed by global column
 /// (`scales[j]`; panel `p` owns `scales[p·NR .. (p+1)·NR]`, padded lanes
 /// carry `0.0`).
+///
+/// No product path stores one: int8 lost to f32 both under the LM and as
+/// the item index (DESIGN.md, "GEMM kernel", *int8 panels*). The type,
+/// [`quantize_pack`] and [`gemm_packed_q8`] stay only because the frozen
+/// `perfbench/` package's `tensor.gemm_q8_scan_gflops` probe calls them,
+/// and go with that package's `[benchmark]` PR (ROADMAP 5(d)).
 #[derive(Clone, Debug)]
 pub struct QuantizedPanel {
     data: Vec<i8>,
@@ -228,10 +232,9 @@ impl QuantizedPanel {
 
 /// Quantize an existing f32 pack, preserving its layout: per-column max-abs
 /// over the panels (column `j` is lane `j % NR` of panel `j / NR`), then one
-/// rounded, clamped division per element. [`pack_b_q8`] goes through this,
-/// so the code layout is identical to the f32 pack by construction — and a
-/// caller that already holds a [`PackedB`] (the retrieval item index) can
-/// quantize it without re-deriving the panels.
+/// rounded, clamped division per element, so the code layout is identical
+/// to the f32 pack by construction. Goes with [`QuantizedPanel`]
+/// (ROADMAP 5(d)).
 pub fn quantize_pack(bp: &PackedB) -> QuantizedPanel {
     let (k, n) = (bp.k, bp.n);
     let panels = n.div_ceil(NR);
@@ -262,12 +265,6 @@ pub fn quantize_pack(bp: &PackedB) -> QuantizedPanel {
         }
     }
     QuantizedPanel { data, scales, k, n }
-}
-
-/// Pack a row-major `[k, n]` matrix into int8 panels for [`gemm_packed_q8`]
-/// — the quantized counterpart of [`pack_b`].
-pub fn pack_b_q8(b: &[f32], k: usize, n: usize) -> QuantizedPanel {
-    quantize_pack(&pack_b(b, k, n))
 }
 
 /// `out[m, n] (+)= a[m, k] · B` for a packed `B`, with `A` rows `lda` floats
@@ -407,11 +404,9 @@ fn panel_block_width<const W: usize>(
     w
 }
 
-/// Serial/parallel split for [`gemm_packed`]. Both arms are bitwise-identical:
-/// parallelism only changes *which thread* computes which disjoint output
-/// rows or column stripes, never the k-order within an output element (see
-/// the module docs' bitwise-identity argument — tile heights and panel
-/// boundaries don't enter the per-element expression).
+/// [`gemm_packed`] (and [`gemm_backward`]'s products) through
+/// [`gemm_try_parallel`]: the serial call is [`panel_range`] over the pack's
+/// data, handed to the kernel as a slice parameter (see [`gemm_packed`]).
 #[inline]
 fn gemm_dispatch<const W: usize, const ACC: bool, const TA: bool>(
     a: &[f32],
@@ -420,41 +415,53 @@ fn gemm_dispatch<const W: usize, const ACC: bool, const TA: bool>(
     out: &mut [f32],
     m: usize,
 ) {
-    if gemm_try_parallel::<W, ACC, TA>(a, lda, bp, out, m) {
-        return;
-    }
-    let all = 0..bp.n.div_ceil(W);
-    panel_range::<W, ACC, TA>(a, lda, &bp.data, bp.k, bp.n, out, m, all, bp.n);
+    let (data, k, n) = (&bp.data[..], bp.k, bp.n);
+    gemm_try_parallel::<W, ACC>(m, k, n, out, |i0, rows, panels, out, ldo| {
+        // Output rows are columns of a transposed `A`.
+        let a = &a[if TA { i0 } else { i0 * lda }..];
+        panel_range::<W, ACC, TA>(a, lda, data, k, n, out, rows, panels, ldo);
+    });
 }
 
-/// Parallel driver: returns `false` (caller runs serial) when the current
-/// pool has one lane or the product is too small to amortize a fork.
+/// The one serial/parallel driver of both packed GEMMs, f32 and q8.
+/// `serial(i0, rows, panels, out, ldo)` computes output rows
+/// `i0 .. i0 + rows` over the `W`-wide column panels `panels` into `out`
+/// (rows `ldo` apart, column 0 at global column `panels.start · W`),
+/// adding into it under `ACC`. The product runs as one serial call when the
+/// current pool has one lane or is too small to amortize a fork — both
+/// checked before anything is allocated; otherwise:
 ///
 /// * **Row blocks** (tall shapes): the output rows are cut into `MR`-aligned
-///   contiguous blocks, each task running the ordinary serial driver on its
-///   own `A`-rows × `out`-rows sub-problem — a pure sub-slicing of the
-///   serial call.
+///   contiguous blocks, each task running the serial call on its own
+///   `A`-rows × `out`-rows sub-problem — a pure sub-slicing of the serial
+///   call.
 /// * **Panel blocks** (short, wide shapes — e.g. the `[bsz, vocab]` head):
 ///   each task computes a stripe of `W`-wide column panels into a private
 ///   stripe buffer (reading the prior `out` values first when accumulating),
 ///   and the caller copies the stripes back serially. Copies preserve bits,
 ///   so this too is exactly the serial arithmetic.
-fn gemm_try_parallel<const W: usize, const ACC: bool, const TA: bool>(
-    a: &[f32],
-    lda: usize,
-    bp: &PackedB<W>,
-    out: &mut [f32],
+///
+/// Either way parallelism only changes *which thread* computes which
+/// disjoint outputs, never the k-order within an output element (see the
+/// module docs' bitwise-identity argument — tile heights and panel
+/// boundaries don't enter the per-element expression).
+#[inline]
+fn gemm_try_parallel<const W: usize, const ACC: bool>(
     m: usize,
-) -> bool {
-    let (k, n) = (bp.k, bp.n);
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    serial: impl Fn(usize, usize, std::ops::Range<usize>, &mut [f32], usize) + Sync,
+) {
+    let panels = n.div_ceil(W);
     let macs = m * k * n;
     if macs < 2 * PAR_MIN_MACS_PER_TASK {
-        return false;
+        return serial(0, m, 0..panels, out, n);
     }
     let pool = delrec_par::current();
     let lanes = pool.lanes();
     if lanes < 2 {
-        return false;
+        return serial(0, m, 0..panels, out, n);
     }
     let task_cap = (macs / PAR_MIN_MACS_PER_TASK).min(lanes);
     let row_tiles = m.div_ceil(MR);
@@ -464,48 +471,40 @@ fn gemm_try_parallel<const W: usize, const ACC: bool, const TA: bool>(
             .iter()
             .map(|r| r.start * MR * n..(r.end * MR).min(m) * n)
             .collect();
-        let data = &bp.data;
         pool.for_each_range(out, &row_ranges, |ti, out_chunk| {
-            let i0 = tile_ranges[ti].start * MR;
             let rows = out_chunk.len() / n;
-            // Output rows are columns of a transposed `A`.
-            let a_block = &a[if TA { i0 } else { i0 * lda }..];
-            let all = 0..n.div_ceil(W);
-            panel_range::<W, ACC, TA>(a_block, lda, data, k, n, out_chunk, rows, all, n);
+            serial(tile_ranges[ti].start * MR, rows, 0..panels, out_chunk, n);
         });
-        return true;
+        return;
     }
-    let panels = n.div_ceil(W);
     let tasks = task_cap.min(panels);
-    if tasks >= 2 {
-        let panel_ranges = delrec_par::partition(panels, tasks);
-        let data = &bp.data;
-        let prior: &[f32] = out;
-        let mut stripes: Vec<Vec<f32>> = vec![Vec::new(); tasks];
-        pool.for_each_chunk(&mut stripes, 1, |ti, slot| {
-            let pr = &panel_ranges[ti];
-            let j0 = pr.start * W;
-            let w = (pr.end * W).min(n) - j0;
-            let mut tmp = vec![0.0f32; m * w];
-            if ACC {
-                for i in 0..m {
-                    tmp[i * w..(i + 1) * w].copy_from_slice(&prior[i * n + j0..i * n + j0 + w]);
-                }
-            }
-            panel_range::<W, ACC, TA>(a, lda, data, k, n, &mut tmp, m, pr.clone(), w);
-            slot[0] = tmp;
-        });
-        for (ti, pr) in panel_ranges.iter().enumerate() {
-            let j0 = pr.start * W;
-            let w = (pr.end * W).min(n) - j0;
-            let tmp = &stripes[ti];
+    if tasks < 2 {
+        return serial(0, m, 0..panels, out, n);
+    }
+    let panel_ranges = delrec_par::partition(panels, tasks);
+    let prior: &[f32] = out;
+    let mut stripes: Vec<Vec<f32>> = vec![Vec::new(); tasks];
+    pool.for_each_chunk(&mut stripes, 1, |ti, slot| {
+        let pr = &panel_ranges[ti];
+        let j0 = pr.start * W;
+        let w = (pr.end * W).min(n) - j0;
+        let mut tmp = vec![0.0f32; m * w];
+        if ACC {
             for i in 0..m {
-                out[i * n + j0..i * n + j0 + w].copy_from_slice(&tmp[i * w..(i + 1) * w]);
+                tmp[i * w..(i + 1) * w].copy_from_slice(&prior[i * n + j0..i * n + j0 + w]);
             }
         }
-        return true;
+        serial(0, m, pr.clone(), &mut tmp, w);
+        slot[0] = tmp;
+    });
+    for (ti, pr) in panel_ranges.iter().enumerate() {
+        let j0 = pr.start * W;
+        let w = (pr.end * W).min(n) - j0;
+        let tmp = &stripes[ti];
+        for i in 0..m {
+            out[i * n + j0..i * n + j0 + w].copy_from_slice(&tmp[i * w..(i + 1) * w]);
+        }
     }
-    false
 }
 
 /// The `W`-wide panels `p_range` of a packed `B` (`data`, `[k, n]`) into an
@@ -693,6 +692,9 @@ fn micro_tile<const W: usize, const MRT: usize, const ACC: bool, const TA: bool>
 /// One fixed rounding schedule per output element means results are
 /// run-to-run and thread-count deterministic — though not bitwise-equal to
 /// [`gemm_packed`] over the unquantized weights, which is the whole trade.
+/// It forks through the f32 path's driver ([`gemm_try_parallel`]), so its
+/// thread-count determinism is that driver's. Goes with [`QuantizedPanel`]
+/// (ROADMAP 5(d)).
 #[inline]
 pub fn gemm_packed_q8(
     a: &[f32],
@@ -706,137 +708,24 @@ pub fn gemm_packed_q8(
     debug_assert!(lda >= k, "row stride {lda} shorter than k {k}");
     debug_assert!(m == 0 || a.len() >= (m - 1) * lda + k);
     debug_assert_eq!(out.len(), m * n);
+    // Codes and scales reach the kernel as slice parameters, as in
+    // `gemm_packed`.
+    let (data, scales) = (&bq.data[..], &bq.scales[..]);
     if accumulate {
-        q8_dispatch::<true>(a, lda, bq, out, m);
+        gemm_try_parallel::<NR, true>(m, k, n, out, |i0, rows, panels, out, ldo| {
+            let a = &a[i0 * lda..];
+            q8_panel_range::<true>(a, lda, data, scales, k, n, out, rows, panels, ldo);
+        });
     } else {
-        q8_dispatch::<false>(a, lda, bq, out, m);
-    }
-}
-
-/// The [`QuantizedPanel`] counterpart of [`gemm_packed_panels`]: the same
-/// dense `[m, w]` block over panels `panels`, each element bitwise the one
-/// [`gemm_packed_q8`] writes at that `(row, column)`.
-pub fn gemm_packed_q8_panels(
-    a: &[f32],
-    lda: usize,
-    bq: &QuantizedPanel,
-    panels: std::ops::Range<usize>,
-    out: &mut [f32],
-    m: usize,
-) {
-    let w = panel_block_width::<NR>(bq.k, bq.n, lda, a.len(), m, &panels, out.len());
-    q8_panel_range::<false>(a, lda, &bq.data, &bq.scales, bq.k, bq.n, out, m, panels, w);
-}
-
-/// Serial/parallel split for [`gemm_packed_q8`]; same structure and
-/// thresholds as [`gemm_dispatch`], so the determinism argument carries
-/// over verbatim: parallelism only changes which thread computes which
-/// disjoint outputs, never any per-element expression.
-#[inline]
-fn q8_dispatch<const ACC: bool>(
-    a: &[f32],
-    lda: usize,
-    bq: &QuantizedPanel,
-    out: &mut [f32],
-    m: usize,
-) {
-    if q8_try_parallel::<ACC>(a, lda, bq, out, m) {
-        return;
-    }
-    q8_panels::<ACC>(a, lda, &bq.data, &bq.scales, bq.k, bq.n, out, m);
-}
-
-/// Parallel driver for [`gemm_packed_q8`]: a line-for-line mirror of
-/// [`gemm_try_parallel`] (same MAC threshold, same deterministic
-/// [`delrec_par::partition`] row/panel split, same private-stripe copy-back
-/// when accumulating), so q8 results are bitwise-identical across thread
-/// counts by the same construction the f32 path is.
-fn q8_try_parallel<const ACC: bool>(
-    a: &[f32],
-    lda: usize,
-    bq: &QuantizedPanel,
-    out: &mut [f32],
-    m: usize,
-) -> bool {
-    let (k, n) = (bq.k, bq.n);
-    let macs = m * k * n;
-    if macs < 2 * PAR_MIN_MACS_PER_TASK {
-        return false;
-    }
-    let pool = delrec_par::current();
-    let lanes = pool.lanes();
-    if lanes < 2 {
-        return false;
-    }
-    let task_cap = (macs / PAR_MIN_MACS_PER_TASK).min(lanes);
-    let row_tiles = m.div_ceil(MR);
-    if row_tiles >= 2 && task_cap >= 2 {
-        let tile_ranges = delrec_par::partition(row_tiles, task_cap.min(row_tiles));
-        let row_ranges: Vec<_> = tile_ranges
-            .iter()
-            .map(|r| r.start * MR * n..(r.end * MR).min(m) * n)
-            .collect();
-        let data = &bq.data;
-        let scales = &bq.scales;
-        pool.for_each_range(out, &row_ranges, |ti, out_chunk| {
-            let i0 = tile_ranges[ti].start * MR;
-            let rows = out_chunk.len() / n;
-            q8_panels::<ACC>(&a[i0 * lda..], lda, data, scales, k, n, out_chunk, rows);
+        gemm_try_parallel::<NR, false>(m, k, n, out, |i0, rows, panels, out, ldo| {
+            let a = &a[i0 * lda..];
+            q8_panel_range::<false>(a, lda, data, scales, k, n, out, rows, panels, ldo);
         });
-        return true;
     }
-    let panels = n.div_ceil(NR);
-    let tasks = task_cap.min(panels);
-    if tasks >= 2 {
-        let panel_ranges = delrec_par::partition(panels, tasks);
-        let data = &bq.data;
-        let scales = &bq.scales;
-        let prior: &[f32] = out;
-        let mut stripes: Vec<Vec<f32>> = vec![Vec::new(); tasks];
-        pool.for_each_chunk(&mut stripes, 1, |ti, slot| {
-            let pr = &panel_ranges[ti];
-            let j0 = pr.start * NR;
-            let w = (pr.end * NR).min(n) - j0;
-            let mut tmp = vec![0.0f32; m * w];
-            if ACC {
-                for i in 0..m {
-                    tmp[i * w..(i + 1) * w].copy_from_slice(&prior[i * n + j0..i * n + j0 + w]);
-                }
-            }
-            q8_panel_range::<ACC>(a, lda, data, scales, k, n, &mut tmp, m, pr.clone(), w);
-            slot[0] = tmp;
-        });
-        for (ti, pr) in panel_ranges.iter().enumerate() {
-            let j0 = pr.start * NR;
-            let w = (pr.end * NR).min(n) - j0;
-            let tmp = &stripes[ti];
-            for i in 0..m {
-                out[i * n + j0..i * n + j0 + w].copy_from_slice(&tmp[i * w..(i + 1) * w]);
-            }
-        }
-        return true;
-    }
-    false
-}
-
-/// Panel/tile driver for [`gemm_packed_q8`], monomorphized on `ACC`.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn q8_panels<const ACC: bool>(
-    a: &[f32],
-    lda: usize,
-    data: &[i8],
-    scales: &[f32],
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-    m: usize,
-) {
-    q8_panel_range::<ACC>(a, lda, data, scales, k, n, out, m, 0..n.div_ceil(NR), n);
 }
 
 simd_dispatch! {
-    /// [`q8_panels`] restricted to panels `p_range` — the q8 mirror of
+    /// [`gemm_packed_q8`] over panels `p_range` — the q8 mirror of
     /// [`gemm_panel_range`], with the panel's `NR` scales sliced alongside
     /// its codes. Runs [`q8_panel_range_body`] at the host's vector width.
     #[allow(clippy::too_many_arguments)]
@@ -951,16 +840,6 @@ fn micro_tile_q8<const MRT: usize, const ACC: bool>(
             }
         }
     }
-}
-
-/// One-shot blocked GEMM: pack `b`, then `out += a · b`. A drop-in for
-/// [`matmul_raw`] (bitwise-identical accumulate semantics) that pays one
-/// packing pass per call — use [`pack_b`] + [`gemm_packed`] when `b` is
-/// reused across calls.
-pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    let bp = pack_b(b, k, n);
-    gemm_packed(a, k, &bp, out, m, true);
 }
 
 /// `out = a · b` over a **zero-filled** `out`, choosing the blocked kernel
@@ -1151,7 +1030,7 @@ mod tests {
             f32_case::<SCAN_NR, ACC>(m, k, n);
             let a = fill(m as u64 * 31 + k as u64, m * k);
             let b = fill(n as u64 * 17 + 7, k * n);
-            let bq = pack_b_q8(&b, k, n);
+            let bq = quantize_pack(&pack_b(&b, k, n));
             let panels = 0..n.div_ceil(NR);
             let (mut want, mut got) = (fill(99, m * n), fill(99, m * n));
             let (q, sc) = (&bq.data, &bq.scales);
@@ -1205,7 +1084,7 @@ mod tests {
                     let mut want = fill(99, m * n); // non-zero: accumulate path
                     let mut got = want.clone();
                     matmul_raw(&a, &b, &mut want, m, k, n);
-                    gemm(&a, &b, &mut got, m, k, n);
+                    gemm_packed(&a, k, &pack_b(&b, k, n), &mut got, m, true);
                     assert_eq!(
                         want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                         got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
@@ -1302,7 +1181,7 @@ mod tests {
     fn q8_pack_scales_map_maxabs_to_127() {
         let (k, n) = (9, 13);
         let b = fill(42, k * n);
-        let bq = pack_b_q8(&b, k, n);
+        let bq = quantize_pack(&pack_b(&b, k, n));
         for j in 0..n {
             let maxabs = (0..k).map(|kk| b[kk * n + j].abs()).fold(0.0f32, f32::max);
             let s = bq.scales()[j];
@@ -1339,7 +1218,7 @@ mod tests {
         for kk in 0..k {
             b[kk * n + 4] = 0.0; // column 4 all zeros
         }
-        let bq = pack_b_q8(&b, k, n);
+        let bq = quantize_pack(&pack_b(&b, k, n));
         assert_eq!(bq.scales()[4], 0.0);
         let a = fill(4, m * k);
         let mut out = vec![f32::NAN; m * n];
@@ -1357,7 +1236,7 @@ mod tests {
                 for &n in &[1usize, 5, 8, 9, 16, 19] {
                     let a = fill(m as u64 * 31 + k as u64, m * k);
                     let b = fill(n as u64 * 17 + 7, k * n);
-                    let bq = pack_b_q8(&b, k, n);
+                    let bq = quantize_pack(&pack_b(&b, k, n));
                     // Overwrite mode.
                     let want = q8_reference(&a, &bq, m, None);
                     let mut got = fill(99, m * n); // garbage: must not be read
@@ -1390,7 +1269,7 @@ mod tests {
         for &(m, k, n) in &[(64usize, 64usize, 40usize), (3, 512, 256), (33, 48, 96)] {
             let a = fill(m as u64 ^ 0xabc, m * k);
             let b = fill(n as u64 ^ 0xdef, k * n);
-            let bq = pack_b_q8(&b, k, n);
+            let bq = quantize_pack(&pack_b(&b, k, n));
             for accumulate in [false, true] {
                 let seed_out = fill(7, m * n);
                 let serial = delrec_par::with_pool(&delrec_par::ThreadPool::new(1), || {
@@ -1421,43 +1300,36 @@ mod tests {
         // per-column scale overhead leaves 4k/(k+4) ≥ 3.56x.
         let (k, n) = (32, 96);
         let b = fill(12, k * n);
-        let ratio = pack_b(&b, k, n).bytes() as f64 / pack_b_q8(&b, k, n).bytes() as f64;
+        let ratio =
+            pack_b(&b, k, n).bytes() as f64 / quantize_pack(&pack_b(&b, k, n)).bytes() as f64;
         assert!(ratio >= 3.5, "pack-memory ratio {ratio:.2} < 3.5");
     }
 
     /// Any split of the panels into consecutive blocks reassembles the full
-    /// product bit for bit, in both formats, including the ragged last panel
-    /// and an empty range.
+    /// product bit for bit, including the ragged last panel and an empty
+    /// range.
     #[test]
     fn panel_blocks_reassemble_the_full_product_bitwise() {
         let (m, k, n) = (5usize, 7usize, 43usize);
         let a = fill(61, m * k);
         let b = fill(62, k * n);
         let bp = pack_b(&b, k, n);
-        let bq = pack_b_q8(&b, k, n);
         let mut want = vec![0.0f32; m * n];
         gemm_packed(&a, k, &bp, &mut want, m, false);
-        let mut want_q8 = vec![0.0f32; m * n];
-        gemm_packed_q8(&a, k, &bq, &mut want_q8, m, false);
         let panels = n.div_ceil(NR);
         for step in [1usize, 2, 4, panels] {
-            let (mut got, mut got_q8) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+            let mut got = vec![0.0f32; m * n];
             for p0 in (0..panels).step_by(step) {
                 let range = p0..(p0 + step).min(panels);
                 let (j0, j1) = (range.start * NR, (range.end * NR).min(n));
                 let w = j1 - j0;
                 let mut block = fill(63, m * w); // garbage: must not be read
-                gemm_packed_panels(&a, k, &bp, range.clone(), &mut block, m);
-                let mut block_q8 = fill(64, m * w);
-                gemm_packed_q8_panels(&a, k, &bq, range, &mut block_q8, m);
+                gemm_packed_panels(&a, k, &bp, range, &mut block, m);
                 for i in 0..m {
                     got[i * n + j0..i * n + j1].copy_from_slice(&block[i * w..(i + 1) * w]);
-                    got_q8[i * n + j0..i * n + j1].copy_from_slice(&block_q8[i * w..(i + 1) * w]);
                 }
             }
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&want), bits(&got), "f32 step {step}");
-            assert_eq!(bits(&want_q8), bits(&got_q8), "q8 step {step}");
+            assert_eq!(bits(&want), bits(&got), "step {step}");
         }
         gemm_packed_panels(&a, k, &bp, panels..panels, &mut [], m);
     }

@@ -11,9 +11,9 @@
 //! `n % SCAN_NR`.
 
 use delrec_tensor::{
-    gemm, gemm_auto, gemm_packed, gemm_packed_baseline, gemm_packed_panels, gemm_packed_q8,
-    matmul_raw, matmul_raw_strided, pack_b, pack_b_into, pack_b_q8, pack_b_transposed,
-    scan_simd_lanes, transpose_into, PackedB, MR, NR, SCAN_NR,
+    gemm_auto, gemm_packed, gemm_packed_baseline, gemm_packed_panels, gemm_packed_q8, matmul_raw,
+    matmul_raw_strided, pack_b, pack_b_into, pack_b_transposed, quantize_pack, scan_simd_lanes,
+    transpose_into, PackedB, MR, NR, SCAN_NR,
 };
 use proptest::prelude::*;
 
@@ -91,7 +91,7 @@ proptest! {
         let mut want = fill(seed ^ 0x0F0F, m * n); // non-zero: exercises += semantics
         let mut got = want.clone();
         matmul_raw(&a, &b, &mut want, m, k, n);
-        gemm(&a, &b, &mut got, m, k, n);
+        gemm_packed(&a, k, &pack_b(&b, k, n), &mut got, m, true);
         prop_assert_eq!(bits(&want), bits(&got), "m={} k={} n={}", m, k, n);
     }
 
@@ -204,7 +204,7 @@ proptest! {
         }
     }
 
-    /// Per-channel quantization invariants of `pack_b_q8`: in every column
+    /// Per-channel quantization invariants of `quantize_pack`: in every column
     /// the max-abs value maps to a ±127 code, all-zero columns keep a 0.0
     /// scale with all-zero codes (no NaN anywhere downstream), and every
     /// dequantized element sits within maxabs/254 of the original — half a
@@ -221,7 +221,7 @@ proptest! {
         for kk in 0..k {
             b[kk * n + zc] = 0.0;
         }
-        let bq = pack_b_q8(&b, k, n);
+        let bq = quantize_pack(&pack_b(&b, k, n));
         // Identity A makes the kernel emit the dequantized panel itself:
         // row kk of `deq` is `widen(q[kk, :]) · scales`, one multiply per
         // element, so every invariant is observable through the public API.
@@ -266,8 +266,8 @@ proptest! {
 
     /// Parallel `gemm_packed_q8` is bitwise-identical to the 1-lane serial
     /// path at thread counts {2, 4, 8}, through both the row-block and
-    /// panel-block splits, in both accumulate modes — the q8 mirror of the
-    /// f32 determinism pin above.
+    /// panel-block splits, in both accumulate modes — the f32 pin above run
+    /// through the q8 kernel, which forks through the same driver.
     #[test]
     fn parallel_q8_is_bitwise_serial_at_every_thread_count(
         wide in prop_oneof![Just(false), Just(true)],
@@ -279,7 +279,7 @@ proptest! {
         let (m, n) = if wide { (dim, 256 * dim + 256) } else { (32 * dim + 1, 16 * dim + 1) };
         let a = fill(seed, m * k);
         let b = fill(seed ^ 0xFACE, k * n);
-        let bq = pack_b_q8(&b, k, n);
+        let bq = quantize_pack(&pack_b(&b, k, n));
         let seed_out = fill(seed ^ 0x5EED, m * n);
         let serial = delrec_par::with_pool(&delrec_par::ThreadPool::new(1), || {
             let mut out = seed_out.clone();
@@ -357,7 +357,7 @@ fn remainder_class_grid_is_bitwise() {
                 let mut want = vec![0.0f32; m * n];
                 matmul_raw(&a, &b, &mut want, m, k, n);
                 let mut got = vec![0.0f32; m * n];
-                gemm(&a, &b, &mut got, m, k, n);
+                gemm_packed(&a, k, &pack_b(&b, k, n), &mut got, m, true);
                 assert_eq!(bits(&want), bits(&got), "m={m} k={k} n={n}");
             }
             for n in [1, NR + 1].into_iter().chain(wide_edges) {

@@ -4,35 +4,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
-cargo clippy --workspace -- -D warnings
-# The observability crate is a zero-dependency leaf everything else links
-# against; hold it (tests included) to the same warnings-are-errors bar.
-cargo clippy -p delrec-obs --all-targets -- -D warnings
-# The tensor crate carries the GEMM micro-kernel; lint its tests and the
-# gemm property suite at the same bar.
-cargo clippy -p delrec-tensor --all-targets -- -D warnings
-# The LM crate owns the engine's tile loop and its equivalence suites; lint
-# it (tests included) at the same bar.
-cargo clippy -p delrec-lm --all-targets -- -D warnings
-# The thread pool underpins every parallel path and owns the only unsafe
-# lifetime erasure in the workspace; lint it (tests included) at -D warnings.
-cargo clippy -p delrec-par --all-targets -- -D warnings
-# The retrieval crate pins the full-catalog scan's determinism contract;
-# lint it (tests and proptests included) at the same bar.
-cargo clippy -p delrec-retrieval --all-targets -- -D warnings
-# The seqrec crate holds two of the three models built on the tape's attention
-# node and the suite that pins their training bits; same bar.
-cargo clippy -p delrec-seqrec --all-targets -- -D warnings
-# The serve crate's suites pin the scheduler's flush policy, admission and
-# served ≡ direct; lint them (tests included) at the same bar.
-cargo clippy -p delrec-serve --all-targets -- -D warnings
-# The root package's integration tests (tests/*.rs) pin the cross-crate
-# contracts: golden metrics, streamed ≡ materialised ≡ matmul_raw retrieval,
-# served ≡ direct; lint them at the same bar.
-cargo clippy -p delrec --all-targets -- -D warnings
-# The remaining product crates and the bench crate (its `BENCH_*` / `repro_*`
-# bins and the full-catalog quality gates in crates/bench/tests); same bar.
-cargo clippy -p delrec-core -p delrec-eval -p delrec-data -p delrec-bench --all-targets -- -D warnings
+# Lints, warnings as errors, over every workspace package and every target:
+# libraries, bins, examples, unit and integration tests, proptests.
+cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark package (perfbench/, a workspace of its own) builds the
 # product crates through path dependencies and uses only their public API:
 # build it here so an API break against it is caught before the pipeline

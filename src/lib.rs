@@ -29,7 +29,7 @@
 //!   under GEMM, batch scoring, eval, and serving; parallel results are
 //!   bitwise identical to serial at every thread count.
 //! * [`retrieval`] — the full-catalog candidate generator: a packed-GEMM
-//!   item-embedding index (f32 or int8 panels), a recency-weighted user
+//!   item-embedding index (f32 panels), a recency-weighted user
 //!   encoder, and a deterministic top-k — the stage under
 //!   `core::Recommender`'s `recommend(history) -> top-k` with no candidate
 //!   list.

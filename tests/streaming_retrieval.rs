@@ -1,9 +1,9 @@
 //! The streamed-retrieval pin: the request path (`Retriever::retrieve*`,
 //! which walks the index tile by tile and never holds a score row) is
 //! bitwise the materialised reference `top_k(index.scan(encode(h)), n)` —
-//! both index formats, pool lanes {1, 2, 4, 8}, batches spanning two row
-//! blocks, ragged and empty histories, depths past the catalog size, and
-//! catalogs that are a multiple of neither the tile nor the panel width.
+//! at pool lanes {1, 2, 4, 8}, batches spanning two row blocks, ragged and
+//! empty histories, depths past the catalog size, and catalogs that are a
+//! multiple of neither the tile nor the panel width.
 //! Both are also pinned to an outside reference: `matmul_raw` over the
 //! normalised embeddings, so a packing bug the two paths share still fails.
 
@@ -16,7 +16,6 @@ use delrec::tensor::{matmul_raw, transpose_into};
 use proptest::prelude::*;
 
 const LANES: [usize; 4] = [1, 2, 4, 8];
-const FORMATS: [IndexFormat; 2] = [IndexFormat::F32, IndexFormat::Q8];
 
 fn fill(seed: u64, len: usize) -> Vec<f32> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
@@ -97,17 +96,20 @@ fn fused_matches_reference_at_fixed_awkward_shapes() {
         (9001, 16, 1),
         (8192, 64, 32),
     ] {
-        for format in FORMATS {
-            let r = Retriever::build(fill(n_items as u64, n_items * dim), dim, 0, format);
-            let histories = ragged_histories(n_items as u64 + 1, b, n_items);
-            let ns = depths(b, n_items);
-            let want = reference(&r, &histories, &ns);
-            let what = format!("{format:?} {n_items}x{dim} B={b}");
-            assert_fused_matches(&r, &histories, &ns, &want, &what);
-            // Solo is the batch path with one row.
-            for (h, (&n, want)) in histories.iter().zip(ns.iter().zip(&want)).take(4) {
-                assert_eq!(&bits(&r.retrieve(h, n)), want, "{what}: solo");
-            }
+        let r = Retriever::build(
+            fill(n_items as u64, n_items * dim),
+            dim,
+            0,
+            IndexFormat::F32,
+        );
+        let histories = ragged_histories(n_items as u64 + 1, b, n_items);
+        let ns = depths(b, n_items);
+        let want = reference(&r, &histories, &ns);
+        let what = format!("{n_items}x{dim} B={b}");
+        assert_fused_matches(&r, &histories, &ns, &want, &what);
+        // Solo is the batch path with one row.
+        for (h, (&n, want)) in histories.iter().zip(ns.iter().zip(&want)).take(4) {
+            assert_eq!(&bits(&r.retrieve(h, n)), want, "{what}: solo");
         }
     }
 }
@@ -123,7 +125,7 @@ fn index_scores_are_bitwise_matmul_raw_over_the_normalised_embeddings() {
     let m = 5; // one full row tile and a one-row remainder
     for dim in [16, 7] {
         let emb = fill(41 + dim as u64, n_items * dim);
-        let index = ItemIndex::build(emb.clone(), dim, 0, IndexFormat::F32);
+        let index = ItemIndex::build(emb.clone(), dim, 0);
         let mut normalised = emb;
         l2_normalize_rows(&mut normalised, dim);
         let mut items_t = vec![0.0f32; dim * n_items];
@@ -160,13 +162,11 @@ fn index_scores_are_bitwise_matmul_raw_over_the_normalised_embeddings() {
 #[test]
 fn all_zero_query_ties_everywhere_and_ranks_by_id() {
     let (n_items, dim) = (2500, 8);
-    for format in FORMATS {
-        let r = Retriever::build(fill(7, n_items * dim), dim, 0, format);
-        for lanes in LANES {
-            let got = with_pool(&ThreadPool::new(lanes), || r.retrieve(&[], 100));
-            let want: Vec<(u32, u32)> = (0..100).map(|id| (id, 0.0f32.to_bits())).collect();
-            assert_eq!(bits(&got), want, "{format:?} at {lanes} lanes");
-        }
+    let r = Retriever::build(fill(7, n_items * dim), dim, 0, IndexFormat::F32);
+    for lanes in LANES {
+        let got = with_pool(&ThreadPool::new(lanes), || r.retrieve(&[], 100));
+        let want: Vec<(u32, u32)> = (0..100).map(|id| (id, 0.0f32.to_bits())).collect();
+        assert_eq!(bits(&got), want, "at {lanes} lanes");
     }
 }
 
@@ -219,14 +219,12 @@ proptest! {
         dim in 3usize..20,
         b in prop_oneof![Just(1usize), Just(5), Just(32), Just(130)],
         seed in 0u64..1 << 20,
-        q8 in prop_oneof![Just(false), Just(true)],
     ) {
-        let format = if q8 { IndexFormat::Q8 } else { IndexFormat::F32 };
-        let r = Retriever::build(fill(seed, n_items * dim), dim, 0, format);
+        let r = Retriever::build(fill(seed, n_items * dim), dim, 0, IndexFormat::F32);
         let histories = ragged_histories(seed, b, n_items);
         let ns = depths(b, n_items);
         let want = reference(&r, &histories, &ns);
-        let what = format!("{format:?} {n_items}x{dim} B={b} seed {seed}");
+        let what = format!("{n_items}x{dim} B={b} seed {seed}");
         assert_fused_matches(&r, &histories, &ns, &want, &what);
     }
 }
